@@ -1,6 +1,9 @@
 """Riemannian metrics from matrix Lie group parametrizations, their
 curvature, and Einstein-property verification."""
 
+# Set before the submodule imports: scan.py reads it for its reports.
+__version__ = "0.1.0"
+
 from .catalog import GroupSpec, StructureConstants, make_group, parse_group_name, structure_constants
 from .charts import ChartPoint, FrameEvaluation, chart_transition_check, euler_chart, exp_chart, su2_log
 from .curvature import CurvatureBundle, EinsteinVerdict, christoffel, einstein_check, fd_cross_check, riemann_ricci
@@ -27,5 +30,3 @@ from .metric import (
 )
 from .scan import ScanConfig, ScanReport, emit_report, run_scan
 from .sphere import Embedding, hyperspherical_embedding, pullback_metric, sphere_einstein_check
-
-__version__ = "0.1.0"

@@ -8,6 +8,7 @@ for every family, so Einstein constants are comparable across a scan.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -30,6 +31,16 @@ class GroupSpec:
     def __post_init__(self):
         if not self.name:
             object.__setattr__(self, "name", f"{self.family.lower()}{self.n}")
+
+    @functools.cached_property
+    def structure(self) -> np.ndarray:
+        """f[a, b, c] with [X_a, X_b] = sum_c f_abc X_c, computed on first use."""
+        x = self.generators
+        comm = np.einsum("aij,bjk->abik", x, x) - np.einsum("bij,ajk->abik", x, x)
+        # Tr(X_c^dag [X_a, X_b]) / (1/2)
+        f = np.real(np.einsum("cji,abji->abc", x.conj(), comm)) / GRAM_CONSTANT
+        f.setflags(write=False)
+        return f
 
 
 @dataclass(frozen=True)
@@ -140,10 +151,18 @@ _FAMILIES = {
 
 
 def make_group(family: str, n: int) -> GroupSpec:
-    """Build the algebra basis for one classical group."""
+    """The algebra basis for one classical group, built once per (family, n).
+
+    Every caller shares the returned spec; its arrays are read-only.
+    """
     fam = {"su": "SU", "so": "SO", "sp": "Sp"}.get(family.lower())
     if fam is None:
         raise InvalidInputError(f"unknown group family {family!r}")
+    return _build_group(fam, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _build_group(fam: str, n: int) -> GroupSpec:
     info = _FAMILIES[fam]
     if n < info["min_n"]:
         raise InvalidInputError(f"{fam}({n}) not supported: need n >= {info['min_n']}")
@@ -151,6 +170,7 @@ def make_group(family: str, n: int) -> GroupSpec:
     dim = info["dim"](n)
     if len(gens) != dim:
         raise AssertionError(f"generator count {len(gens)} != dim {dim} for {fam}({n})")
+    gens.setflags(write=False)
     return GroupSpec(family=fam, n=n, matrix_size=info["size"](n), dim=dim, generators=gens)
 
 
@@ -169,8 +189,4 @@ def parse_group_name(name: str) -> GroupSpec:
 
 def structure_constants(spec: GroupSpec) -> StructureConstants:
     """f_abc from commutators projected on the orthogonal generator basis."""
-    x = spec.generators
-    comm = np.einsum("aij,bjk->abik", x, x) - np.einsum("bij,ajk->abik", x, x)
-    # Tr(X_c^dag [X_a, X_b]) / (1/2)
-    f = np.real(np.einsum("cji,abji->abc", x.conj(), comm)) / GRAM_CONSTANT
-    return StructureConstants(f=f)
+    return StructureConstants(f=spec.structure)

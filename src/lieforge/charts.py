@@ -1,7 +1,8 @@
 """Chart parametrizations U(theta) of group manifolds with first derivatives.
 
 Two charts are provided: the exponential chart for any cataloged group
-(derivatives by dual-number seeds through the matrix exponential) and the
+(derivatives by dual-number seeds through the Pade matrix exponential; the
+production metric on this chart uses the adjoint form in ``metric.py``) and the
 z-x-z Euler-angle chart for SU(2) (closed 2x2 factors, derivatives by
 differentiating each factor).
 """
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import GroupSpec, make_group
+from .catalog import GroupSpec
 from .errors import InvalidInputError
 from .kernel import expm_dual
 
@@ -134,16 +135,6 @@ def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def euler_chart(theta: float, phi: float, psi: float) -> FrameEvaluation:
     u, du = euler_chart_batch(np.array([[theta, phi, psi]]))
     return FrameEvaluation(U=u[0], dU=du[0])
-
-
-_SU2 = None
-
-
-def _su2_spec() -> GroupSpec:
-    global _SU2
-    if _SU2 is None:
-        _SU2 = make_group("su", 2)
-    return _SU2
 
 
 def evaluate(point: ChartPoint) -> FrameEvaluation:

@@ -48,6 +48,20 @@ def _k_value(text: str):
         raise argparse.ArgumentTypeError(f"k must be a real number or 'auto', got {text!r}")
 
 
+def _positive(kind):
+    """argparse type: a number of ``kind`` that is > 0 (so never nan)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+        return value
+
+    return parse
+
+
 def parse_cli(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="lieforge",
@@ -72,15 +86,15 @@ def parse_cli(argv) -> argparse.Namespace:
     p = sub.add_parser("einstein", help="Einstein check for one group")
     p.add_argument("--group", required=True)
     p.add_argument("--chart", choices=("exp", "euler"), default="exp")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--samples", type=_positive(int), default=20)
+    p.add_argument("--tol", type=_positive(float), default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=_k_value, default="auto")
 
     p = sub.add_parser("scan", help="conjecture scan over several groups")
     p.add_argument("--groups", required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--samples", type=_positive(int), default=20)
+    p.add_argument("--tol", type=_positive(float), default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=_k_value, default="auto")
     p.add_argument("--out", default=None)
@@ -91,8 +105,8 @@ def parse_cli(argv) -> argparse.Namespace:
                    help="ambient dimension N of S^{N-1}")
     p.add_argument("--point", type=_csv_floats, default=None)
     p.add_argument("--einstein", action="store_true")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--samples", type=_positive(int), default=20)
+    p.add_argument("--tol", type=_positive(float), default=1e-6)
     p.add_argument("--seed", type=int, default=0)
 
     return parser.parse_args(argv)

@@ -1,8 +1,13 @@
-"""Dense complex matrix kernel with forward-mode dual propagation.
+"""Dense matrix kernels: the real phi function and dual-propagated expm.
+
+``phim`` evaluates phi(M) = (1 - e^{-M}) / M for batches of real matrices;
+the exponential-chart metric applies it to the adjoint representation.
 
 Dual-valued matrices are stored as numpy stacks of shape ``(..., p+1, n, n)``:
 slot 0 along the third-to-last axis is the value matrix, slots ``1..p`` are
-the partial-derivative matrices, one per seeded coordinate direction.  All
+the partial-derivative matrices, one per seeded coordinate direction.  The
+dual Pade exponential gives U(theta) and its partials for the charts, and
+its frames are the oracle the phi-based metric is tested against.  All
 kernel operations broadcast over leading batch axes.
 """
 
@@ -28,6 +33,11 @@ _PADE13_B = (
 )
 _PADE13_THETA = 5.371920351148152
 _MAX_SQUARINGS = 64
+
+# Taylor coefficients (-1)^k / (k+1)! of phi(z) = (1 - e^{-z}) / z.  At
+# ||M||_1 <= 1/2 the first omitted term is below 0.5^15 / 16! = 1.5e-18.
+_PHI_THETA = 0.5
+_PHI_TAYLOR = tuple((-1.0) ** k / math.factorial(k + 1) for k in range(15))
 
 CONDITION_LIMIT = 1e12
 
@@ -99,6 +109,46 @@ def dual_inverse(a: np.ndarray) -> np.ndarray:
     return dual_solve(a, dual_eye(n, p, a.shape[:-3]))
 
 
+def _scaling(values: np.ndarray, theta: float, what: str) -> int:
+    """Halvings s that bring the batch's largest 1-norm to at most ``theta``.
+
+    One s serves the whole batch, so every matrix in it goes through the
+    same arithmetic and finite differences across the batch stay smooth.
+    """
+    if values.shape[-1] != values.shape[-2]:
+        raise InvalidInputError(f"{what} needs square matrices, got shape {values.shape}")
+    norm = float(np.max(np.abs(values).sum(axis=-2), initial=0.0))
+    if not math.isfinite(norm):
+        raise NumericRangeError(f"non-finite entries in {what} input")
+    if norm <= theta:
+        return 0
+    s = int(math.ceil(math.log2(norm / theta)))
+    if s > _MAX_SQUARINGS:
+        raise NumericRangeError(f"{what} input norm {norm:.3e} exceeds the scaling budget")
+    return s
+
+
+def phim(m: np.ndarray) -> np.ndarray:
+    """phi(M) = (1 - e^{-M}) / M for a batch of real matrices (..., d, d).
+
+    Taylor series at M / 2^s, then s doublings
+    phi(2M) = phi(M) (I + e^{-M}) / 2 and e^{-2M} = (e^{-M})^2.
+    """
+    m = np.asarray(m, dtype=float)
+    s = _scaling(m, _PHI_THETA, "phim")
+    m = m / (2.0 ** s)
+    c = _PHI_TAYLOR
+    ident = np.eye(m.shape[-1])
+    p = c[-1] * m + c[-2] * ident
+    for ck in c[-3::-1]:
+        p = m @ p + ck * ident
+    e = ident - m @ p  # e^{-M} = I - M phi(M)
+    for _ in range(s):
+        p = 0.5 * (p + p @ e)
+        e = e @ e
+    return p
+
+
 def expm_dual(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a dual stack by Pade-13 scaling and squaring.
 
@@ -106,19 +156,8 @@ def expm_dual(a: np.ndarray) -> np.ndarray:
     slots of the result are the exact derivatives of the computed value.
     """
     a = np.asarray(a, dtype=complex)
-    if a.shape[-1] != a.shape[-2]:
-        raise InvalidInputError(f"expm needs square matrices, got shape {a.shape}")
-    norm = float(np.max(np.abs(a[..., 0, :, :]).sum(axis=-2), initial=0.0))
-    if not math.isfinite(norm):
-        raise NumericRangeError("non-finite entries in expm input")
-    s = 0
-    if norm > _PADE13_THETA:
-        s = int(math.ceil(math.log2(norm / _PADE13_THETA)))
-        if s > _MAX_SQUARINGS:
-            raise NumericRangeError(
-                f"expm input norm {norm:.3e} exceeds the scaling budget"
-            )
-        a = a / (2.0 ** s)
+    s = _scaling(a[..., 0, :, :], _PADE13_THETA, "expm")
+    a = a / (2.0 ** s)
 
     b = _PADE13_B
     n = a.shape[-1]

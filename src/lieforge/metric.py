@@ -1,6 +1,10 @@
 """Maurer-Cartan frames and the group metric g_ab = k Tr(w_a^dag w_b).
 
-Also carries the closed-form SU(2) metrics for both charts, which serve as
+On the exponential chart the frames have the closed form
+w_a = phi(ad_A) X_a with A = theta^c X_c and phi(z) = (1 - e^{-z}) / z, so
+the metric is computed in real d x d arithmetic on the adjoint
+representation.  The Euler chart goes through U^{-1} dU.  The module also
+carries the closed-form SU(2) metrics for both charts, which serve as
 independent oracles for the numeric pipeline, and the Euler-chart isometry
 residuals.
 """
@@ -13,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .catalog import GRAM_CONSTANT, GroupSpec, make_group
-from .charts import (
+from .charts import (  # exp_chart_batch stays importable from here for callers
     ChartPoint,
     FrameEvaluation,
     EXP_SU2_NORM_MAX,
@@ -23,7 +27,7 @@ from .charts import (
     safe_domain,
 )
 from .errors import InvalidInputError, LieForgeError, SingularityError
-from .kernel import mat_inverse
+from .kernel import mat_inverse, phim
 
 METRIC_CONDITION_LIMIT = 1e10
 _IMAG_TOL = 1e-8
@@ -98,23 +102,38 @@ def _finish(g: np.ndarray, point: ChartPoint | None) -> MetricTensor:
     return MetricTensor(g=g, g_inv=np.linalg.inv(g), point=point, condition=cond)
 
 
+def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarray:
+    """Exponential-chart metric at a batch of points (m, dim) -> (m, dim, dim).
+
+    With M_eb = theta^c f_cbe the matrix of ad_A, w_a = J_ea X_e for
+    J = phi(M), and Tr(X_e^dag X_f) = delta_ef / 2 gives g = k J^T J / 2.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    d = spec.dim
+    if thetas.shape[1] != d:
+        raise InvalidInputError(
+            f"exp chart for {spec.name}: expected {d} coordinates, "
+            f"got {thetas.shape[1]}"
+        )
+    ad = (thetas @ spec.structure.reshape(d, d * d)).reshape(-1, d, d)  # [m, b, e]
+    j = phim(np.swapaxes(ad, -1, -2))
+    return (k * GRAM_CONSTANT) * (np.swapaxes(j, -1, -2) @ j)
+
+
 def metric(cfg: MetricConfig, point: ChartPoint) -> MetricTensor:
     """Pipeline metric at one chart point."""
-    frame = evaluate(point)
-    g = metric_from_frame(frame, cfg.resolve_k())
+    k = cfg.resolve_k()
+    if point.chart == "exp":
+        g = exp_metric_batch(point.group, point.coords, k)[0]
+    else:
+        g = metric_from_frame(evaluate(point), k)
     return _finish(g, point)
 
 
 def exp_metric_field(spec: GroupSpec, k: float = 2.0) -> MetricField:
     dom = safe_domain(spec, "exp")
-
-    def func(pts):
-        u, du = exp_chart_batch(spec, pts)
-        omega = np.linalg.inv(u)[:, None, :, :] @ du
-        return _gram(omega, k)
-
-    return MetricField(dim=spec.dim, func=func, contains=dom.contains,
-                       name=f"{spec.name}-exp")
+    return MetricField(dim=spec.dim, func=lambda pts: exp_metric_batch(spec, pts, k),
+                       contains=dom.contains, name=f"{spec.name}-exp")
 
 
 def euler_metric_field(k: float = 2.0) -> MetricField:

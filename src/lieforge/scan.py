@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .catalog import GroupSpec, parse_group_name
 from .charts import safe_domain
 from .curvature import einstein_check
 from .errors import InvalidInputError, LieForgeError
 from .metric import MetricConfig, MetricField, exp_metric_field
 
-VERSION = "0.1.0"
 SAMPLE_CONDITION_LIMIT = 1e8
 
 
@@ -34,9 +34,9 @@ class ScanConfig:
     k: float | str = "auto"
 
     def __post_init__(self):
-        if self.samples < 1:
+        if not self.samples >= 1:
             raise InvalidInputError("samples must be >= 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # also rejects nan
             raise InvalidInputError("tolerance must be positive")
 
 
@@ -72,7 +72,7 @@ class ScanReport:
                 "k": self.config.k,
             },
             "seed": self.config.seed,
-            "version": VERSION,
+            "version": __version__,
             "groups": [
                 {
                     "name": r.name,
@@ -92,6 +92,8 @@ class ScanReport:
 def sample_safe_points(field: MetricField, lo: np.ndarray, hi: np.ndarray,
                        count: int, rng) -> np.ndarray:
     """Rejection-sample points with a well-conditioned metric."""
+    if not count >= 1:
+        raise InvalidInputError(f"need at least one sample point, got {count}")
     out = []
     attempts = 0
     while len(out) < count:

@@ -41,3 +41,13 @@ def fd_derivative(f, x, direction, h=1e-4, richardson=True):
     if not richardson:
         return central(h)
     return (16 * central(h / 2) - central(h)) / 15
+
+
+def killing_lambda(f):
+    """Einstein constant -B_aa / 8 of the bi-invariant metric, B_ab = f_aec f_bce.
+
+    With g = I in the normalized basis, Ric = -B / 4 = 2 Lambda g.
+    """
+    b = np.einsum("aec,bce->ab", f, f)
+    assert np.abs(b - b[0, 0] * np.eye(len(b))).max() < 1e-12
+    return -b[0, 0] / 8.0

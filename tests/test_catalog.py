@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import killing_lambda
 from lieforge.catalog import (
     GRAM_CONSTANT,
     make_group,
@@ -141,3 +142,33 @@ def test_parse_group_name(name, family, n):
 def test_parse_group_name_rejects(bad):
     with pytest.raises(InvalidInputError):
         parse_group_name(bad)
+
+
+def test_make_group_is_shared_and_read_only():
+    spec = make_group("so", 4)
+    assert make_group("SO", 4) is spec
+    assert parse_group_name("so4") is spec
+    assert not spec.generators.flags.writeable
+    with pytest.raises(ValueError):
+        spec.generators[0, 0, 0] = 1.0
+
+
+def test_structure_constants_cached_on_spec():
+    spec = make_group("sp", 2)
+    f = structure_constants(spec).f
+    assert f is spec.structure
+    assert not f.flags.writeable
+    # the cached tensor rebuilds every commutator
+    x = spec.generators
+    comm = np.einsum("aij,bjk->abik", x, x) - np.einsum("bij,ajk->abik", x, x)
+    assert np.abs(comm - np.einsum("abc,cij->abij", f, x)).max() < 1e-13
+
+
+@pytest.mark.parametrize("family,n,expected", [
+    ("su", 2, 2 / 8), ("su", 3, 3 / 8), ("su", 4, 4 / 8),
+    ("so", 3, 1 / 16), ("so", 4, 2 / 16), ("so", 5, 3 / 16), ("so", 6, 4 / 16),
+    ("sp", 1, 2 / 8), ("sp", 2, 3 / 8), ("sp", 3, 4 / 8),
+])
+def test_killing_lambda_closed_forms(family, n, expected):
+    # su(n): n/8, so(n): (n - 2)/16, sp(n): (n + 1)/8
+    assert killing_lambda(structure_constants(make_group(family, n)).f) == pytest.approx(expected, abs=1e-13)

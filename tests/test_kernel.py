@@ -17,6 +17,7 @@ from lieforge.kernel import (
     mat_exp,
     mat_inverse,
     mat_mul,
+    phim,
 )
 
 
@@ -164,3 +165,40 @@ class TestDualScalar:
         x = DualScalar.variable(0.5, 1, 4)
         y = x * x + 2.0 * x
         assert y.partials.shape == (4,)
+
+
+class TestPhim:
+    def test_scalar_series(self):
+        # 1x1 matrices: phi(z) = (1 - e^{-z}) / z, across several doublings
+        z = np.array([-7.5, -1.0, -1e-3, 1e-3, 0.3, 0.5, 2.0, 9.0])
+        got = phim(z[:, None, None])[:, 0, 0]
+        assert np.abs(got - (-np.expm1(-z)) / z).max() < 1e-14 * np.abs(got).max()
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(phim(np.zeros((2, 4, 4))), np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 3.0, 20.0])
+    @pytest.mark.parametrize("antisymmetric,tol", [(True, 1e-13), (False, 1e-12)])
+    def test_matches_scipy_expm(self, scale, antisymmetric, tol):
+        # M phi(M) = I - e^{-M} with scipy's independent expm.  Adjoint
+        # matrices are antisymmetric; general ones lose more to the doublings
+        # where e^{-M} grows large.
+        from scipy.linalg import expm as scipy_expm
+
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(6, 5, 5))
+        if antisymmetric:
+            m = m - np.swapaxes(m, -1, -2)
+        m *= scale / np.abs(m).sum(axis=-2).max()
+        p = phim(m)
+        for mi, pi in zip(m, p):
+            ref = np.eye(5) - scipy_expm(-mi)
+            assert np.abs(mi @ pi - ref).max() < tol * max(1.0, np.abs(ref).max())
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InvalidInputError):
+            phim(np.ones((2, 3)))
+        with pytest.raises(NumericRangeError):
+            phim(np.full((2, 2), np.nan))
+        with pytest.raises(NumericRangeError):
+            phim(np.eye(2) * 1e300)

@@ -2,14 +2,22 @@ import numpy as np
 import pytest
 
 from lieforge.catalog import make_group
-from lieforge.charts import ChartPoint, FrameEvaluation, euler_chart, exp_chart
-from lieforge.errors import SingularityError
+from lieforge.charts import (
+    ChartPoint,
+    FrameEvaluation,
+    euler_chart,
+    exp_chart,
+    exp_chart_batch,
+    safe_domain,
+)
+from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.kernel import PAULI, expm
 from lieforge.metric import (
     MetricConfig,
     closed_form_metric_su2_euler,
     closed_form_metric_su2_exp,
     euler_metric_field,
+    exp_metric_batch,
     exp_metric_field,
     isometry_residual,
     maurer_cartan,
@@ -196,3 +204,59 @@ class TestIsometries:
     def test_zero_shift_exact(self, su2):
         point = ChartPoint("euler", [1.2, 0.0, 0.4], su2)
         assert isometry_residual(cfg_euler(su2), point, "phi_shift", 0.0) == 0.0
+
+
+ORACLE_GROUPS = CATALOG + [("su", 4), ("so", 6), ("sp", 3)]
+
+
+def pade_metric(spec, pts, k=2.0):
+    """g = k Tr(w^dag w) with w = U^{-1} dU from the dual Pade chart."""
+    u, du = exp_chart_batch(spec, pts)
+    return np.stack([metric_from_frame(FrameEvaluation(U=ui, dU=dui), k)
+                     for ui, dui in zip(u, du)])
+
+
+def frechet_metric(spec, theta, k=2.0):
+    """The same metric from scipy's expm_frechet, independent of lieforge's kernel."""
+    from scipy.linalg import expm_frechet
+
+    a = np.einsum("a,aij->ij", theta, spec.generators)
+    w = np.stack([np.linalg.solve(*expm_frechet(a, x)) for x in spec.generators])
+    return k * np.real(np.einsum("aji,bji->ab", w.conj(), w))
+
+
+class TestAdjointMetric:
+    """The production exp-chart metric phi(ad) against two frame oracles."""
+
+    @pytest.mark.parametrize("family,n", ORACLE_GROUPS)
+    def test_matches_pade_and_frechet(self, family, n):
+        spec = make_group(family, n)
+        dom = safe_domain(spec, "exp")
+        rng = np.random.default_rng(30)
+        pts = np.vstack([np.zeros(spec.dim), rng.uniform(dom.lo, dom.hi, (8, spec.dim))])
+        g = exp_metric_batch(spec, pts, 2.0)
+        assert np.abs(g - pade_metric(spec, pts)).max() <= 1e-13
+        for theta, gi in zip(pts[:4], g):
+            assert np.abs(gi - frechet_metric(spec, theta)).max() <= 1e-13
+        assert np.array_equal(g[0], np.eye(spec.dim))
+
+    def test_su2_near_chart_degeneracy(self, su2):
+        rng = np.random.default_rng(31)
+        v = rng.normal(size=(12, 3))
+        pts = v / np.linalg.norm(v, axis=1)[:, None] * (2 * np.pi - 0.011)
+        g = exp_metric_batch(su2, pts, 2.0)
+        assert np.abs(g - pade_metric(su2, pts)).max() <= 1e-13
+        for theta, gi in zip(pts, g):
+            assert np.abs(gi - frechet_metric(su2, theta)).max() <= 1e-13
+            assert np.abs(gi - closed_form_metric_su2_exp(theta).g).max() <= 1e-13
+
+    def test_field_and_single_point_agree(self):
+        spec = make_group("so", 5)
+        theta = np.random.default_rng(32).uniform(-0.4, 0.4, spec.dim)
+        g_field = exp_metric_field(spec, 2.0)(theta)[0]
+        g_point = metric(MetricConfig(group=spec), ChartPoint("exp", theta, spec)).g
+        assert np.array_equal(g_field, g_point)
+
+    def test_rejects_wrong_coordinate_count(self, su2):
+        with pytest.raises(InvalidInputError):
+            exp_metric_batch(su2, np.zeros((2, 4)), 2.0)

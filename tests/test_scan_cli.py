@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import killing_lambda
 from lieforge import cli
+from lieforge.catalog import parse_group_name, structure_constants
 from lieforge.errors import InvalidInputError
 from lieforge.scan import (
     ScanConfig,
@@ -50,6 +52,14 @@ class TestRunScan:
             ScanConfig(groups=("su2",), samples=0)
         with pytest.raises(InvalidInputError):
             ScanConfig(groups=("su2",), tolerance=-1.0)
+
+    def test_rows_pinned_to_killing_lambda(self):
+        groups = ("su2", "su3", "so3", "so4", "so5", "sp1", "sp2")
+        rep = run_scan(ScanConfig(groups=groups, samples=2, seed=3))
+        assert rep.passed
+        for row in rep.rows:
+            exact = killing_lambda(structure_constants(parse_group_name(row.name)).f)
+            assert abs(row.lambda_hat - exact) <= 1e-7, (row.name, row.lambda_hat, exact)
 
     def test_forced_fail_tolerance(self):
         rep = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-12))
@@ -156,3 +166,51 @@ class TestCli:
         code = cli.main(["metric", "--group", "su2", "--chart", "euler",
                          "--point", "0,0.3,0.3"])
         assert code == 2
+
+
+def exit_code(argv):
+    """Exit status of one CLI call, whether it returns or raises SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv", [
+        ["einstein", "--group", "su2", "--samples", "0"],
+        ["einstein", "--group", "su2", "--samples", "-3"],
+        ["scan", "--groups", "su2", "--samples", "0"],
+        ["sphere", "--dim", "3", "--einstein", "--samples", "0"],
+    ])
+    def test_no_samples_exit_2(self, argv, capsys):
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("argv", [
+        ["einstein", "--group", "su2", "--samples", "2"],
+        ["scan", "--groups", "su2", "--samples", "2"],
+        ["sphere", "--dim", "3", "--einstein", "--samples", "2"],
+    ])
+    def test_bad_tolerance_exit_2(self, argv, tol, capsys):
+        assert exit_code(argv + ["--tol", tol]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_scan_config_rejects_nan(self):
+        with pytest.raises(InvalidInputError):
+            ScanConfig(groups=("su2",), tolerance=float("nan"))
+        with pytest.raises(InvalidInputError):
+            ScanConfig(groups=("su2",), samples=float("nan"))
+
+    def test_sampler_rejects_empty_request(self):
+        from lieforge.catalog import make_group
+        from lieforge.charts import safe_domain
+        from lieforge.metric import exp_metric_field
+        from lieforge.scan import sample_safe_points
+
+        spec = make_group("su", 2)
+        dom = safe_domain(spec, "exp")
+        with pytest.raises(InvalidInputError):
+            sample_safe_points(exp_metric_field(spec), dom.lo, dom.hi, 0,
+                               np.random.default_rng(0))
