@@ -7,13 +7,16 @@ import pytest
 from conftest import killing_lambda
 from lieforge import cli
 from lieforge.catalog import parse_group_name, structure_constants
+from lieforge.charts import safe_domain
 from lieforge.errors import InvalidInputError
+from lieforge.metric import exp_metric_field
 from lieforge.scan import (
     ScanConfig,
     ScanReport,
     dumps_json,
     emit_report,
     run_scan,
+    sample_safe_points,
 )
 
 
@@ -52,6 +55,10 @@ class TestRunScan:
             ScanConfig(groups=("su2",), samples=0)
         with pytest.raises(InvalidInputError):
             ScanConfig(groups=("su2",), tolerance=-1.0)
+        with pytest.raises(InvalidInputError):
+            ScanConfig(groups=("su2",), tolerance=float("nan"))
+        with pytest.raises(InvalidInputError):
+            ScanConfig(groups=("su2",), samples=float("nan"))
 
     def test_rows_pinned_to_killing_lambda(self):
         groups = ("su2", "su3", "so3", "so4", "so5", "sp1", "sp2")
@@ -197,19 +204,8 @@ class TestInputValidation:
         assert exit_code(argv + ["--tol", tol]) == 2
         assert capsys.readouterr().out == ""
 
-    def test_scan_config_rejects_nan(self):
-        with pytest.raises(InvalidInputError):
-            ScanConfig(groups=("su2",), tolerance=float("nan"))
-        with pytest.raises(InvalidInputError):
-            ScanConfig(groups=("su2",), samples=float("nan"))
-
     def test_sampler_rejects_empty_request(self):
-        from lieforge.catalog import make_group
-        from lieforge.charts import safe_domain
-        from lieforge.metric import exp_metric_field
-        from lieforge.scan import sample_safe_points
-
-        spec = make_group("su", 2)
+        spec = parse_group_name("su2")
         dom = safe_domain(spec, "exp")
         with pytest.raises(InvalidInputError):
             sample_safe_points(exp_metric_field(spec), dom.lo, dom.hi, 0,
