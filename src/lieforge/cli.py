@@ -21,6 +21,7 @@ from .metric import (
     euler_metric_field,
     exp_metric_field,
     metric,
+    resolve_k,
 )
 from .scan import (
     ScanConfig,
@@ -34,18 +35,21 @@ from .sphere import pullback_metric, sphere_einstein_check
 
 def _csv_floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",")])
+        values = np.array([float(x) for x in text.split(",")])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}: {exc}")
+    if not np.all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"non-finite value in {text!r}")
+    return values
 
 
 def _k_value(text: str):
-    if text == "auto":
-        return "auto"
     try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"k must be a real number or 'auto', got {text!r}")
+        resolve_k(text)
+    except LieForgeError:
+        raise argparse.ArgumentTypeError(
+            f"k must be a positive finite number or 'auto', got {text!r}")
+    return text if text == "auto" else float(text)
 
 
 def _positive(kind):
@@ -155,7 +159,7 @@ def _build_field(spec, chart, k):
 
 def _cmd_curvature(args) -> int:
     spec = parse_group_name(args.group)
-    k = MetricConfig(group=spec, chart=args.chart, k=args.k).resolve_k()
+    k = resolve_k(args.k)
     ChartPoint(args.chart, args.point, spec)  # validates coordinate count
     bundle = riemann_ricci(_build_field(spec, args.chart, k), args.point)
     d = spec.dim
@@ -167,7 +171,7 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_einstein(args) -> int:
     spec = parse_group_name(args.group)
-    k = MetricConfig(group=spec, chart=args.chart, k=args.k).resolve_k()
+    k = resolve_k(args.k)
     field = _build_field(spec, args.chart, k)
     dom = safe_domain(spec, args.chart)
     rng = np.random.default_rng(args.seed)
@@ -183,6 +187,7 @@ def _cmd_einstein(args) -> int:
         "residual": v.residual,
         "field_residual": v.field_residual,
         "pass": v.passed,
+        "failure": v.failure,
     }))
     return 0 if v.passed else 1
 
@@ -216,6 +221,7 @@ def _cmd_sphere(args) -> int:
             "lambda_spread": v.lambda_spread,
             "residual": v.residual,
             "pass": v.passed,
+            "failure": v.failure,
         }))
         return 0 if v.passed else 1
     if args.point is None:

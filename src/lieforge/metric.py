@@ -40,13 +40,21 @@ class MetricConfig:
     k: Union[float, str] = "auto"
 
     def resolve_k(self) -> float:
-        if self.k == "auto":
-            # unique k with g(0) = identity under the catalog normalization
-            return 1.0 / GRAM_CONSTANT
-        k = float(self.k)
-        if k <= 0:
-            raise InvalidInputError(f"metric constant k must be positive, got {k}")
-        return k
+        return resolve_k(self.k)
+
+
+def resolve_k(k: Union[float, str]) -> float:
+    """The metric constant: 'auto' or a positive finite number."""
+    if k == "auto":
+        # unique k with g(0) = identity under the catalog normalization
+        return 1.0 / GRAM_CONSTANT
+    try:
+        value = float(k)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidInputError(f"metric constant k must be positive and finite, got {k!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .catalog import GroupSpec, parse_group_name
 from .charts import safe_domain
 from .curvature import einstein_check
 from .errors import InvalidInputError, LieForgeError
-from .metric import MetricConfig, MetricField, exp_metric_field
+from .metric import MetricField, exp_metric_field, resolve_k
 
 SAMPLE_CONDITION_LIMIT = 1e8
 
@@ -38,6 +38,7 @@ class ScanConfig:
             raise InvalidInputError("samples must be >= 1")
         if not self.tolerance > 0:  # also rejects nan
             raise InvalidInputError("tolerance must be positive")
+        resolve_k(self.k)
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,7 @@ class ScanReport:
                     "max_residual": r.max_residual,
                     "pass": r.passed,
                     "wall_time_ms": r.wall_time_ms,
+                    "failure": r.failure,
                 }
                 for r in self.rows
             ],
@@ -117,7 +119,7 @@ def sample_safe_points(field: MetricField, lo: np.ndarray, hi: np.ndarray,
 def scan_one_group(spec: GroupSpec, cfg: ScanConfig, group_index: int) -> GroupResult:
     start = time.perf_counter()
     try:
-        k = MetricConfig(group=spec, chart="exp", k=cfg.k).resolve_k()
+        k = resolve_k(cfg.k)
         metric_field = exp_metric_field(spec, k)
         dom = safe_domain(spec, "exp")
         rng = np.random.default_rng([cfg.seed, group_index])

@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from lie_fields import flat_field, s2_field  # local helper module
+from lieforge.catalog import parse_group_name
 from lieforge.charts import ChartPoint, euler_chart, safe_domain, su2_log
 from lieforge.curvature import (
     christoffel,
+    christoffel_batch,
     einstein_check,
     fd_cross_check,
     first_partials,
+    metric_jet,
     riemann_ricci,
 )
 from lieforge.errors import DomainError, InvalidInputError
 from lieforge.metric import (
+    MetricField,
     closed_form_su2_exp_metric_derivative,
     euler_metric_field,
     exp_metric_field,
+    resolve_k,
 )
 
 
@@ -81,6 +88,95 @@ class TestRiemannRicci:
         # antisymmetry in the last index pair, relative to the overall scale
         scale = np.abs(b.riemann).max()
         assert np.abs(b.riemann + np.transpose(b.riemann, (0, 1, 3, 2))).max() < 1e-7 * max(scale, 1.0)
+
+
+    @pytest.mark.parametrize("name", ["su2", "su3", "so4", "so5", "sp2"])
+    def test_milnor_at_origin(self, name):
+        # bi-invariant metric, g(0) = I: R(X, Y)Z = -[[X, Y], Z] / 4, so
+        # R^d_cab = -f_abe f_ecd / 4 (Milnor 1976)
+        spec = parse_group_name(name)
+        field = exp_metric_field(spec, resolve_k("auto"))
+        # su2's exp domain excludes a small ball around the origin, where
+        # the adjoint-representation metric is still smooth
+        field = replace(field, contains=lambda x: np.ones(len(np.atleast_2d(x)), bool))
+        b = riemann_ricci(field, np.zeros(spec.dim))
+        f = spec.structure
+        assert np.abs(b.metric - np.eye(spec.dim)).max() < 1e-14
+        assert np.abs(b.riemann + 0.25 * np.einsum("abe,ecd->dcab", f, f)).max() < 1e-6
+
+    def test_matches_nested_differences(self):
+        # the curvature as nested finite differences: Gamma by FD of g, then
+        # d Gamma by FD of Gamma
+        spec = parse_group_name("su3")
+        field = exp_metric_field(spec, resolve_k("auto"))
+        point = np.random.default_rng(31).uniform(-0.3, 0.3, spec.dim)
+        gam = christoffel(field, point)
+        dgam = first_partials(lambda x: christoffel_batch(field, x), point[None])[0]
+        riem = (np.transpose(dgam, (1, 3, 0, 2)) - np.transpose(dgam, (1, 3, 2, 0))
+                + np.einsum("dae,ebc->dcab", gam, gam) - np.einsum("dbe,eac->dcab", gam, gam))
+        b = riemann_ricci(field, point)
+        assert np.abs(b.gamma - gam).max() < 1e-12
+        assert np.abs(b.riemann - riem).max() < 1e-7
+
+
+def counting_field(field):
+    """field, recording the rows of every call."""
+    calls = []
+
+    def func(pts):
+        calls.append(np.array(pts))
+        return field(pts)
+
+    return replace(field, func=func), calls
+
+
+class TestSharedStencil:
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    def test_one_call_of_distinct_rows(self, d):
+        field, calls = counting_field(flat_field(d))
+        point = np.linspace(-0.3, 0.3, d)
+        riemann_ricci(field, point)
+        assert len(calls) == 1
+        rows = calls[0]
+        assert len(rows) == 1 + 6 * d + 8 * d * (d - 1)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        # the second-derivative step acts: its axis rows are no longer shared
+        calls.clear()
+        riemann_ricci(field, point, h2=7e-4)
+        assert len(calls) == 1
+        assert len(calls[0]) == 1 + 6 * d + 8 * d * (d - 1) + 4 * d
+
+    @pytest.mark.parametrize("case", ["s2", "conformal"])
+    def test_second_derivative_order(self, case):
+        # against the exact second derivatives; order >= 3 under step halving
+        if case == "s2":
+            field = s2_field()
+            x, y = 0.7, 0.3
+            exact = np.zeros((2, 2, 2, 2))
+            exact[0, 0, 1, 1] = 2.0 * np.cos(2.0 * x)
+        else:
+            def func(pts):
+                pts = np.atleast_2d(pts)
+                w = 2.0 + np.sin(pts[:, 0]) * np.cos(2.0 * pts[:, 1])
+                return w[:, None, None] * np.eye(2)
+
+            field = MetricField(dim=2, func=func,
+                                contains=lambda p: np.ones(len(np.atleast_2d(p)), bool))
+            x, y = 0.4, -0.2
+            dxx = -np.sin(x) * np.cos(2 * y)
+            dxy = -2.0 * np.cos(x) * np.sin(2 * y)
+            exact = np.array([[dxx, dxy], [dxy, 4.0 * dxx]])[:, :, None, None] * np.eye(2)
+        errs = [np.abs(metric_jet(field, np.array([x, y]), h2=h2)[2] - exact).max()
+                for h2 in (4e-2, 2e-2, 1e-2)]
+        orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        assert min(orders) >= 3.0, (errs, orders)
+
+    def test_first_derivatives_as_first_partials(self, su2_field):
+        point = np.array([0.9, -0.4, 0.6])
+        g, dg, _ = metric_jet(su2_field, point)
+        assert np.array_equal(g, su2_field(point)[0])
+        # same offsets and weights; only the kernel's per-batch scaling may differ
+        assert np.abs(dg - first_partials(su2_field, point[None])[0]).max() < 1e-12
 
 
 class TestEinsteinCheck:

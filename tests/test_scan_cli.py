@@ -9,7 +9,7 @@ from lieforge import cli
 from lieforge.catalog import parse_group_name, structure_constants
 from lieforge.charts import safe_domain
 from lieforge.errors import InvalidInputError
-from lieforge.metric import exp_metric_field
+from lieforge.metric import MetricConfig, exp_metric_field
 from lieforge.scan import (
     ScanConfig,
     ScanReport,
@@ -61,9 +61,10 @@ class TestRunScan:
             ScanConfig(groups=("su2",), samples=float("nan"))
 
     def test_rows_pinned_to_killing_lambda(self):
-        groups = ("su2", "su3", "so3", "so4", "so5", "sp1", "sp2")
+        groups = ("su2", "su3", "so3", "so4", "so5", "sp1", "sp2", "su4", "so6", "sp3")
         rep = run_scan(ScanConfig(groups=groups, samples=2, seed=3))
         assert rep.passed
+        assert [row.dim for row in rep.rows[-3:]] == [15, 15, 21]
         for row in rep.rows:
             exact = killing_lambda(structure_constants(parse_group_name(row.name)).f)
             assert abs(row.lambda_hat - exact) <= 1e-7, (row.name, row.lambda_hat, exact)
@@ -71,6 +72,14 @@ class TestRunScan:
     def test_forced_fail_tolerance(self):
         rep = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-12))
         assert not rep.passed
+
+    def test_failure_reason_in_report(self):
+        failing = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-12)).to_dict()
+        reason = failing["groups"][0]["failure"]
+        assert "residual" in reason and "1.000e-12" in reason
+        assert json.loads(emit_report(failing, "json"))["groups"][0]["failure"] == reason
+        passing = run_scan(ScanConfig(groups=("su2",), samples=2)).to_dict()
+        assert passing["groups"][0]["failure"] is None
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +165,12 @@ class TestCli:
         code = cli.main(["einstein", "--group", "su2", "--samples", "2",
                          "--tol", "1e-12"])
         assert code == 1
+        assert "not below tolerance" in json.loads(capsys.readouterr().out)["failure"]
+
+    def test_einstein_pass_has_null_failure(self, capsys):
+        code = cli.main(["einstein", "--group", "su2", "--samples", "2"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["failure"] is None
 
     def test_sphere_command(self, capsys):
         code = cli.main(["sphere", "--dim", "3", "--einstein", "--samples", "3"])
@@ -167,7 +182,8 @@ class TestCli:
         code = cli.main(["curvature", "--group", "su2", "--chart", "exp",
                          "--point", "0.8,0.1,-0.3"])
         assert code == 0
-        assert "scalar: 1.50000" in capsys.readouterr().out
+        scalar = capsys.readouterr().out.split("scalar:")[1].split()[0]
+        assert float(scalar) == pytest.approx(1.5, abs=1e-6)
 
     def test_degenerate_point_exit_2(self, capsys):
         code = cli.main(["metric", "--group", "su2", "--chart", "euler",
@@ -203,6 +219,36 @@ class TestInputValidation:
     def test_bad_tolerance_exit_2(self, argv, tol, capsys):
         assert exit_code(argv + ["--tol", tol]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--group", "su2", "--chart", "euler", "--point", "{},0,0"],
+        ["metric", "--group", "su2", "--point", "0.1,{},0"],
+        ["curvature", "--group", "su2", "--point", "0.3,0,{}"],
+        ["sphere", "--dim", "3", "--point", "{},0"],
+    ])
+    def test_non_finite_point_exit_2(self, argv, value, capsys):
+        argv = [a.format(value) for a in argv]
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("k", ["nan", "inf", "-inf", "0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--group", "su2", "--point", "0.3,0,0"],
+        ["curvature", "--group", "su2", "--point", "0.3,0,0"],
+        ["einstein", "--group", "su2", "--samples", "2"],
+        ["scan", "--groups", "su2", "--samples", "2"],
+    ])
+    def test_bad_k_exit_2(self, argv, k, capsys):
+        assert exit_code(argv + ["--k", k]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), 0.0, -1.0, "two"])
+    def test_bad_k_rejected_by_configs(self, k):
+        with pytest.raises(InvalidInputError):
+            MetricConfig(group=parse_group_name("su2"), k=k).resolve_k()
+        with pytest.raises(InvalidInputError):
+            ScanConfig(groups=("su2",), k=k)
 
     def test_sampler_rejects_empty_request(self):
         spec = parse_group_name("su2")
