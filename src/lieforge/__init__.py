@@ -15,7 +15,7 @@ from .errors import (
     NumericRangeError,
     SingularityError,
 )
-from .kernel import DualMatrix, mat_adjoint, mat_exp, mat_inverse, mat_mul
+from .kernel import mat_inverse
 from .metric import (
     MetricConfig,
     MetricField,
@@ -23,10 +23,10 @@ from .metric import (
     closed_form_metric_su2_euler,
     closed_form_metric_su2_exp,
     exp_metric_field,
-    euler_metric_field,
     isometry_residual,
     maurer_cartan,
     metric,
+    metric_field,
 )
 from .scan import ScanConfig, ScanReport, emit_report, run_scan
-from .sphere import Embedding, hyperspherical_embedding, pullback_metric, sphere_einstein_check
+from .sphere import hyperspherical_embedding, pullback_metric, sphere_einstein_check

@@ -18,7 +18,6 @@ from .catalog import GroupSpec
 from .errors import InvalidInputError
 from .kernel import expm_dual
 
-EXP_SU2_NORM_MIN = 1e-4
 EXP_SU2_NORM_MAX = 2.0 * np.pi - 1e-2
 EULER_SIN_MARGIN = 1e-6
 
@@ -170,9 +169,9 @@ def su2_log(u: np.ndarray) -> np.ndarray:
 def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
     """Sampling box and membership predicate for a chart.
 
-    The exponential chart of SU(2) is nondegenerate for
-    1e-4 < |theta| < 2*pi - 1e-2; other groups get a conservative
-    injectivity ball |theta| < pi/2 in the normalized basis.
+    The exponential chart of SU(2) is nondegenerate for |theta| < 2*pi - 1e-2;
+    other groups get a conservative injectivity ball |theta| < pi/2 in the
+    normalized basis.
     """
     if chart == "euler":
         if spec.name != "su2":
@@ -192,14 +191,12 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
     d = spec.dim
     if spec.name == "su2":
         r = 1.5
-        nmin, nmax = EXP_SU2_NORM_MIN, EXP_SU2_NORM_MAX
+        nmax = EXP_SU2_NORM_MAX
     else:
         r = 0.95 * (np.pi / 2) / np.sqrt(d)
-        nmin, nmax = -1.0, np.pi / 2
+        nmax = np.pi / 2
 
-    def contains(pts, _nmin=nmin, _nmax=nmax):
-        pts = np.atleast_2d(pts)
-        norms = np.linalg.norm(pts, axis=1)
-        return (norms > _nmin) & (norms < _nmax)
+    def contains(pts, _nmax=nmax):
+        return np.linalg.norm(np.atleast_2d(pts), axis=1) < _nmax
 
     return SafeDomain(lo=np.full(d, -r), hi=np.full(d, r), contains=contains)

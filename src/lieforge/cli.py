@@ -16,13 +16,7 @@ from .catalog import parse_group_name
 from .charts import ChartPoint, safe_domain
 from .curvature import einstein_check, riemann_ricci
 from .errors import LieForgeError
-from .metric import (
-    MetricConfig,
-    euler_metric_field,
-    exp_metric_field,
-    metric,
-    resolve_k,
-)
+from .metric import MetricConfig, metric, metric_field, resolve_k
 from .scan import (
     ScanConfig,
     dumps_json,
@@ -151,17 +145,11 @@ def _cmd_metric(args) -> int:
     return 0
 
 
-def _build_field(spec, chart, k):
-    if chart == "euler":
-        return euler_metric_field(k)
-    return exp_metric_field(spec, k)
-
-
 def _cmd_curvature(args) -> int:
     spec = parse_group_name(args.group)
     k = resolve_k(args.k)
     ChartPoint(args.chart, args.point, spec)  # validates coordinate count
-    bundle = riemann_ricci(_build_field(spec, args.chart, k), args.point)
+    bundle = riemann_ricci(metric_field(spec, args.chart, k), args.point)
     d = spec.dim
     _print_matrix("ricci:", bundle.ricci)
     print(f"scalar: {bundle.scalar:.10f}")
@@ -172,7 +160,7 @@ def _cmd_curvature(args) -> int:
 def _cmd_einstein(args) -> int:
     spec = parse_group_name(args.group)
     k = resolve_k(args.k)
-    field = _build_field(spec, args.chart, k)
+    field = metric_field(spec, args.chart, k)
     dom = safe_domain(spec, args.chart)
     rng = np.random.default_rng(args.seed)
     pts = sample_safe_points(field, dom.lo, dom.hi, args.samples, rng)

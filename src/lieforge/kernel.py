@@ -14,7 +14,6 @@ kernel operations broadcast over leading batch axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +39,6 @@ _PHI_THETA = 0.5
 _PHI_TAYLOR = tuple((-1.0) ** k / math.factorial(k + 1) for k in range(15))
 
 CONDITION_LIMIT = 1e12
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain matrix product with shape validation."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[-2]:
-        raise InvalidInputError(
-            f"matmul dimension mismatch: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def mat_adjoint(a: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint (conjugate transpose) over the last two axes."""
-    return np.conj(np.swapaxes(np.asarray(a), -1, -2))
 
 
 def mat_inverse(a: np.ndarray) -> np.ndarray:
@@ -101,12 +84,6 @@ def dual_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rhs = b[..., 1:, :, :] - a[..., 1:, :, :] @ x0[..., None, :, :]
     parts = np.linalg.solve(a0[..., None, :, :], rhs)
     return np.concatenate([x0[..., None, :, :], parts], axis=-3)
-
-
-def dual_inverse(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    p = a.shape[-3] - 1
-    return dual_solve(a, dual_eye(n, p, a.shape[:-3]))
 
 
 def _scaling(values: np.ndarray, theta: float, what: str) -> int:
@@ -186,57 +163,3 @@ def expm_dual(a: np.ndarray) -> np.ndarray:
 def expm(a: np.ndarray) -> np.ndarray:
     """Plain (non-dual) matrix exponential via the same kernel."""
     return expm_dual(np.asarray(a, dtype=complex)[..., None, :, :])[..., 0, :, :]
-
-
-# ---------------------------------------------------------------------------
-# thin object wrapper for single dual matrices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DualMatrix:
-    """A square complex matrix with first-order partials, wrapping a stack."""
-
-    data: np.ndarray  # shape (p+1, n, n)
-
-    @staticmethod
-    def constant(value: np.ndarray, ndirections: int) -> "DualMatrix":
-        value = np.asarray(value, dtype=complex)
-        stack = np.zeros((ndirections + 1,) + value.shape, dtype=complex)
-        stack[0] = value
-        return DualMatrix(stack)
-
-    @staticmethod
-    def seeded(value: np.ndarray, partials) -> "DualMatrix":
-        value = np.asarray(value, dtype=complex)
-        stack = np.stack([value] + [np.asarray(p, dtype=complex) for p in partials])
-        return DualMatrix(stack)
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.data[0]
-
-    @property
-    def partials(self) -> np.ndarray:
-        return self.data[1:]
-
-    def __matmul__(self, other: "DualMatrix") -> "DualMatrix":
-        return DualMatrix(dual_matmul(self.data, other.data))
-
-    def __add__(self, other: "DualMatrix") -> "DualMatrix":
-        return DualMatrix(self.data + other.data)
-
-    def __sub__(self, other: "DualMatrix") -> "DualMatrix":
-        return DualMatrix(self.data - other.data)
-
-    def __mul__(self, scalar) -> "DualMatrix":
-        return DualMatrix(self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "DualMatrix":
-        return DualMatrix(dual_inverse(self.data))
-
-
-def mat_exp(a: DualMatrix) -> DualMatrix:
-    """Exponential of a dual matrix, partials propagated."""
-    return DualMatrix(expm_dual(a.data))

@@ -1,12 +1,12 @@
 """Maurer-Cartan frames and the group metric g_ab = k Tr(w_a^dag w_b).
 
-On the exponential chart the frames have the closed form
-w_a = phi(ad_A) X_a with A = theta^c X_c and phi(z) = (1 - e^{-z}) / z, so
-the metric is computed in real d x d arithmetic on the adjoint
-representation.  The Euler chart goes through U^{-1} dU.  The module also
-carries the closed-form SU(2) metrics for both charts, which serve as
-independent oracles for the numeric pipeline, and the Euler-chart isometry
-residuals.
+``metric_batch`` is the one place a chart is chosen.  On the exponential
+chart the frames have the closed form w_a = phi(ad_A) X_a with
+A = theta^c X_c and phi(z) = (1 - e^{-z}) / z, so the metric is computed in
+real d x d arithmetic on the adjoint representation.  The Euler chart goes
+through U^{-1} dU.  The module also carries the closed-form SU(2) metrics for
+both charts, which serve as independent oracles for the numeric pipeline,
+and the Euler-chart isometry residuals.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .charts import (  # exp_chart_batch stays importable from here for callers
     FrameEvaluation,
     EXP_SU2_NORM_MAX,
     euler_chart_batch,
-    evaluate,
     exp_chart_batch,
     safe_domain,
 )
@@ -94,10 +93,6 @@ def _gram(omega: np.ndarray, k: float) -> np.ndarray:
     return raw.real
 
 
-def metric_from_frame(frame: FrameEvaluation, k: float) -> np.ndarray:
-    return _gram(maurer_cartan(frame), k)
-
-
 def _finish(g: np.ndarray, point: ChartPoint | None) -> MetricTensor:
     cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > METRIC_CONDITION_LIMIT:
@@ -128,31 +123,35 @@ def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarra
     return (k * GRAM_CONSTANT) * (np.swapaxes(j, -1, -2) @ j)
 
 
-def metric(cfg: MetricConfig, point: ChartPoint) -> MetricTensor:
-    """Pipeline metric at one chart point."""
-    k = cfg.resolve_k()
-    if point.chart == "exp":
-        g = exp_metric_batch(point.group, point.coords, k)[0]
-    else:
-        g = metric_from_frame(evaluate(point), k)
-    return _finish(g, point)
+def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.ndarray:
+    """Metric of ``spec`` on ``chart`` at a batch of points (m, d) -> (m, d, d)."""
+    if chart == "exp":
+        return exp_metric_batch(spec, pts, k)
+    if chart == "euler":
+        u, du = euler_chart_batch(pts)
+        return _gram(np.linalg.inv(u)[:, None, :, :] @ du, k)
+    raise InvalidInputError(f"unknown chart {chart!r}")
+
+
+def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
+    """``metric_batch`` on ``chart``, with the chart's safe domain as ``contains``."""
+    dom = safe_domain(spec, chart)
+    return MetricField(dim=spec.dim, func=lambda pts: metric_batch(spec, chart, pts, k),
+                       contains=dom.contains, name=f"{spec.name}-{chart}")
 
 
 def exp_metric_field(spec: GroupSpec, k: float = 2.0) -> MetricField:
-    dom = safe_domain(spec, "exp")
-    return MetricField(dim=spec.dim, func=lambda pts: exp_metric_batch(spec, pts, k),
-                       contains=dom.contains, name=f"{spec.name}-exp")
+    return metric_field(spec, "exp", k)
 
 
-def euler_metric_field(k: float = 2.0) -> MetricField:
-    dom = safe_domain(make_group("su", 2), "euler")
-
-    def func(pts):
-        u, du = euler_chart_batch(pts)
-        omega = np.linalg.inv(u)[:, None, :, :] @ du
-        return _gram(omega, k)
-
-    return MetricField(dim=3, func=func, contains=dom.contains, name="su2-euler")
+def metric(cfg: MetricConfig, point: ChartPoint) -> MetricTensor:
+    """Pipeline metric at one point of ``cfg``'s group and chart."""
+    if point.chart != cfg.chart or point.group.name != cfg.group.name:
+        raise InvalidInputError(
+            f"{point.group.name} {point.chart}-chart point given to the "
+            f"{cfg.group.name} {cfg.chart}-chart metric"
+        )
+    return _finish(metric_batch(cfg.group, cfg.chart, point.coords, cfg.resolve_k())[0], point)
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,15 @@ from .catalog import GroupSpec, parse_group_name
 from .charts import safe_domain
 from .curvature import einstein_check
 from .errors import InvalidInputError, LieForgeError
-from .metric import MetricField, exp_metric_field, resolve_k
+from .metric import MetricField, metric_field, resolve_k
 
 SAMPLE_CONDITION_LIMIT = 1e8
+CHART = "exp"  # every group has an exponential chart
 
 
 @dataclass(frozen=True)
 class ScanConfig:
     groups: tuple[str, ...]
-    chart: str = "exp"
     samples: int = 20
     tolerance: float = 1e-6
     seed: int = 0
@@ -66,13 +66,12 @@ class ScanReport:
         return {
             "config": {
                 "groups": list(self.config.groups),
-                "chart": self.config.chart,
+                "chart": CHART,
                 "samples": self.config.samples,
                 "tolerance": self.config.tolerance,
                 "seed": self.config.seed,
                 "k": self.config.k,
             },
-            "seed": self.config.seed,
             "version": __version__,
             "groups": [
                 {
@@ -120,11 +119,11 @@ def scan_one_group(spec: GroupSpec, cfg: ScanConfig, group_index: int) -> GroupR
     start = time.perf_counter()
     try:
         k = resolve_k(cfg.k)
-        metric_field = exp_metric_field(spec, k)
-        dom = safe_domain(spec, "exp")
+        field = metric_field(spec, CHART, k)
+        dom = safe_domain(spec, CHART)
         rng = np.random.default_rng([cfg.seed, group_index])
-        pts = sample_safe_points(metric_field, dom.lo, dom.hi, cfg.samples, rng)
-        verdict = einstein_check(metric_field, pts, cfg.tolerance)
+        pts = sample_safe_points(field, dom.lo, dom.hi, cfg.samples, rng)
+        verdict = einstein_check(field, pts, cfg.tolerance)
         elapsed = (time.perf_counter() - start) * 1000.0
         return GroupResult(
             name=spec.name, dim=spec.dim,

@@ -8,8 +8,6 @@ metric is g_ab = sum_i B_{i,a} B_{i,b}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dual
@@ -20,38 +18,27 @@ from .metric import MetricField, MetricTensor, _finish
 POLE_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class Embedding:
-    ambient: int           # N
-    radius: float = 1.0
-
-    @property
-    def intrinsic(self) -> int:
-        return self.ambient - 1
-
-
 def _coords_to_duals(thetas: np.ndarray) -> list[DualScalar]:
     d = thetas.shape[1]
     return [DualScalar.variable(thetas[:, a], a, d) for a in range(d)]
 
 
-def _embed_duals(n_ambient: int, t: list[DualScalar], radius: float) -> list[DualScalar]:
+def _embed_duals(n_ambient: int, t: list[DualScalar]) -> list[DualScalar]:
     if n_ambient == 2:
-        return [radius * dual.sin(t[0]), radius * dual.cos(t[0])]
+        return [dual.sin(t[0]), dual.cos(t[0])]
     x = [None] * n_ambient
-    x[n_ambient - 1] = radius * dual.cos(t[0])
+    x[n_ambient - 1] = dual.cos(t[0])
     running = dual.sin(t[0])
     for m in range(n_ambient - 2, 1, -1):
         # x[m] uses sines of the first N-m-1 angles and one cosine
-        x[m] = radius * running * dual.cos(t[n_ambient - m - 1])
+        x[m] = running * dual.cos(t[n_ambient - m - 1])
         running = running * dual.sin(t[n_ambient - m - 1])
-    x[0] = radius * running * dual.cos(t[n_ambient - 2])
-    x[1] = radius * running * dual.sin(t[n_ambient - 2])
+    x[0] = running * dual.cos(t[n_ambient - 2])
+    x[1] = running * dual.sin(t[n_ambient - 2])
     return x
 
 
-def hyperspherical_batch(n_ambient: int, thetas: np.ndarray,
-                         radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Embedding points (m, N) and Jacobians (m, N, N-1) for a batch."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if n_ambient < 2:
@@ -61,51 +48,48 @@ def hyperspherical_batch(n_ambient: int, thetas: np.ndarray,
             f"S^{n_ambient - 1} takes {n_ambient - 1} coordinates, "
             f"got {thetas.shape[1]}"
         )
-    x = _embed_duals(n_ambient, _coords_to_duals(thetas), radius)
+    x = _embed_duals(n_ambient, _coords_to_duals(thetas))
     points = np.stack([np.asarray(xi.value) for xi in x], axis=1)
     jac = np.stack([xi.partials for xi in x], axis=1)
     return points, jac
 
 
-def _check_polar(thetas: np.ndarray, n_ambient: int):
-    polar = np.atleast_2d(thetas)[:, : max(n_ambient - 2, 0)]
-    if polar.size and (np.any(polar < POLE_MARGIN) or np.any(polar > np.pi - POLE_MARGIN)):
+def _off_pole(n_ambient: int, pts: np.ndarray) -> np.ndarray:
+    """Rows whose polar angles stay POLE_MARGIN away from 0 and pi."""
+    polar = np.atleast_2d(pts)[:, : max(n_ambient - 2, 0)]
+    return np.all((polar > POLE_MARGIN) & (polar < np.pi - POLE_MARGIN), axis=1)
+
+
+def _check_polar(n_ambient: int, theta: np.ndarray):
+    if not _off_pole(n_ambient, theta)[0]:
         raise SingularityError(
             "polar angle at a coordinate pole; embedding Jacobian degenerates",
-            point=np.atleast_2d(thetas)[0],
+            point=theta,
         )
 
 
-def hyperspherical_embedding(n_ambient: int, theta: np.ndarray,
-                             radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def hyperspherical_embedding(n_ambient: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Point x(theta) on the sphere and its Jacobian frame B_{i,a}."""
     theta = np.asarray(theta, dtype=float)
-    _check_polar(theta[None, :], n_ambient)
-    pts, jac = hyperspherical_batch(n_ambient, theta[None, :], radius)
+    _check_polar(n_ambient, theta)
+    pts, jac = hyperspherical_batch(n_ambient, theta[None, :])
     return pts[0], jac[0]
 
 
-def pullback_metric(n_ambient: int, theta: np.ndarray,
-                    radius: float = 1.0) -> MetricTensor:
+def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     """Induced metric g_ab = sum_i B_{i,a} B_{i,b} at one point."""
-    _, jac = hyperspherical_embedding(n_ambient, theta, radius)
-    g = jac.T @ jac
-    return _finish(g, None)
+    theta = np.asarray(theta, dtype=float)
+    _check_polar(n_ambient, theta)
+    return _finish(sphere_metric_field(n_ambient)(theta)[0], None)
 
 
-def sphere_metric_field(n_ambient: int, radius: float = 1.0) -> MetricField:
+def sphere_metric_field(n_ambient: int) -> MetricField:
     def func(pts):
-        _, jac = hyperspherical_batch(n_ambient, pts, radius)
+        _, jac = hyperspherical_batch(n_ambient, pts)
         return np.einsum("mia,mib->mab", jac, jac)
 
-    def contains(pts):
-        pts = np.atleast_2d(pts)
-        polar = pts[:, : max(n_ambient - 2, 0)]
-        if polar.size == 0:
-            return np.ones(len(pts), dtype=bool)
-        return np.all((polar > POLE_MARGIN) & (polar < np.pi - POLE_MARGIN), axis=1)
-
-    return MetricField(dim=n_ambient - 1, func=func, contains=contains,
+    return MetricField(dim=n_ambient - 1, func=func,
+                       contains=lambda pts: _off_pole(n_ambient, pts),
                        name=f"s{n_ambient - 1}-pullback")
 
 

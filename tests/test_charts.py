@@ -140,6 +140,7 @@ def test_chart_point_validation(su2):
 def test_safe_domains(su2):
     dom = safe_domain(su2, "exp")
     assert dom.contains(np.array([[1.0, 0.0, 0.0]]))[0]
+    assert dom.contains(np.zeros((1, 3)))[0]
     assert not dom.contains(np.array([[2 * np.pi, 0.0, 0.0]]))[0]
     so5 = make_group("so", 5)
     dom5 = safe_domain(so5, "exp")

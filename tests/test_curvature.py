@@ -19,8 +19,8 @@ from lieforge.errors import DomainError, InvalidInputError
 from lieforge.metric import (
     MetricField,
     closed_form_su2_exp_metric_derivative,
-    euler_metric_field,
     exp_metric_field,
+    metric_field,
     resolve_k,
 )
 
@@ -72,8 +72,8 @@ class TestRiemannRicci:
             b = riemann_ricci(su2_field, p)
             assert np.abs(b.ricci - 0.5 * b.metric).max() < 1e-6
 
-    def test_su2_scalar_both_charts(self, su2_field):
-        euler_field = euler_metric_field(2.0)
+    def test_su2_scalar_both_charts(self, su2, su2_field):
+        euler_field = metric_field(su2, "euler", 2.0)
         rng = np.random.default_rng(23)
         for _ in range(20):
             angles = np.array([rng.uniform(0.5, np.pi - 0.5),
@@ -96,9 +96,6 @@ class TestRiemannRicci:
         # R^d_cab = -f_abe f_ecd / 4 (Milnor 1976)
         spec = parse_group_name(name)
         field = exp_metric_field(spec, resolve_k("auto"))
-        # su2's exp domain excludes a small ball around the origin, where
-        # the adjoint-representation metric is still smooth
-        field = replace(field, contains=lambda x: np.ones(len(np.atleast_2d(x)), bool))
         b = riemann_ricci(field, np.zeros(spec.dim))
         f = spec.structure
         assert np.abs(b.metric - np.eye(spec.dim)).max() < 1e-14
@@ -230,9 +227,9 @@ class TestFdCrossCheck:
         dg = first_partials(su2_field, np.array([[1.3, 0.0, 0.0]]))[0]
         assert abs(dg[0, 0, 0]) < 1e-10
 
-    def test_wrong_field_rejected(self):
+    def test_wrong_field_rejected(self, su2):
         with pytest.raises(InvalidInputError):
-            fd_cross_check(euler_metric_field(2.0), np.array([1.0, 0.0, 0.0]))
+            fd_cross_check(metric_field(su2, "euler", 2.0), np.array([1.0, 0.0, 0.0]))
 
 
 def test_step_halving_convergence(su2_field):
@@ -248,7 +245,7 @@ def test_step_halving_convergence(su2_field):
 
 
 def test_chart_invariance_of_scalar(su2, su2_field):
-    euler_field = euler_metric_field(2.0)
+    euler_field = metric_field(su2, "euler", 2.0)
     rng = np.random.default_rng(30)
     checked = 0
     while checked < 10:

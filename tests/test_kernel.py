@@ -11,12 +11,9 @@ from lieforge.kernel import (
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
-    DualMatrix,
     expm,
-    mat_adjoint,
-    mat_exp,
+    expm_dual,
     mat_inverse,
-    mat_mul,
     phim,
 )
 
@@ -31,50 +28,36 @@ def random_antihermitian(rng, n):
 
 
 class TestMatMul:
-    def test_identity(self):
-        a = random_matrix(np.random.default_rng(0), 3)
-        assert np.array_equal(mat_mul(np.eye(3), a), a)
-
     def test_pauli_product(self):
         # brute-force 2x2 complex multiply oracle
         expected = np.empty((2, 2), dtype=complex)
         for i in range(2):
             for j in range(2):
                 expected[i, j] = sum(SIGMA_1[i, k] * SIGMA_2[k, j] for k in range(2))
-        assert np.allclose(mat_mul(SIGMA_1, SIGMA_2), expected)
+        assert np.allclose(SIGMA_1 @ SIGMA_2, expected)
         assert np.allclose(expected, 1j * SIGMA_3)
 
     def test_times_inverse(self):
         rng = np.random.default_rng(3)
         a = random_matrix(rng, 4) + 4 * np.eye(4)
-        assert np.allclose(mat_mul(a, mat_inverse(a)), np.eye(4), atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            mat_mul(np.ones((2, 3)), np.ones((2, 2)))
+        assert np.allclose(a @ mat_inverse(a), np.eye(4), atol=1e-10)
 
 
 class TestAdjoint:
-    def test_identity(self):
-        assert np.array_equal(mat_adjoint(np.eye(3)), np.eye(3))
-
     @pytest.mark.parametrize("sigma", PAULI)
     def test_i_pauli(self, sigma):
-        # elementwise conjugate-transpose oracle
+        # elementwise conjugate-transpose oracle: i sigma is anti-Hermitian
         a = 1j * sigma
         expected = np.array([[np.conj(a[j, i]) for j in range(2)] for i in range(2)])
-        assert np.array_equal(mat_adjoint(a), expected)
         assert np.allclose(expected, -1j * sigma)
-
-    def test_involution(self):
-        a = random_matrix(np.random.default_rng(5), 3)
-        assert np.array_equal(mat_adjoint(mat_adjoint(a)), a)
 
 
 class TestMatExp:
     def test_exp_zero(self):
-        d = DualMatrix.constant(np.zeros((3, 3)), 2)
-        assert np.allclose(mat_exp(d).value, np.eye(3), atol=1e-15)
+        # a zero dual stack: value exp(0) = I, partials 0
+        out = expm_dual(np.zeros((3, 3, 3)))
+        assert np.allclose(out[0], np.eye(3), atol=1e-15)
+        assert not np.any(out[1:])
 
     def test_exp_pi_sigma1(self):
         # exp((i/2) sigma1 pi) = i sigma1
@@ -89,10 +72,10 @@ class TestMatExp:
         def u_of(x):
             return expm(sum(c * b for c, b in zip(x, basis)))
 
-        d = mat_exp(DualMatrix.seeded(sum(c * b for c, b in zip(x0, basis)), basis))
+        d = expm_dual(np.stack([sum(c * b for c, b in zip(x0, basis))] + basis))
         for a in range(3):
             fd = fd_derivative(u_of, x0, a)
-            assert np.abs(d.partials[a] - fd).max() < 1e-8
+            assert np.abs(d[1 + a] - fd).max() < 1e-8
 
     def test_value_matches_su2_closed_form(self):
         rng = np.random.default_rng(2)
@@ -136,7 +119,7 @@ class TestMatInverse:
 
     def test_unitary_inverse_is_adjoint(self):
         u = expm(random_antihermitian(np.random.default_rng(9), 4))
-        assert np.abs(mat_inverse(u) - mat_adjoint(u)).max() < 1e-10
+        assert np.abs(mat_inverse(u) - u.conj().T).max() < 1e-10
 
 
 class TestDualScalar:

@@ -16,13 +16,12 @@ from lieforge.metric import (
     MetricConfig,
     closed_form_metric_su2_euler,
     closed_form_metric_su2_exp,
-    euler_metric_field,
     exp_metric_batch,
     exp_metric_field,
     isometry_residual,
     maurer_cartan,
     metric,
-    metric_from_frame,
+    metric_field,
 )
 
 CATALOG = [("su", 2), ("su", 3), ("so", 3), ("so", 4), ("so", 5), ("sp", 1), ("sp", 2)]
@@ -96,6 +95,14 @@ class TestPipelineMetric:
         expected = np.array([[1, 0, 0], [0, 1, 0.5], [0, 0.5, 1]])
         assert np.abs(mt.g - expected).max() < 1e-12
 
+    def test_point_must_match_config(self, su2):
+        point = ChartPoint("euler", [1.0, 0.2, -0.4], su2)
+        with pytest.raises(InvalidInputError):
+            metric(cfg_exp(su2), point)
+        so3 = make_group("so", 3)
+        with pytest.raises(InvalidInputError):
+            metric(MetricConfig(group=so3), ChartPoint("exp", [0.1, 0.2, 0.3], su2))
+
     def test_degenerate_exp_point_raises(self, su2):
         with pytest.raises(SingularityError):
             metric(cfg_exp(su2), ChartPoint("exp", [2 * np.pi, 0, 0], su2))
@@ -153,8 +160,8 @@ class TestClosedFormOracles:
             g = field(theta[None])[0]
             assert np.abs(g - closed_form_metric_su2_exp(theta).g).max() < 1e-9
 
-    def test_pipeline_matches_closed_form_euler(self):
-        field = euler_metric_field(2.0)
+    def test_pipeline_matches_closed_form_euler(self, su2):
+        field = metric_field(su2, "euler", 2.0)
         rng = np.random.default_rng(16)
         for _ in range(100):
             th = rng.uniform(0.2, np.pi - 0.2)
@@ -212,8 +219,8 @@ ORACLE_GROUPS = CATALOG + [("su", 4), ("so", 6), ("sp", 3)]
 def pade_metric(spec, pts, k=2.0):
     """g = k Tr(w^dag w) with w = U^{-1} dU from the dual Pade chart."""
     u, du = exp_chart_batch(spec, pts)
-    return np.stack([metric_from_frame(FrameEvaluation(U=ui, dU=dui), k)
-                     for ui, dui in zip(u, du)])
+    w = np.stack([maurer_cartan(FrameEvaluation(U=ui, dU=dui)) for ui, dui in zip(u, du)])
+    return k * np.real(np.einsum("maji,mbji->mab", w.conj(), w))
 
 
 def frechet_metric(spec, theta, k=2.0):
@@ -251,11 +258,14 @@ class TestAdjointMetric:
             assert np.abs(gi - closed_form_metric_su2_exp(theta).g).max() <= 1e-13
 
     def test_field_and_single_point_agree(self):
-        spec = make_group("so", 5)
-        theta = np.random.default_rng(32).uniform(-0.4, 0.4, spec.dim)
-        g_field = exp_metric_field(spec, 2.0)(theta)[0]
-        g_point = metric(MetricConfig(group=spec), ChartPoint("exp", theta, spec)).g
-        assert np.array_equal(g_field, g_point)
+        rng = np.random.default_rng(32)
+        for spec, chart in ((make_group("so", 5), "exp"), (make_group("su", 2), "euler")):
+            dom = safe_domain(spec, chart)
+            for theta in rng.uniform(dom.lo, dom.hi, (5, spec.dim)):
+                g_field = metric_field(spec, chart, 2.0)(theta)[0]
+                g_point = metric(MetricConfig(group=spec, chart=chart),
+                                 ChartPoint(chart, theta, spec)).g
+                assert np.array_equal(g_field, g_point)
 
     def test_rejects_wrong_coordinate_count(self, su2):
         with pytest.raises(InvalidInputError):

@@ -140,6 +140,7 @@ class TestCli:
         assert out["config"]["tolerance"] == 1e-6
         assert out["config"]["seed"] == 0
         assert out["config"]["k"] == "auto"
+        assert "seed" not in out  # the seed is reported once, in config
 
     def test_scan_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -184,6 +185,13 @@ class TestCli:
         assert code == 0
         scalar = capsys.readouterr().out.split("scalar:")[1].split()[0]
         assert float(scalar) == pytest.approx(1.5, abs=1e-6)
+
+    def test_curvature_at_su2_origin(self, capsys):
+        # the adjoint-representation metric is analytic at theta = 0
+        code = cli.main(["curvature", "--group", "su2", "--point", "0,0,0"])
+        assert code == 0
+        lam = capsys.readouterr().out.split("lambda (R / 2d):")[1].split()[0]
+        assert float(lam) == pytest.approx(0.25, abs=1e-6)
 
     def test_degenerate_point_exit_2(self, capsys):
         code = cli.main(["metric", "--group", "su2", "--chart", "euler",
