@@ -60,6 +60,22 @@ def _positive(kind):
     return parse
 
 
+def _join_point_values(argv) -> list:
+    """Write ``--point -0.3,0.4`` as ``--point=-0.3,0.4``.
+
+    argparse reads a value that starts with a single '-' and is not a plain
+    negative number as an option, so the leading minus of a coordinate list
+    would end the option's arguments.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--point" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_cli(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="lieforge",
@@ -107,7 +123,7 @@ def parse_cli(argv) -> argparse.Namespace:
     p.add_argument("--tol", type=_positive(float), default=1e-6)
     p.add_argument("--seed", type=int, default=0)
 
-    return parser.parse_args(argv)
+    return parser.parse_args(_join_point_values(argv))
 
 
 def _metric_payload(name, chart, coords, k, mt) -> dict:

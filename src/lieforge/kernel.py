@@ -1,13 +1,15 @@
-"""Dense matrix kernels: the real phi function and dual-propagated expm.
+"""Dense matrix kernels: the real psi function and dual-propagated expm.
 
-``phim`` evaluates phi(M) = (1 - e^{-M}) / M for batches of real matrices;
-the exponential-chart metric applies it to the adjoint representation.
+``psim`` evaluates psi(X) = sum_n X^n / (2n+2)! for batches of real
+matrices.  For skew M, phi(M)^T phi(M) = 2 psi(M^2) with
+phi(z) = (1 - e^{-z}) / z, so the exponential-chart metric applies psi to the
+square of the adjoint representation.
 
 Dual-valued matrices are stored as numpy stacks of shape ``(..., p+1, n, n)``:
 slot 0 along the third-to-last axis is the value matrix, slots ``1..p`` are
 the partial-derivative matrices, one per seeded coordinate direction.  The
 dual Pade exponential gives U(theta) and its partials for the charts, and
-its frames are the oracle the phi-based metric is tested against.  All
+its frames are the oracle the psi-based metric is tested against.  All
 kernel operations broadcast over leading batch axes.
 """
 
@@ -33,10 +35,10 @@ _PADE13_B = (
 _PADE13_THETA = 5.371920351148152
 _MAX_SQUARINGS = 64
 
-# Taylor coefficients (-1)^k / (k+1)! of phi(z) = (1 - e^{-z}) / z.  At
-# ||M||_1 <= 1/2 the first omitted term is below 0.5^15 / 16! = 1.5e-18.
-_PHI_THETA = 0.5
-_PHI_TAYLOR = tuple((-1.0) ** k / math.factorial(k + 1) for k in range(15))
+# Taylor coefficients 1 / (2n+2)! of psi(x) = (cosh(sqrt x) - 1) / x.  At
+# ||X||_1 <= 1 the first omitted term is below 1 / 20! = 4.1e-19.
+_PSI_THETA = 1.0
+_PSI_TAYLOR = tuple(1.0 / math.factorial(2 * n + 2) for n in range(9))
 
 CONDITION_LIMIT = 1e12
 
@@ -105,24 +107,25 @@ def _scaling(values: np.ndarray, theta: float, what: str) -> int:
     return s
 
 
-def phim(m: np.ndarray) -> np.ndarray:
-    """phi(M) = (1 - e^{-M}) / M for a batch of real matrices (..., d, d).
+def psim(x: np.ndarray) -> np.ndarray:
+    """psi(X) = sum_n X^n / (2n+2)! for a batch of real matrices (..., d, d).
 
-    Taylor series at M / 2^s, then s doublings
-    phi(2M) = phi(M) (I + e^{-M}) / 2 and e^{-2M} = (e^{-M})^2.
+    The degree-8 series at X / 4^s in Paterson-Stockmeyer form (products X^2
+    and X^3), then s doublings psi(4X) = psi(X) (I + X psi(X) / 2).
     """
-    m = np.asarray(m, dtype=float)
-    s = _scaling(m, _PHI_THETA, "phim")
-    m = m / (2.0 ** s)
-    c = _PHI_TAYLOR
-    ident = np.eye(m.shape[-1])
-    p = c[-1] * m + c[-2] * ident
-    for ck in c[-3::-1]:
-        p = m @ p + ck * ident
-    e = ident - m @ p  # e^{-M} = I - M phi(M)
+    x = np.asarray(x, dtype=float)
+    s = (_scaling(x, _PSI_THETA, "psim") + 1) // 2
+    x = x / (4.0 ** s)
+    c = _PSI_TAYLOR
+    ident = np.eye(x.shape[-1])
+    x2 = x @ x
+    x3 = x2 @ x
+    p = c[6] * ident + c[7] * x + c[8] * x2
+    p = c[3] * ident + c[4] * x + c[5] * x2 + x3 @ p
+    p = c[0] * ident + c[1] * x + c[2] * x2 + x3 @ p
     for _ in range(s):
-        p = 0.5 * (p + p @ e)
-        e = e @ e
+        p = p + 0.5 * (p @ (x @ p))
+        x = 4.0 * x
     return p
 
 

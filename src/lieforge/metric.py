@@ -2,8 +2,10 @@
 
 ``metric_batch`` is the one place a chart is chosen.  On the exponential
 chart the frames have the closed form w_a = phi(ad_A) X_a with
-A = theta^c X_c and phi(z) = (1 - e^{-z}) / z, so the metric is computed in
-real d x d arithmetic on the adjoint representation.  The Euler chart goes
+A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
+orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
+psi(x) = (cosh(sqrt x) - 1) / x, and the metric is one psi evaluation in real
+d x d arithmetic on the adjoint representation.  The Euler chart goes
 through U^{-1} dU.  The module also carries the closed-form SU(2) metrics for
 both charts, which serve as independent oracles for the numeric pipeline,
 and the Euler-chart isometry residuals.
@@ -26,7 +28,7 @@ from .charts import (  # exp_chart_batch stays importable from here for callers
     safe_domain,
 )
 from .errors import InvalidInputError, LieForgeError, SingularityError
-from .kernel import mat_inverse, phim
+from .kernel import mat_inverse, psim
 
 METRIC_CONDITION_LIMIT = 1e10
 _IMAG_TOL = 1e-8
@@ -110,6 +112,8 @@ def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarra
 
     With M_eb = theta^c f_cbe the matrix of ad_A, w_a = J_ea X_e for
     J = phi(M), and Tr(X_e^dag X_f) = delta_ef / 2 gives g = k J^T J / 2.
+    M is skew, so J^T J = phi(-M) phi(M) = 2 psi(M^2) and g = k psi(M^2),
+    written as k (psi + psi^T) / 2 so that g is symmetric to the last bit.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     d = spec.dim
@@ -119,8 +123,8 @@ def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarra
             f"got {thetas.shape[1]}"
         )
     ad = (thetas @ spec.structure.reshape(d, d * d)).reshape(-1, d, d)  # [m, b, e]
-    j = phim(np.swapaxes(ad, -1, -2))
-    return (k * GRAM_CONSTANT) * (np.swapaxes(j, -1, -2) @ j)
+    p = psim(ad @ ad)  # ad @ ad = (M^T)^2 = M^2, symmetric since M is skew
+    return (k * GRAM_CONSTANT) * (p + np.swapaxes(p, -1, -2))
 
 
 def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.ndarray:

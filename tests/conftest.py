@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from lieforge.catalog import make_group
-from lieforge.kernel import PAULI
+from lieforge.kernel import PAULI, _scaling
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +53,30 @@ def killing_lambda(f):
     b = np.einsum("aec,bce->ab", f, f)
     assert np.abs(b - b[0, 0] * np.eye(len(b))).max() < 1e-12
     return -b[0, 0] / 8.0
+
+
+_PHI_TAYLOR = tuple((-1.0) ** k / math.factorial(k + 1) for k in range(15))
+
+
+def phim(m):
+    """Oracle phi(M) = (1 - e^{-M}) / M for a batch of real matrices (..., d, d).
+
+    Degree-14 Taylor series at M / 2^s with ||M / 2^s||_1 <= 1/2 (first
+    omitted term below 1.5e-18), then s doublings
+    phi(2M) = phi(M) (I + e^{-M}) / 2 and e^{-2M} = (e^{-M})^2.  The
+    exp-chart metric k phi(ad)^T phi(ad) / 2 built from it is what the
+    production psi form is checked against.
+    """
+    m = np.asarray(m, dtype=float)
+    s = _scaling(m, 0.5, "phim")
+    m = m / (2.0 ** s)
+    c = _PHI_TAYLOR
+    ident = np.eye(m.shape[-1])
+    p = c[-1] * m + c[-2] * ident
+    for ck in c[-3::-1]:
+        p = m @ p + ck * ident
+    e = ident - m @ p  # e^{-M} = I - M phi(M)
+    for _ in range(s):
+        p = 0.5 * (p + p @ e)
+        e = e @ e
+    return p

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_derivative, su2_closed_form_u
+from conftest import fd_derivative, phim, su2_closed_form_u
 from lieforge.dual import DualScalar
 from lieforge.errors import InvalidInputError, NumericRangeError, SingularityError
 from lieforge.kernel import (
@@ -14,7 +14,7 @@ from lieforge.kernel import (
     expm,
     expm_dual,
     mat_inverse,
-    phim,
+    psim,
 )
 
 
@@ -185,3 +185,47 @@ class TestPhim:
             phim(np.full((2, 2), np.nan))
         with pytest.raises(NumericRangeError):
             phim(np.eye(2) * 1e300)
+
+
+class TestPsim:
+    def test_scalar_series(self):
+        # 1x1 matrices: psi(x) = (1 - cos sqrt|x|) / |x| for x < 0 and
+        # (cosh sqrt x - 1) / x for x > 0, written with half-angle squares so
+        # the reference keeps full precision near 0; several doublings.  The
+        # points stay away from the zeros x = -(2 pi k)^2, where only an
+        # absolute bound is meaningful.
+        x = np.array([-400.0, -30.0, -4.0, -1.0, -1e-3, 1e-3, 0.3, 1.0, 4.0, 50.0])
+        t = np.sqrt(np.abs(x))
+        ref = np.where(x < 0, 2.0 * np.sin(0.5 * t) ** 2, 2.0 * np.sinh(0.5 * t) ** 2) / t ** 2
+        got = psim(x[:, None, None])[:, 0, 0]
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    def test_zero_is_half_identity(self):
+        assert np.array_equal(psim(np.zeros((2, 4, 4))), np.broadcast_to(0.5 * np.eye(4), (2, 4, 4)))
+
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 3.0, 20.0])
+    @pytest.mark.parametrize("antisymmetric,tol", [(True, 1e-13), (False, 1e-12)])
+    def test_matches_scipy_expm(self, scale, antisymmetric, tol):
+        # X psi(X) = cosh(M) - I for X = M^2, with scipy's independent expm.
+        # Adjoint matrices are antisymmetric, so X = M^2 is symmetric there.
+        from scipy.linalg import expm as scipy_expm
+
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(6, 5, 5))
+        if antisymmetric:
+            m = m - np.swapaxes(m, -1, -2)
+        m *= scale / np.abs(m).sum(axis=-2).max()
+        p = psim(m @ m)
+        for mi, pi in zip(m, p):
+            ref = 0.5 * (scipy_expm(mi) + scipy_expm(-mi)) - np.eye(5)
+            assert np.abs(mi @ mi @ pi - ref).max() < tol * max(1.0, np.abs(ref).max())
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InvalidInputError):
+            psim(np.ones((2, 3)))
+        with pytest.raises(NumericRangeError):
+            psim(np.full((2, 2), np.nan))
+        with pytest.raises(NumericRangeError):
+            psim(np.full((2, 2), np.inf))
+        with pytest.raises(NumericRangeError):
+            psim(np.eye(2) * 1e300)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lieforge.catalog import make_group
+from conftest import phim
+from lieforge.catalog import GRAM_CONSTANT, make_group
 from lieforge.charts import (
     ChartPoint,
     FrameEvaluation,
@@ -10,10 +11,12 @@ from lieforge.charts import (
     exp_chart_batch,
     safe_domain,
 )
+from lieforge.curvature import metric_jet
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.kernel import PAULI, expm
 from lieforge.metric import (
     MetricConfig,
+    MetricField,
     closed_form_metric_su2_euler,
     closed_form_metric_su2_exp,
     exp_metric_batch,
@@ -232,8 +235,28 @@ def frechet_metric(spec, theta, k=2.0):
     return k * np.real(np.einsum("aji,bji->ab", w.conj(), w))
 
 
+def phi_metric(spec, pts, k=2.0):
+    """g = k J^T J / 2 with J = phi(M), M_ab = theta^c f_cba: the phi form."""
+    j = phim(np.einsum("mc,cba->mab", pts, spec.structure))
+    return (k * GRAM_CONSTANT) * (np.swapaxes(j, -1, -2) @ j)
+
+
+def stencil_rows(spec, points):
+    """Every row the curvature stencil asks the exp metric for at ``points``."""
+    field = metric_field(spec, "exp", 2.0)
+    rows = []
+
+    def record(pts):
+        rows.append(pts)
+        return field.func(pts)
+
+    for point in points:
+        metric_jet(MetricField(spec.dim, record, field.contains), point)
+    return np.concatenate(rows)
+
+
 class TestAdjointMetric:
-    """The production exp-chart metric phi(ad) against two frame oracles."""
+    """The production exp-chart metric psi(ad^2) against three oracles."""
 
     @pytest.mark.parametrize("family,n", ORACLE_GROUPS)
     def test_matches_pade_and_frechet(self, family, n):
@@ -246,6 +269,20 @@ class TestAdjointMetric:
         for theta, gi in zip(pts[:4], g):
             assert np.abs(gi - frechet_metric(spec, theta)).max() <= 1e-13
         assert np.array_equal(g[0], np.eye(spec.dim))
+
+    @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("so", 5), ("sp", 2),
+                                          ("su", 4), ("sp", 3)])
+    def test_matches_phi_form_on_stencils(self, family, n):
+        # k psi(ad^2) equals k phi(ad)^T phi(ad) / 2 row by row, origin included
+        spec = make_group(family, n)
+        dom = safe_domain(spec, "exp")
+        rng = np.random.default_rng(33)
+        pts = stencil_rows(spec, [np.zeros(spec.dim), rng.uniform(dom.lo, dom.hi, spec.dim)])
+        assert len(pts) == 2 * (1 + 6 * spec.dim + 8 * spec.dim * (spec.dim - 1))
+        g = exp_metric_batch(spec, pts, 3.0)
+        ref = phi_metric(spec, pts, 3.0)
+        err = np.abs(g - ref).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.abs(ref).max(axis=(1, 2)))
 
     def test_su2_near_chart_degeneracy(self, su2):
         rng = np.random.default_rng(31)

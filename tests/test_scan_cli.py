@@ -67,7 +67,7 @@ class TestRunScan:
         assert [row.dim for row in rep.rows[-3:]] == [15, 15, 21]
         for row in rep.rows:
             exact = killing_lambda(structure_constants(parse_group_name(row.name)).f)
-            assert abs(row.lambda_hat - exact) <= 1e-7, (row.name, row.lambda_hat, exact)
+            assert abs(row.lambda_hat - exact) <= 1e-8, (row.name, row.lambda_hat, exact)
 
     def test_forced_fail_tolerance(self):
         rep = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-12))
@@ -239,6 +239,22 @@ class TestInputValidation:
         argv = [a.format(value) for a in argv]
         assert exit_code(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("head,tail", [
+        (["metric", "--group", "su2", "--point"], ["--k", "2"]),
+        (["curvature", "--group", "su2", "--chart", "euler", "--point"], []),
+        (["sphere", "--dim", "3", "--point"], ["--seed", "1"]),
+    ])
+    @pytest.mark.parametrize("text,value", [("-0.3,0.4,0.5", [-0.3, 0.4, 0.5]),
+                                            ("-.5,-1e-3", [-0.5, -1e-3])])
+    def test_negative_point_parses(self, head, tail, text, value):
+        assert np.array_equal(cli.parse_cli(head + [text] + tail).point, value)
+
+    def test_negative_point_metric_output(self, capsys):
+        assert cli.main(["metric", "--group", "su2", "--point", "-0.3,0.4,0.5"]) == 0
+        spaced = capsys.readouterr().out
+        assert cli.main(["metric", "--group", "su2", "--point=-0.3,0.4,0.5"]) == 0
+        assert spaced == capsys.readouterr().out
 
     @pytest.mark.parametrize("k", ["nan", "inf", "-inf", "0", "-2"])
     @pytest.mark.parametrize("argv", [
