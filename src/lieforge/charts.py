@@ -179,9 +179,10 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
         lo = np.array([0.25, -np.pi, -np.pi])
         hi = np.array([np.pi - 0.25, np.pi, np.pi])
 
-        def contains(pts, _lo=lo, _hi=hi):
-            pts = np.atleast_2d(pts)
-            return np.abs(np.sin(pts[:, 0])) > EULER_SIN_MARGIN
+        def contains(pts):
+            # a bound on theta itself, so that no stencil reaches across a pole
+            theta = np.atleast_2d(pts)[:, 0]
+            return (theta > EULER_SIN_MARGIN) & (theta < np.pi - EULER_SIN_MARGIN)
 
         return SafeDomain(lo=lo, hi=hi, contains=contains)
 

@@ -13,17 +13,11 @@ import sys
 import numpy as np
 
 from .catalog import parse_group_name
-from .charts import ChartPoint, safe_domain
-from .curvature import einstein_check, riemann_ricci
+from .charts import ChartPoint
+from .curvature import einstein_check, riemann_ricci, sample_safe_points
 from .errors import LieForgeError
 from .metric import MetricConfig, metric, metric_field, resolve_k
-from .scan import (
-    ScanConfig,
-    dumps_json,
-    emit_report,
-    run_scan,
-    sample_safe_points,
-)
+from .scan import ScanConfig, dumps_json, emit_report, run_scan
 from .sphere import pullback_metric, sphere_einstein_check
 
 
@@ -84,44 +78,40 @@ def parse_cli(argv) -> argparse.Namespace:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("metric", help="evaluate the metric at one chart point")
-    p.add_argument("--group", required=True)
-    p.add_argument("--chart", choices=("exp", "euler"), default="exp")
+    chart = argparse.ArgumentParser(add_help=False)
+    chart.add_argument("--group", required=True)
+    chart.add_argument("--chart", choices=("exp", "euler"), default="exp")
+    k = argparse.ArgumentParser(add_help=False)
+    k.add_argument("--k", type=_k_value, default="auto")
+    verdict = argparse.ArgumentParser(add_help=False)
+    verdict.add_argument("--samples", type=_positive(int), default=20)
+    verdict.add_argument("--tol", type=_positive(float), default=1e-6)
+    verdict.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("metric", parents=[chart, k],
+                       help="evaluate the metric at one chart point")
     p.add_argument("--point", required=True, type=_csv_floats)
-    p.add_argument("--k", type=_k_value, default="auto")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
 
-    p = sub.add_parser("curvature", help="curvature bundle at one chart point")
-    p.add_argument("--group", required=True)
-    p.add_argument("--chart", choices=("exp", "euler"), default="exp")
+    p = sub.add_parser("curvature", parents=[chart, k],
+                       help="curvature bundle at one chart point")
     p.add_argument("--point", required=True, type=_csv_floats)
-    p.add_argument("--k", type=_k_value, default="auto")
 
-    p = sub.add_parser("einstein", help="Einstein check for one group")
-    p.add_argument("--group", required=True)
-    p.add_argument("--chart", choices=("exp", "euler"), default="exp")
-    p.add_argument("--samples", type=_positive(int), default=20)
-    p.add_argument("--tol", type=_positive(float), default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=_k_value, default="auto")
+    sub.add_parser("einstein", parents=[chart, verdict, k],
+                   help="Einstein check for one group")
 
-    p = sub.add_parser("scan", help="conjecture scan over several groups")
+    p = sub.add_parser("scan", parents=[verdict, k],
+                       help="conjecture scan over several groups")
     p.add_argument("--groups", required=True)
-    p.add_argument("--samples", type=_positive(int), default=20)
-    p.add_argument("--tol", type=_positive(float), default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=_k_value, default="auto")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("sphere", help="pullback metric on the unit sphere")
+    p = sub.add_parser("sphere", parents=[verdict],
+                       help="pullback metric on the unit sphere")
     p.add_argument("--dim", type=int, required=True,
                    help="ambient dimension N of S^{N-1}")
     p.add_argument("--point", type=_csv_floats, default=None)
     p.add_argument("--einstein", action="store_true")
-    p.add_argument("--samples", type=_positive(int), default=20)
-    p.add_argument("--tol", type=_positive(float), default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
 
     return parser.parse_args(_join_point_values(argv))
 
@@ -175,11 +165,8 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_einstein(args) -> int:
     spec = parse_group_name(args.group)
-    k = resolve_k(args.k)
-    field = metric_field(spec, args.chart, k)
-    dom = safe_domain(spec, args.chart)
-    rng = np.random.default_rng(args.seed)
-    pts = sample_safe_points(field, dom.lo, dom.hi, args.samples, rng)
+    field = metric_field(spec, args.chart, resolve_k(args.k))
+    pts = sample_safe_points(field, args.samples, np.random.default_rng(args.seed))
     v = einstein_check(field, pts, args.tol)
     sys.stdout.write(dumps_json({
         "group": spec.name,

@@ -16,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, SingularityError
+from .errors import DomainError, InvalidInputError, LieForgeError, SingularityError
 from .metric import MetricField, closed_form_su2_exp_metric_derivative
 
 BASE_STEP = 1e-3
+# riemann_ricci rejects ||g||_1 ||g^-1||_1 above this; for symmetric g the
+# product bounds the 2-norm condition number from above
+CURVATURE_CONDITION_LIMIT = 1e8
+SAMPLE_ATTEMPTS = 200
 # stencil offsets in units of the step: Richardson first derivatives, and
 # the plain 4th-order stencil that also serves the second derivatives
 _RICHARDSON = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
@@ -64,7 +68,7 @@ def first_partials(f, pts: np.ndarray, h: float = BASE_STEP,
 
 def _guarded(field: MetricField):
     def f(pts):
-        inside = np.asarray(field.contains(pts))
+        inside = np.asarray(field.domain.contains(pts))
         if not np.all(inside):
             bad = np.atleast_2d(pts)[~inside][0]
             raise DomainError(
@@ -82,13 +86,13 @@ def _lower_christoffel(dg: np.ndarray) -> np.ndarray:
 
 
 def christoffel_batch(field: MetricField, pts: np.ndarray,
-                      h: float = BASE_STEP, richardson: bool = True) -> np.ndarray:
+                      h: float = BASE_STEP) -> np.ndarray:
     """Gamma[m, c, a, b] = Gamma^c_ab at each point."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     f = _guarded(field)
     g = f(pts)
     ginv = np.linalg.inv(g)
-    dg = first_partials(f, pts, h, richardson)  # (m, c, a, b) = d_c g_ab
+    dg = first_partials(f, pts, h)  # (m, c, a, b) = d_c g_ab
     return np.einsum("mcd,mdab->mcab", ginv, _lower_christoffel(dg))
 
 
@@ -153,11 +157,22 @@ def riemann_ricci(field: MetricField, point: np.ndarray,
 
     Gamma^c_ab = g^cd Gamma_dab and, differentiating,
     d_e Gamma^c_ab = g^cd (d_e Gamma_dab - d_e g_dq Gamma^q_ab).
+    Raises SingularityError when ||g||_1 ||g^-1||_1 exceeds
+    CURVATURE_CONDITION_LIMIT.
     """
     point = np.asarray(point, dtype=float)
     g, dg, ddg = metric_jet(field, point, h, h2)
     d = len(g)
-    ginv = np.linalg.inv(g)
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:  # exactly singular: infinite condition
+        ginv = np.full_like(g, np.inf)
+    condition = float(np.linalg.norm(g, 1) * np.linalg.norm(ginv, 1))
+    if not condition <= CURVATURE_CONDITION_LIMIT:
+        raise SingularityError(
+            f"metric condition {condition:.3e} exceeds {CURVATURE_CONDITION_LIMIT:.0e}",
+            condition=condition, point=point,
+        )
     gam_flat = ginv @ _lower_christoffel(dg).reshape(d, d * d)
     dlow = _lower_christoffel(ddg).reshape(d, d, d * d)
     gam = gam_flat.reshape(d, d, d)
@@ -184,6 +199,34 @@ class EinsteinVerdict:
     passed: bool
     failure: str | None = None
 
+    @classmethod
+    def failed(cls, samples: int, tol: float, reason: str) -> "EinsteinVerdict":
+        """A verdict that could not be computed: no Lambda, infinite residuals."""
+        return cls(lambda_hat=float("nan"), lambda_spread=float("nan"),
+                   residual=float("inf"), field_residual=float("inf"),
+                   samples=samples, tol=tol, passed=False, failure=reason)
+
+
+def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
+    """``count`` uniform draws from the field's domain box that it contains.
+
+    Each attempt draws ``count`` rows and keeps those ``field.domain.contains``
+    accepts; the field itself is never evaluated.
+    """
+    if not count >= 1:
+        raise InvalidInputError(f"need at least one sample point, got {count}")
+    dom = field.domain
+    kept = np.empty((0, len(dom.lo)))
+    for _ in range(SAMPLE_ATTEMPTS):
+        batch = rng.uniform(dom.lo, dom.hi, (count, len(dom.lo)))
+        kept = np.concatenate([kept, batch[np.asarray(dom.contains(batch), bool)]])
+        if len(kept) >= count:
+            return kept[:count]
+    raise LieForgeError(
+        f"could not draw {count} points inside the safe domain of {field.name} "
+        f"in {SAMPLE_ATTEMPTS} attempts"
+    )
+
 
 def einstein_check(field: MetricField, points: np.ndarray, tol: float,
                    h: float = BASE_STEP, h2: float = BASE_STEP) -> EinsteinVerdict:
@@ -205,12 +248,7 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float,
         try:
             bundles.append(riemann_ricci(field, p, h, h2))
         except (SingularityError, DomainError) as exc:
-            return EinsteinVerdict(
-                lambda_hat=float("nan"), lambda_spread=float("nan"),
-                residual=float("inf"), field_residual=float("inf"),
-                samples=len(points), tol=tol, passed=False,
-                failure=f"sample {p} failed: {exc}",
-            )
+            return EinsteinVerdict.failed(len(points), tol, f"sample {p} failed: {exc}")
     lambdas = np.array([b.scalar / (2.0 * d) for b in bundles])
     lam = float(lambdas.mean())
     for b in bundles:

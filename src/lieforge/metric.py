@@ -23,6 +23,7 @@ from .charts import (  # exp_chart_batch stays importable from here for callers
     ChartPoint,
     FrameEvaluation,
     EXP_SU2_NORM_MAX,
+    SafeDomain,
     euler_chart_batch,
     exp_chart_batch,
     safe_domain,
@@ -68,11 +69,15 @@ class MetricTensor:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Batch-evaluable metric over one chart: points (m, d) -> metrics (m, d, d)."""
+    """Batch-evaluable metric over one chart: points (m, d) -> metrics (m, d, d).
+
+    ``domain`` is where the field may be evaluated and sampled: its box is the
+    sampling box and its ``contains`` guards every finite-difference stencil.
+    """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
-    contains: Callable[[np.ndarray], np.ndarray]
+    domain: SafeDomain
     name: str = "field"
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -138,10 +143,9 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.n
 
 
 def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
-    """``metric_batch`` on ``chart``, with the chart's safe domain as ``contains``."""
-    dom = safe_domain(spec, chart)
+    """``metric_batch`` on ``chart``, carrying the chart's safe domain."""
     return MetricField(dim=spec.dim, func=lambda pts: metric_batch(spec, chart, pts, k),
-                       contains=dom.contains, name=f"{spec.name}-{chart}")
+                       domain=safe_domain(spec, chart), name=f"{spec.name}-{chart}")
 
 
 def exp_metric_field(spec: GroupSpec, k: float = 2.0) -> MetricField:

@@ -16,12 +16,10 @@ import numpy as np
 
 from . import __version__
 from .catalog import GroupSpec, parse_group_name
-from .charts import safe_domain
-from .curvature import einstein_check
+from .curvature import EinsteinVerdict, einstein_check, sample_safe_points
 from .errors import InvalidInputError, LieForgeError
-from .metric import MetricField, metric_field, resolve_k
+from .metric import metric_field, resolve_k
 
-SAMPLE_CONDITION_LIMIT = 1e8
 CHART = "exp"  # every group has an exponential chart
 
 
@@ -90,58 +88,25 @@ class ScanReport:
         }
 
 
-def sample_safe_points(field: MetricField, lo: np.ndarray, hi: np.ndarray,
-                       count: int, rng) -> np.ndarray:
-    """Rejection-sample points with a well-conditioned metric."""
-    if not count >= 1:
-        raise InvalidInputError(f"need at least one sample point, got {count}")
-    out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 200:
-            raise LieForgeError(
-                f"could not draw {count} well-conditioned points in {field.name}"
-            )
-        batch = rng.uniform(lo, hi, (count, len(lo)))
-        ok = np.asarray(field.contains(batch))
-        if not np.any(ok):
-            continue
-        g = field(batch[ok])
-        cond = np.linalg.cond(g)
-        for p, c in zip(batch[ok], cond):
-            if np.isfinite(c) and c <= SAMPLE_CONDITION_LIMIT and len(out) < count:
-                out.append(p)
-    return np.array(out)
-
-
 def scan_one_group(spec: GroupSpec, cfg: ScanConfig, group_index: int) -> GroupResult:
     start = time.perf_counter()
     try:
-        k = resolve_k(cfg.k)
-        field = metric_field(spec, CHART, k)
-        dom = safe_domain(spec, CHART)
+        field = metric_field(spec, CHART, resolve_k(cfg.k))
         rng = np.random.default_rng([cfg.seed, group_index])
-        pts = sample_safe_points(field, dom.lo, dom.hi, cfg.samples, rng)
+        # called through this module's name: perfbench/trace.py wraps scan.sample_safe_points
+        pts = sample_safe_points(field, cfg.samples, rng)
         verdict = einstein_check(field, pts, cfg.tolerance)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return GroupResult(
-            name=spec.name, dim=spec.dim,
-            lambda_hat=verdict.lambda_hat,
-            lambda_spread=verdict.lambda_spread,
-            max_residual=verdict.residual,
-            passed=verdict.passed,
-            wall_time_ms=elapsed,
-            failure=verdict.failure,
-        )
     except LieForgeError as exc:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return GroupResult(
-            name=spec.name, dim=spec.dim,
-            lambda_hat=float("nan"), lambda_spread=float("nan"),
-            max_residual=float("inf"), passed=False,
-            wall_time_ms=elapsed, failure=str(exc),
-        )
+        verdict = EinsteinVerdict.failed(cfg.samples, cfg.tolerance, str(exc))
+    return GroupResult(
+        name=spec.name, dim=spec.dim,
+        lambda_hat=verdict.lambda_hat,
+        lambda_spread=verdict.lambda_spread,
+        max_residual=verdict.residual,
+        passed=verdict.passed,
+        wall_time_ms=(time.perf_counter() - start) * 1000.0,
+        failure=verdict.failure,
+    )
 
 
 def run_scan(cfg: ScanConfig) -> ScanReport:

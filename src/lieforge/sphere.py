@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import dual
+from .charts import SafeDomain
+from .curvature import einstein_check, sample_safe_points
 from .dual import DualScalar
 from .errors import InvalidInputError, SingularityError
 from .metric import MetricField, MetricTensor, _finish
@@ -55,15 +57,19 @@ def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray
 
 
 def _off_pole(n_ambient: int, pts: np.ndarray) -> np.ndarray:
-    """Rows whose polar angles stay POLE_MARGIN away from 0 and pi."""
+    """Per row and polar angle: POLE_MARGIN < t < pi - POLE_MARGIN."""
     polar = np.atleast_2d(pts)[:, : max(n_ambient - 2, 0)]
-    return np.all((polar > POLE_MARGIN) & (polar < np.pi - POLE_MARGIN), axis=1)
+    return (polar > POLE_MARGIN) & (polar < np.pi - POLE_MARGIN)
 
 
 def _check_polar(n_ambient: int, theta: np.ndarray):
-    if not _off_pole(n_ambient, theta)[0]:
+    inside = _off_pole(n_ambient, theta)[0]
+    if not inside.all():
+        i = int(np.argmin(inside))
         raise SingularityError(
-            "polar angle at a coordinate pole; embedding Jacobian degenerates",
+            f"polar angle t{i + 1} = {theta[i]:g} is not in "
+            f"({POLE_MARGIN:g}, pi - {POLE_MARGIN:g}); the embedding Jacobian "
+            "degenerates at a coordinate pole",
             point=theta,
         )
 
@@ -84,32 +90,24 @@ def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
 
 
 def sphere_metric_field(n_ambient: int) -> MetricField:
+    """Pullback field on S^{N-1}, sampled in [0.3, pi - 0.3]^{N-2} x [-pi, pi]."""
     def func(pts):
         _, jac = hyperspherical_batch(n_ambient, pts)
         return np.einsum("mia,mib->mab", jac, jac)
 
-    return MetricField(dim=n_ambient - 1, func=func,
-                       contains=lambda pts: _off_pole(n_ambient, pts),
-                       name=f"s{n_ambient - 1}-pullback")
-
-
-def sample_sphere_points(n_ambient: int, count: int, rng) -> np.ndarray:
-    """Uniform box sample away from the coordinate poles."""
-    d = n_ambient - 1
-    pts = np.empty((count, d))
     npolar = max(n_ambient - 2, 0)
-    pts[:, :npolar] = rng.uniform(0.3, np.pi - 0.3, (count, npolar))
-    pts[:, npolar:] = rng.uniform(-np.pi, np.pi, (count, d - npolar))
-    return pts
+    lo = np.array([0.3] * npolar + [-np.pi])
+    hi = np.array([np.pi - 0.3] * npolar + [np.pi])
+    domain = SafeDomain(lo=lo, hi=hi, contains=lambda pts: _off_pole(n_ambient, pts).all(axis=1))
+    return MetricField(dim=n_ambient - 1, func=func, domain=domain,
+                       name=f"s{n_ambient - 1}-pullback")
 
 
 def sphere_einstein_check(n_ambient: int, samples: int, tol: float, seed: int = 0):
     """Einstein verdict for the unit S^{N-1} pullback field (expect
     Lambda = (N - 2) / 2)."""
-    from .curvature import einstein_check
-
     if n_ambient < 3:
         raise InvalidInputError("einstein check needs a sphere of dimension >= 2")
     field = sphere_metric_field(n_ambient)
-    pts = sample_sphere_points(n_ambient, samples, np.random.default_rng(seed))
+    pts = sample_safe_points(field, samples, np.random.default_rng(seed))
     return einstein_check(field, pts, tol)

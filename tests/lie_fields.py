@@ -2,7 +2,14 @@
 
 import numpy as np
 
+from lieforge.charts import SafeDomain
 from lieforge.metric import MetricField
+
+
+def everywhere(d):
+    """A domain that contains every point, sampled in the box [-1, 1]^d."""
+    return SafeDomain(lo=np.full(d, -1.0), hi=np.full(d, 1.0),
+                      contains=lambda x: np.ones(len(np.atleast_2d(x)), bool))
 
 
 def flat_field(d):
@@ -10,9 +17,7 @@ def flat_field(d):
         pts = np.atleast_2d(pts)
         return np.broadcast_to(np.eye(d), (len(pts), d, d)).copy()
 
-    return MetricField(dim=d, func=func,
-                       contains=lambda x: np.ones(len(np.atleast_2d(x)), bool),
-                       name="flat")
+    return MetricField(dim=d, func=func, domain=everywhere(d), name="flat")
 
 
 def s2_field():
@@ -28,4 +33,6 @@ def s2_field():
         pts = np.atleast_2d(pts)
         return (pts[:, 0] > 0.02) & (pts[:, 0] < np.pi - 0.02)
 
-    return MetricField(dim=2, func=func, contains=contains, name="s2-hand")
+    domain = SafeDomain(lo=np.array([0.3, -np.pi]), hi=np.array([np.pi - 0.3, np.pi]),
+                        contains=contains)
+    return MetricField(dim=2, func=func, domain=domain, name="s2-hand")

@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import replace
 
-from lie_fields import flat_field, s2_field  # local helper module
+from lie_fields import everywhere, flat_field, s2_field  # local helper module
 from lieforge.catalog import parse_group_name
 from lieforge.charts import ChartPoint, euler_chart, safe_domain, su2_log
 from lieforge.curvature import (
@@ -14,8 +14,9 @@ from lieforge.curvature import (
     first_partials,
     metric_jet,
     riemann_ricci,
+    sample_safe_points,
 )
-from lieforge.errors import DomainError, InvalidInputError
+from lieforge.errors import DomainError, InvalidInputError, LieForgeError, SingularityError
 from lieforge.metric import (
     MetricField,
     closed_form_su2_exp_metric_derivative,
@@ -157,8 +158,7 @@ class TestSharedStencil:
                 w = 2.0 + np.sin(pts[:, 0]) * np.cos(2.0 * pts[:, 1])
                 return w[:, None, None] * np.eye(2)
 
-            field = MetricField(dim=2, func=func,
-                                contains=lambda p: np.ones(len(np.atleast_2d(p)), bool))
+            field = MetricField(dim=2, func=func, domain=everywhere(2))
             x, y = 0.4, -0.2
             dxx = -np.sin(x) * np.cos(2 * y)
             dxy = -2.0 * np.cos(x) * np.sin(2 * y)
@@ -213,6 +213,65 @@ class TestEinsteinCheck:
     def test_empty_points_rejected(self, su2_field):
         with pytest.raises(InvalidInputError):
             einstein_check(su2_field, np.empty((0, 3)), 1e-6)
+
+
+def stiff_field(eps):
+    """The constant metric diag(1, eps): ||g||_1 ||g^-1||_1 = 1 / eps."""
+    def func(pts):
+        return np.broadcast_to(np.diag([1.0, eps]), (len(pts), 2, 2)).copy()
+
+    return MetricField(dim=2, func=func, domain=everywhere(2), name="stiff")
+
+
+class TestConditionGuard:
+    def test_riemann_ricci_raises_above_limit(self):
+        assert np.abs(riemann_ricci(stiff_field(1e-7), np.zeros(2)).ricci).max() < 1e-9
+        for eps in (1e-9, 0.0):  # 0.0: exactly singular, no inverse
+            with pytest.raises(SingularityError) as exc:
+                riemann_ricci(stiff_field(eps), np.zeros(2))
+            assert exc.value.condition > 1e8
+
+    def test_einstein_check_names_the_sample(self):
+        v = einstein_check(stiff_field(1e-9), np.array([[0.5, 0.0], [0.0, 0.0]]), 1e-6)
+        assert not v.passed
+        assert v.failure.startswith("sample [0.5")  # the first sample fails
+        assert "failed: metric condition 1.000e+09 exceeds 1e+08" in v.failure
+        assert np.isnan(v.lambda_hat) and v.residual == np.inf and v.samples == 2
+
+
+class TestSampleSafePoints:
+    @pytest.mark.parametrize("name,chart", [("su2", "exp"), ("su2", "euler"), ("so5", "exp")])
+    def test_group_box_is_one_uniform_draw(self, name, chart, monkeypatch):
+        def boom(*_):
+            raise AssertionError("the sampler evaluated the metric")
+
+        spec = parse_group_name(name)
+        field = replace(metric_field(spec, chart, 2.0), func=boom)
+        monkeypatch.setattr(np.linalg, "cond", boom)
+        pts = sample_safe_points(field, 7, np.random.default_rng(5))
+        dom = safe_domain(spec, chart)
+        expected = np.random.default_rng(5).uniform(dom.lo, dom.hi, (7, spec.dim))
+        assert np.array_equal(pts, expected)
+
+    def test_rows_accumulate_across_attempts(self):
+        every_other = replace(everywhere(3), contains=lambda x: np.arange(len(x)) % 2 == 0)
+        field = replace(flat_field(3), domain=every_other)
+        pts = sample_safe_points(field, 5, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        first, second = (rng.uniform(-1.0, 1.0, (5, 3))[::2] for _ in range(2))
+        assert np.array_equal(pts, np.concatenate([first, second])[:5])
+
+    def test_gives_up_after_200_attempts(self):
+        calls = []
+
+        def nowhere(x):
+            calls.append(len(x))
+            return np.zeros(len(x), bool)
+
+        field = replace(flat_field(2), domain=replace(everywhere(2), contains=nowhere))
+        with pytest.raises(LieForgeError, match="200 attempts"):
+            sample_safe_points(field, 3, np.random.default_rng(7))
+        assert calls == [3] * 200
 
 
 class TestFdCrossCheck:

@@ -251,7 +251,7 @@ def stencil_rows(spec, points):
         return field.func(pts)
 
     for point in points:
-        metric_jet(MetricField(spec.dim, record, field.contains), point)
+        metric_jet(MetricField(spec.dim, record, field.domain), point)
     return np.concatenate(rows)
 
 

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import killing_lambda
-from lieforge import cli
+from lieforge import cli, scan
 from lieforge.catalog import parse_group_name, structure_constants
-from lieforge.charts import safe_domain
-from lieforge.errors import InvalidInputError
+from lieforge.errors import InvalidInputError, LieForgeError
 from lieforge.metric import MetricConfig, exp_metric_field
+from lieforge.curvature import sample_safe_points
 from lieforge.scan import (
     ScanConfig,
     ScanReport,
     dumps_json,
     emit_report,
     run_scan,
-    sample_safe_points,
 )
 
 
@@ -72,6 +71,15 @@ class TestRunScan:
     def test_forced_fail_tolerance(self):
         rep = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-12))
         assert not rep.passed
+
+    def test_sampling_failure_is_a_failed_row(self, monkeypatch):
+        def no_room(field, count, rng):
+            raise LieForgeError("no room in the box")
+
+        monkeypatch.setattr(scan, "sample_safe_points", no_room)
+        row = run_scan(ScanConfig(groups=("su2",), samples=2)).rows[0]
+        assert (row.passed, row.failure) == (False, "no room in the box")
+        assert np.isnan(row.lambda_hat) and row.max_residual == np.inf
 
     def test_failure_reason_in_report(self):
         failing = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-12)).to_dict()
@@ -198,6 +206,23 @@ class TestCli:
                          "--point", "0,0.3,0.3"])
         assert code == 2
 
+    @pytest.mark.parametrize("theta", ["1e-4", "3e-4", repr(np.pi - 3e-4)])
+    def test_euler_stencil_across_pole_exit_2(self, theta, capsys):
+        # the curvature stencil (+-2e-3) would reach across theta = 0 or pi
+        code = cli.main(["curvature", "--group", "su2", "--chart", "euler",
+                         "--point", f"{theta},0.2,0.3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "safe domain" in captured.err
+
+    @pytest.mark.parametrize("point,angle", [("-0.3,0.4", "-0.3"), ("4.0,0.4", "4")])
+    def test_sphere_pole_message_names_angle_and_range(self, point, angle, capsys):
+        assert cli.main(["sphere", "--dim", "3", "--point", point]) == 2
+        err = capsys.readouterr().err
+        assert f"t1 = {angle} " in err
+        assert "(1e-06, pi - 1e-06)" in err
+
 
 def exit_code(argv):
     """Exit status of one CLI call, whether it returns or raises SystemExit."""
@@ -275,8 +300,6 @@ class TestInputValidation:
             ScanConfig(groups=("su2",), k=k)
 
     def test_sampler_rejects_empty_request(self):
-        spec = parse_group_name("su2")
-        dom = safe_domain(spec, "exp")
         with pytest.raises(InvalidInputError):
-            sample_safe_points(exp_metric_field(spec), dom.lo, dom.hi, 0,
+            sample_safe_points(exp_metric_field(parse_group_name("su2")), 0,
                                np.random.default_rng(0))

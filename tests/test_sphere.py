@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lieforge.curvature import einstein_check
+from lieforge import sphere
+from lieforge.curvature import einstein_check, sample_safe_points
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.metric import closed_form_metric_su2_euler
 from lieforge.sphere import (
@@ -123,6 +124,22 @@ def test_sphere_einstein(n, expected):
 def test_tolerance_tighter_than_method_noise_fails():
     v = sphere_einstein_check(3, samples=4, tol=1e-12)
     assert not v.passed
+
+
+def test_einstein_samples_inside_field_box(monkeypatch):
+    seen = []
+
+    def recording(field, count, rng):
+        seen.append((field, sample_safe_points(field, count, rng)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(sphere, "sample_safe_points", recording)
+    assert sphere_einstein_check(5, samples=6, tol=1e-5).passed
+    [(field, pts)] = seen
+    lo, hi = field.domain.lo, field.domain.hi
+    assert np.array_equal(lo, [0.3, 0.3, 0.3, -np.pi])
+    assert np.array_equal(hi, [np.pi - 0.3] * 3 + [np.pi])
+    assert pts.shape == (6, 4) and np.all((pts >= lo) & (pts <= hi))
 
 
 def test_small_ambient_rejected():
