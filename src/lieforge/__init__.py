@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .catalog import GroupSpec, StructureConstants, make_group, parse_group_name, structure_constants
 from .charts import ChartPoint, FrameEvaluation, chart_transition_check, euler_chart, exp_chart, su2_log
-from .curvature import CurvatureBundle, EinsteinVerdict, christoffel, einstein_check, fd_cross_check, riemann_ricci
+from .curvature import CurvatureBundle, EinsteinVerdict, christoffel, einstein_check, riemann_ricci
 from .dual import DualScalar
 from .errors import (
     DomainError,

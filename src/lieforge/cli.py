@@ -211,6 +211,7 @@ def _cmd_sphere(args) -> int:
             "lambda_hat": v.lambda_hat,
             "lambda_spread": v.lambda_spread,
             "residual": v.residual,
+            "field_residual": v.field_residual,
             "pass": v.passed,
             "failure": v.failure,
         }))

@@ -1,13 +1,13 @@
 """Levi-Civita curvature of a black-box metric field by finite differences.
 
-First derivatives use 4th-order central stencils (base step 1e-3) with one
-Richardson halving.  The curvature at a point comes from one batched field
-call on one deduplicated stencil: the centre; the axis offsets
-{+-1/2, +-1, +-2} h, which give dg and, at {+-1, +-2} h2, the diagonal
-second derivatives; and a 4 x 4 product grid {+-1, +-2} h2 per coordinate
-pair for the mixed ones (weights per Fornberg 1988).  Gamma, its derivative
-and Riemann then follow in closed form from g, dg and ddg.  The Riemann
-sign convention is fixed so the unit 2-sphere has Ric = +g.
+The curvature at a point comes from one batched field call on one stencil
+with base step h = 1e-3: the centre; the axis offsets {+-1/2, +-1, +-2} h,
+which give the first derivatives (4th-order central stencils with one
+Richardson halving) and the diagonal second derivatives; and a 4 x 4
+product grid {+-1, +-2} h per coordinate pair for the mixed ones (weights
+per Fornberg 1988).  Gamma, its derivative and Riemann then follow in
+closed form from g, dg and ddg.  The Riemann sign convention is fixed so
+the unit 2-sphere has Ric = +g.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, LieForgeError, SingularityError
-from .metric import MetricField, closed_form_su2_exp_metric_derivative
+from .metric import MetricField
 
 BASE_STEP = 1e-3
 # riemann_ricci rejects ||g||_1 ||g^-1||_1 above this; for symmetric g the
 # product bounds the 2-norm condition number from above
 CURVATURE_CONDITION_LIMIT = 1e8
 SAMPLE_ATTEMPTS = 200
-# stencil offsets in units of the step: Richardson first derivatives, and
-# the plain 4th-order stencil that also serves the second derivatives
+# stencil offsets in units of the step: the axis rows, and the plain
+# 4th-order stencil of the mixed-derivative grid
 _RICHARDSON = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
 _PLAIN = np.array([-2.0, -1.0, 1.0, 2.0])
 _CENTRAL4 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # f' weights on _PLAIN
@@ -35,35 +35,12 @@ def _central4(fm2, fm1, fp1, fp2, step):
     return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * step)
 
 
-def _richardson(vals, h: float):
-    """Derivative from values at the _RICHARDSON offsets (leading axis)."""
-    d_h = _central4(vals[0], vals[1], vals[4], vals[5], h)
-    d_h2 = _central4(vals[1], vals[2], vals[3], vals[4], 0.5 * h)
-    return (16.0 * d_h2 - d_h) / 15.0
-
-
-def first_partials(f, pts: np.ndarray, h: float = BASE_STEP,
-                   richardson: bool = True) -> np.ndarray:
-    """Directional derivatives of a batch map f: (m, d) -> (m, ...).
-
-    Returns an array of shape (m, d, ...); entry [m, a] is the partial of
-    f along coordinate a.  One batched call to f covers the whole stencil.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    m, d = pts.shape
-    offsets = (_RICHARDSON if richardson else _PLAIN) * h
-    k = len(offsets)
-    disp = np.zeros((k, d, m, d))
-    disp[:] = pts[None, None, :, :]
-    for a in range(d):
-        disp[:, a, :, a] += offsets[:, None]
-    vals = np.asarray(f(disp.reshape(k * d * m, d)))
-    vals = vals.reshape((k, d, m) + vals.shape[1:])
-    if richardson:
-        deriv = _richardson(vals, h)
-    else:
-        deriv = _central4(vals[0], vals[1], vals[2], vals[3], h)
-    return np.moveaxis(deriv, 1, 0)  # -> (m, d, ...)
+def _axis_derivative(vals, h: float):
+    """Richardson-extrapolated derivative from values at the _RICHARDSON
+    offsets (leading axis)."""
+    d_full = _central4(vals[0], vals[1], vals[4], vals[5], h)
+    d_half = _central4(vals[1], vals[2], vals[3], vals[4], 0.5 * h)
+    return (16.0 * d_half - d_full) / 15.0
 
 
 def _guarded(field: MetricField):
@@ -85,57 +62,39 @@ def _lower_christoffel(dg: np.ndarray) -> np.ndarray:
     return 0.5 * (np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg)
 
 
-def christoffel_batch(field: MetricField, pts: np.ndarray,
-                      h: float = BASE_STEP) -> np.ndarray:
-    """Gamma[m, c, a, b] = Gamma^c_ab at each point."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    f = _guarded(field)
-    g = f(pts)
-    ginv = np.linalg.inv(g)
-    dg = first_partials(f, pts, h)  # (m, c, a, b) = d_c g_ab
-    return np.einsum("mcd,mdab->mcab", ginv, _lower_christoffel(dg))
-
-
-def christoffel(field: MetricField, point: np.ndarray,
-                h: float = BASE_STEP) -> np.ndarray:
-    return christoffel_batch(field, np.asarray(point, dtype=float)[None, :], h)[0]
-
-
-def metric_jet(field: MetricField, point: np.ndarray, h: float = BASE_STEP,
-               h2: float = BASE_STEP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def metric_jet(field: MetricField, point: np.ndarray,
+               h: float = BASE_STEP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g, dg[e, a, b] = d_e g_ab and ddg[e, f, a, b] = d_e d_f g_ab at one point.
 
-    One guarded field call evaluates 1 + 6d + 8d(d - 1) distinct rows when
-    h2 == h: dg is Richardson-extrapolated on the axis offsets
-    {+-1/2, +-1, +-2} h exactly as in first_partials; the diagonal of ddg is
-    the 4th-order (-f(-2) + 16 f(-1) - 30 f(0) + 16 f(1) - f(2)) / (12 h2^2) on the
-    axis offsets {+-1, +-2} h2 (shared with the first-derivative rows when
-    h2 == h); each mixed d_a d_b g is the tensor product of the 4th-order
-    first-derivative weights on the grid {+-1, +-2} h2 x {+-1, +-2} h2.
+    One guarded field call evaluates 1 + 6d + 8d(d - 1) distinct rows: the
+    centre; the axis offsets {+-1/2, +-1, +-2} h, on which dg is
+    Richardson-extrapolated and the diagonal of ddg is the 4th-order
+    (-f(-2) + 16 f(-1) - 30 f(0) + 16 f(1) - f(2)) / (12 h^2) from the
+    {+-1, +-2} h rows; and per coordinate pair the grid
+    {+-1, +-2} h x {+-1, +-2} h, on which each mixed d_a d_b g is the tensor
+    product of the 4th-order first-derivative weights.
     """
     point = np.asarray(point, dtype=float)
     d = point.size
-    s1, s2 = _RICHARDSON * h, _PLAIN * h2
-    steps = np.unique(np.concatenate([s1, s2]))
-    first, second = np.searchsorted(steps, s1), np.searchsorted(steps, s2)
+    step = _PLAIN * h
     eye = np.eye(d)
     pa, pb = np.triu_indices(d, 1)
-    axis = steps[None, :, None] * eye[:, None, :]                 # (d, n, d)
-    mixed = (s2[None, :, None, None] * eye[pa][:, None, None, :]
-             + s2[None, None, :, None] * eye[pb][:, None, None, :])  # (p, 4, 4, d)
+    axis = (_RICHARDSON * h)[None, :, None] * eye[:, None, :]        # (d, 6, d)
+    mixed = (step[None, :, None, None] * eye[pa][:, None, None, :]
+             + step[None, None, :, None] * eye[pb][:, None, None, :])  # (p, 4, 4, d)
     offsets = np.concatenate([np.zeros((1, d)), axis.reshape(-1, d), mixed.reshape(-1, d)])
     vals = _guarded(field)(point + offsets)
 
     g = vals[0]
-    n_axis = len(steps) * d
-    on_axis = vals[1:1 + n_axis].reshape(d, len(steps), d, d)
-    dg = _richardson(np.moveaxis(on_axis[:, first], 1, 0), h)
-    fm2, fm1, fp1, fp2 = np.moveaxis(on_axis[:, second], 1, 0)
+    n_axis = len(_RICHARDSON) * d
+    on_axis = np.moveaxis(vals[1:1 + n_axis].reshape(d, len(_RICHARDSON), d, d), 1, 0)
+    dg = _axis_derivative(on_axis, h)
+    fm2, fm1, fp1, fp2 = on_axis[[0, 1, 4, 5]]
     ddg = np.empty((d, d, d, d))
     ar = np.arange(d)
-    ddg[ar, ar] = (-fm2 + 16.0 * fm1 - 30.0 * g + 16.0 * fp1 - fp2) / (12.0 * h2 * h2)
+    ddg[ar, ar] = (-fm2 + 16.0 * fm1 - 30.0 * g + 16.0 * fp1 - fp2) / (12.0 * h * h)
     grid = vals[1 + n_axis:].reshape(len(pa), 4, 4, d, d)
-    cross = np.einsum("i,j,pijxy->pxy", _CENTRAL4, _CENTRAL4, grid) / (h2 * h2)
+    cross = np.einsum("i,j,pijxy->pxy", _CENTRAL4, _CENTRAL4, grid) / (h * h)
     ddg[pa, pb] = cross
     ddg[pb, pa] = cross
     return g, dg, ddg
@@ -152,7 +111,7 @@ class CurvatureBundle:
 
 
 def riemann_ricci(field: MetricField, point: np.ndarray,
-                  h: float = BASE_STEP, h2: float = BASE_STEP) -> CurvatureBundle:
+                  h: float = BASE_STEP) -> CurvatureBundle:
     """Full curvature hierarchy at one point, from one metric_jet stencil.
 
     Gamma^c_ab = g^cd Gamma_dab and, differentiating,
@@ -161,7 +120,7 @@ def riemann_ricci(field: MetricField, point: np.ndarray,
     CURVATURE_CONDITION_LIMIT.
     """
     point = np.asarray(point, dtype=float)
-    g, dg, ddg = metric_jet(field, point, h, h2)
+    g, dg, ddg = metric_jet(field, point, h)
     d = len(g)
     try:
         ginv = np.linalg.inv(g)
@@ -186,6 +145,12 @@ def riemann_ricci(field: MetricField, point: np.ndarray,
     scalar = float(np.einsum("ab,ab->", ginv, ric))
     return CurvatureBundle(gamma=gam, riemann=riem, ricci=ric,
                            scalar=scalar, metric=g, point=point)
+
+
+def christoffel(field: MetricField, point: np.ndarray,
+                h: float = BASE_STEP) -> np.ndarray:
+    """Gamma^c_ab at one point, from riemann_ricci and under its condition guard."""
+    return riemann_ricci(field, point, h).gamma
 
 
 @dataclass(frozen=True)
@@ -229,7 +194,7 @@ def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
 
 
 def einstein_check(field: MetricField, points: np.ndarray, tol: float,
-                   h: float = BASE_STEP, h2: float = BASE_STEP) -> EinsteinVerdict:
+                   h: float = BASE_STEP) -> EinsteinVerdict:
     """Test R_ab = 2 Lambda g_ab over a sample of points.
 
     Lambda is estimated per sample as R / (2 d) and averaged; the residual is
@@ -242,11 +207,11 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float,
     if len(points) < 1:
         raise InvalidInputError("einstein check needs at least one sample point")
     d = field.dim
-    lambdas, residual, field_residual = [], 0.0, 0.0
+    residual, field_residual = 0.0, 0.0
     bundles = []
     for p in points:
         try:
-            bundles.append(riemann_ricci(field, p, h, h2))
+            bundles.append(riemann_ricci(field, p, h))
         except (SingularityError, DomainError) as exc:
             return EinsteinVerdict.failed(len(points), tol, f"sample {p} failed: {exc}")
     lambdas = np.array([b.scalar / (2.0 * d) for b in bundles])
@@ -270,13 +235,3 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float,
         field_residual=float(field_residual),
         samples=len(points), tol=tol, passed=failure is None, failure=failure,
     )
-
-
-def fd_cross_check(field: MetricField, point: np.ndarray,
-                   h: float = BASE_STEP) -> float:
-    """Worst deviation of FD metric derivatives from the analytic SU(2) form."""
-    if field.name != "su2-exp":
-        raise InvalidInputError("fd_cross_check is defined on the su2 exp field")
-    point = np.asarray(point, dtype=float)
-    dg = first_partials(_guarded(field), point[None, :], h)[0]
-    return float(np.max(np.abs(dg - closed_form_su2_exp_metric_derivative(point))))

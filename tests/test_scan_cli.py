@@ -17,6 +17,7 @@ from lieforge.scan import (
     emit_report,
     run_scan,
 )
+from lieforge.sphere import sphere_einstein_check
 
 
 def mask_times(report_dict, value=0.0):
@@ -186,6 +187,16 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["lambda_hat"] == pytest.approx(0.5, abs=1e-5)
+
+    def test_sphere_einstein_reports_field_residual(self, capsys):
+        # the field residual a sphere verdict can fail on is in the JSON,
+        # right after the residual, as in the einstein command
+        code = cli.main(["sphere", "--dim", "4", "--einstein", "--samples", "2"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        keys = list(out)
+        assert keys[keys.index("residual") + 1] == "field_residual"
+        assert out["field_residual"] == sphere_einstein_check(4, 2, 1e-6, 0).field_residual
 
     def test_curvature_command(self, capsys):
         code = cli.main(["curvature", "--group", "su2", "--chart", "exp",
