@@ -15,7 +15,7 @@ import numpy as np
 from .catalog import parse_group_name
 from .charts import ChartPoint
 from .curvature import einstein_check, riemann_ricci, sample_safe_points
-from .errors import LieForgeError
+from .errors import InvalidInputError, LieForgeError
 from .metric import MetricConfig, metric, metric_field, resolve_k
 from .scan import ScanConfig, dumps_json, emit_report, run_scan
 from .sphere import pullback_metric, sphere_einstein_check
@@ -40,15 +40,18 @@ def _k_value(text: str):
     return text if text == "auto" else float(text)
 
 
-def _positive(kind):
-    """argparse type: a number of ``kind`` that is > 0 (so never nan)."""
+def _positive(kind, zero_ok=False):
+    """argparse type: a number of ``kind`` that is > 0, or >= 0 when
+    ``zero_ok`` (so never nan)."""
+    what = "non-negative" if zero_ok else "positive"
+
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not value > 0:
-            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+        if value is None or not (value >= 0 if zero_ok else value > 0):
+            raise argparse.ArgumentTypeError(f"expected a {what} {kind.__name__}, got {text!r}")
         return value
 
     return parse
@@ -86,7 +89,7 @@ def parse_cli(argv) -> argparse.Namespace:
     verdict = argparse.ArgumentParser(add_help=False)
     verdict.add_argument("--samples", type=_positive(int), default=20)
     verdict.add_argument("--tol", type=_positive(float), default=1e-6)
-    verdict.add_argument("--seed", type=int, default=0)
+    verdict.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
 
     p = sub.add_parser("metric", parents=[chart, k],
                        help="evaluate the metric at one chart point")
@@ -163,14 +166,10 @@ def _cmd_curvature(args) -> int:
     return 0
 
 
-def _cmd_einstein(args) -> int:
-    spec = parse_group_name(args.group)
-    field = metric_field(spec, args.chart, resolve_k(args.k))
-    pts = sample_safe_points(field, args.samples, np.random.default_rng(args.seed))
-    v = einstein_check(field, pts, args.tol)
+def _write_verdict(head: dict, v) -> int:
+    """Print a verdict as JSON after its ``head`` keys; exit 0 on pass, 1 on fail."""
     sys.stdout.write(dumps_json({
-        "group": spec.name,
-        "chart": args.chart,
+        **head,
         "samples": v.samples,
         "tolerance": v.tol,
         "lambda_hat": v.lambda_hat,
@@ -183,8 +182,18 @@ def _cmd_einstein(args) -> int:
     return 0 if v.passed else 1
 
 
+def _cmd_einstein(args) -> int:
+    spec = parse_group_name(args.group)
+    field = metric_field(spec, args.chart, resolve_k(args.k))
+    pts = sample_safe_points(field, args.samples, np.random.default_rng(args.seed))
+    return _write_verdict({"group": spec.name, "chart": args.chart},
+                          einstein_check(field, pts, args.tol))
+
+
 def _cmd_scan(args) -> int:
     names = tuple(s.strip() for s in args.groups.split(",") if s.strip())
+    if not names:
+        raise InvalidInputError(f"--groups {args.groups!r} names no group")
     cfg = ScanConfig(groups=names, samples=args.samples, tolerance=args.tol,
                      seed=args.seed, k=args.k)
     report = run_scan(cfg)
@@ -203,19 +212,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_sphere(args) -> int:
     if args.einstein:
-        v = sphere_einstein_check(args.dim, args.samples, args.tol, args.seed)
-        sys.stdout.write(dumps_json({
-            "sphere": f"S{args.dim - 1}",
-            "samples": v.samples,
-            "tolerance": v.tol,
-            "lambda_hat": v.lambda_hat,
-            "lambda_spread": v.lambda_spread,
-            "residual": v.residual,
-            "field_residual": v.field_residual,
-            "pass": v.passed,
-            "failure": v.failure,
-        }))
-        return 0 if v.passed else 1
+        return _write_verdict({"sphere": f"S{args.dim - 1}"},
+                              sphere_einstein_check(args.dim, args.samples, args.tol, args.seed))
     if args.point is None:
         raise LieForgeError("sphere needs --point unless --einstein is given")
     mt = pullback_metric(args.dim, args.point)

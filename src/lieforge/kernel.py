@@ -1,16 +1,19 @@
-"""Dense matrix kernels: the real psi function and dual-propagated expm.
+"""Dense matrix kernels: the real psi function and first-order
+forward-mode dual arithmetic.
 
 ``psim`` evaluates psi(X) = sum_n X^n / (2n+2)! for batches of real
 matrices.  For skew M, phi(M)^T phi(M) = 2 psi(M^2) with
 phi(z) = (1 - e^{-z}) / z, so the exponential-chart metric applies psi to the
 square of the adjoint representation.
 
-Dual-valued matrices are stored as numpy stacks of shape ``(..., p+1, n, n)``:
-slot 0 along the third-to-last axis is the value matrix, slots ``1..p`` are
-the partial-derivative matrices, one per seeded coordinate direction.  The
-dual Pade exponential gives U(theta) and its partials for the charts, and
-its frames are the oracle the psi-based metric is tested against.  All
-kernel operations broadcast over leading batch axes.
+Dual values are numpy slot stacks.  The slot axis comes just before the
+value's own axes: ``(..., p+1, n, n)`` for matrices, ``(..., p+1)`` for
+scalars.  Slot 0 is the value, slots ``1..p`` are the partial derivatives,
+one per seeded coordinate direction.  The dual Pade exponential gives
+U(theta) and its partials for the charts, and its frames are the oracle the
+psi-based metric is tested against; scalar stacks give the sphere
+embedding's Jacobian.  All kernel operations broadcast over leading batch
+axes.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dual-matrix stack primitives
+# dual stack primitives
 # ---------------------------------------------------------------------------
 
 def dual_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,6 +74,12 @@ def dual_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     value = a[..., :1, :, :] @ b[..., :1, :, :]
     parts = a[..., :1, :, :] @ b[..., 1:, :, :] + a[..., 1:, :, :] @ b[..., :1, :, :]
     return np.concatenate([value, parts], axis=-3)
+
+
+def dual_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two scalar stacks, by the same Leibniz rule."""
+    parts = a[..., :1] * b[..., 1:] + a[..., 1:] * b[..., :1]
+    return np.concatenate([a[..., :1] * b[..., :1], parts], axis=-1)
 
 
 def dual_eye(n: int, ndirections: int, batch_shape=()) -> np.ndarray:

@@ -36,6 +36,8 @@ class ScanConfig:
             raise InvalidInputError("samples must be >= 1")
         if not self.tolerance > 0:  # also rejects nan
             raise InvalidInputError("tolerance must be positive")
+        if not self.seed >= 0:
+            raise InvalidInputError("seed must be >= 0")
         resolve_k(self.k)
 
 

@@ -2,42 +2,21 @@
 
 The hyperspherical parametrization is fixed so that for N = 3 it reads
 x = (sin t1 cos t2, sin t1 sin t2, cos t1); the tangent-frame Jacobian
-B_{i,a} = dx_i / dtheta^a is computed with dual numbers and the induced
-metric is g_ab = sum_i B_{i,a} B_{i,b}.
+B_{i,a} = dx_i / dtheta^a comes from the kernel's dual scalar stacks and the
+induced metric is g_ab = sum_i B_{i,a} B_{i,b}.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import dual
 from .charts import SafeDomain
 from .curvature import einstein_check, sample_safe_points
-from .dual import DualScalar
 from .errors import InvalidInputError, SingularityError
+from .kernel import dual_mul
 from .metric import MetricField, MetricTensor, _finish
 
 POLE_MARGIN = 1e-6
-
-
-def _coords_to_duals(thetas: np.ndarray) -> list[DualScalar]:
-    d = thetas.shape[1]
-    return [DualScalar.variable(thetas[:, a], a, d) for a in range(d)]
-
-
-def _embed_duals(n_ambient: int, t: list[DualScalar]) -> list[DualScalar]:
-    if n_ambient == 2:
-        return [dual.sin(t[0]), dual.cos(t[0])]
-    x = [None] * n_ambient
-    x[n_ambient - 1] = dual.cos(t[0])
-    running = dual.sin(t[0])
-    for m in range(n_ambient - 2, 1, -1):
-        # x[m] uses sines of the first N-m-1 angles and one cosine
-        x[m] = running * dual.cos(t[n_ambient - m - 1])
-        running = running * dual.sin(t[n_ambient - m - 1])
-    x[0] = running * dual.cos(t[n_ambient - 2])
-    x[1] = running * dual.sin(t[n_ambient - 2])
-    return x
 
 
 def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,14 +24,32 @@ def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if n_ambient < 2:
         raise InvalidInputError("sphere embedding needs ambient dimension >= 2")
-    if thetas.shape[1] != n_ambient - 1:
-        raise InvalidInputError(
-            f"S^{n_ambient - 1} takes {n_ambient - 1} coordinates, "
-            f"got {thetas.shape[1]}"
-        )
-    x = _embed_duals(n_ambient, _coords_to_duals(thetas))
-    points = np.stack([np.asarray(xi.value) for xi in x], axis=1)
-    jac = np.stack([xi.partials for xi in x], axis=1)
+    d = thetas.shape[1]
+    if d != n_ambient - 1:
+        raise InvalidInputError(f"S^{n_ambient - 1} takes {n_ambient - 1} coordinates, got {d}")
+    # sin t_a and cos t_a as scalar stacks, t_a seeded in slot a+1; angle-major
+    # (d, m, d+1) keeps each angle's stack contiguous for dual_mul
+    t = thetas.T
+    sin_t = np.zeros(t.shape + (d + 1,))
+    cos_t = np.zeros_like(sin_t)
+    sin_t[..., 0], cos_t[..., 0] = np.sin(t), np.cos(t)
+    a = np.arange(d)
+    sin_t[a, :, a + 1] = cos_t[..., 0]
+    cos_t[a, :, a + 1] = -sin_t[..., 0]
+    if n_ambient == 2:
+        x = [sin_t[0], cos_t[0]]
+    else:
+        x = [None] * n_ambient
+        x[n_ambient - 1] = cos_t[0]
+        running = sin_t[0]
+        for m in range(n_ambient - 2, 1, -1):
+            # x[m] uses sines of the first N-m-1 angles and one cosine
+            x[m] = dual_mul(running, cos_t[n_ambient - m - 1])
+            running = dual_mul(running, sin_t[n_ambient - m - 1])
+        x[0] = dual_mul(running, cos_t[d - 1])
+        x[1] = dual_mul(running, sin_t[d - 1])
+    points = np.stack([xi[:, 0] for xi in x], axis=1)
+    jac = np.stack([xi[:, 1:] for xi in x], axis=1)
     return points, jac
 
 

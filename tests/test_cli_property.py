@@ -1,8 +1,11 @@
-"""Property test: every point query on the CLI ends in exit 0, 1 or 2.
+"""Property tests: every point query and verdict on the CLI ends in exit
+0, 1 or 2.
 
-Drawn over the `metric`, `curvature` and `sphere --point` commands with
-valid and invalid groups, charts, dimensions, coordinate lists and k.
-Sizes stay small: only point queries on groups up to d = 8 are drawn.
+Point queries are drawn over the `metric`, `curvature` and `sphere --point`
+commands with valid and invalid groups, charts, dimensions, coordinate lists
+and k; verdicts over `einstein`, `scan` and `sphere --einstein` with valid
+and invalid groups, seeds, sample counts and tolerances.  Sizes stay small:
+groups up to d = 8, spheres up to S^5, and at most 3 samples per verdict.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -45,11 +48,45 @@ def point_queries(draw):
              "--point", draw(point_text(DIMS[group]))] + draw(K))
 
 
+SEED = st.one_of(st.integers(-3, 3).map(str), st.sampled_from([str(2**70), str(-2**70)]),
+                 st.text(max_size=4))
+# no large valid count: a verdict's memory grows with its samples
+SAMPLES = st.one_of(st.integers(1, 3).map(str),
+                    st.sampled_from(["0", "-1", "x", "", "nan", "1.5", "1e9"]))
+# the verdicts' usual tolerances are listed twice, so they make half the draws
+TOL = st.one_of(st.sampled_from(["1e-6", "1e-3"]), st.sampled_from(["1e-6", "1e-3"]),
+                st.floats(allow_nan=True, allow_infinity=True).map(repr), st.text(max_size=4))
+
+
+@st.composite
+def verdicts(draw):
+    command = draw(st.sampled_from(["einstein", "scan", "sphere"]))
+    if command == "einstein":
+        argv = ["einstein", "--group", draw(st.sampled_from(["su2", "so3", "sp1", "so4", "e8", "su0"])),
+                "--chart", draw(st.sampled_from(["exp", "euler"]))]
+    elif command == "scan":
+        names = draw(st.lists(st.sampled_from(["su2", "so3", "sp1", "x", ""]), max_size=3))
+        argv = ["scan", "--groups", ",".join(names)]
+    else:
+        argv = ["sphere", "--dim", str(draw(st.integers(-2, 6))), "--einstein"]
+    return argv + ["--seed", draw(SEED), "--samples", draw(SAMPLES), "--tol", draw(TOL)]
+
+
+def exit_code(argv):
+    """Exit status of one CLI call, whether it returns or raises SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(point_queries())
 def test_point_queries_exit_0_1_or_2(argv):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code in (0, 1, 2), argv
+    assert exit_code(argv) in (0, 1, 2), argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(verdicts())
+def test_verdicts_exit_0_1_or_2(argv):
+    assert exit_code(argv) in (0, 1, 2), argv

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_derivative, phim, su2_closed_form_u
-from lieforge.dual import DualScalar
 from lieforge.errors import InvalidInputError, NumericRangeError, SingularityError
 from lieforge.kernel import (
     PAULI,
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
+    dual_mul,
     expm,
     expm_dual,
     mat_inverse,
@@ -122,32 +122,21 @@ class TestMatInverse:
         assert np.abs(mat_inverse(u) - u.conj().T).max() < 1e-10
 
 
-class TestDualScalar:
+class TestDualMul:
     @given(
         x=st.floats(-10, 10), y=st.floats(-10, 10),
         dx=st.floats(-2, 2), dy=st.floats(-2, 2),
     )
     @settings(max_examples=50, deadline=None)
     def test_product_rule(self, x, y, dx, dy):
-        a = DualScalar(x, np.array([dx]))
-        b = DualScalar(y, np.array([dy]))
-        prod = a * b
-        assert prod.value == pytest.approx(x * y, abs=1e-12)
-        assert prod.partials[0] == pytest.approx(x * dy + y * dx, rel=1e-12, abs=1e-12)
-
-    def test_quotient_matches_fd(self):
-        def f(v):
-            return (v[0] * v[0] + 3.0) / (v[0] + 2.0)
-
-        x = DualScalar.variable(1.3, 0, 1)
-        got = (x * x + 3.0) / (x + 2.0)
-        fd = fd_derivative(lambda v: np.array(f(v)), np.array([1.3]), 0)
-        assert abs(got.partials[0] - fd) < 1e-10
-
-    def test_partials_length_fixed(self):
-        x = DualScalar.variable(0.5, 1, 4)
-        y = x * x + 2.0 * x
-        assert y.partials.shape == (4,)
+        a, b = np.array([x, dx]), np.array([y, dy])
+        prod = dual_mul(a, b)
+        assert prod.shape == (2,)
+        assert prod[0] == pytest.approx(x * y, abs=1e-12)
+        assert prod[1] == pytest.approx(x * dy + y * dx, rel=1e-12, abs=1e-12)
+        # leading batch axes broadcast, the slot axis stays last
+        batch = dual_mul(np.broadcast_to(a, (3, 2, 2)), b)
+        assert batch.shape == (3, 2, 2) and (batch == prod).all()
 
 
 class TestPhim:

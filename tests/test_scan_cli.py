@@ -60,6 +60,10 @@ class TestRunScan:
         with pytest.raises(InvalidInputError):
             ScanConfig(groups=("su2",), samples=float("nan"))
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidInputError):
+            ScanConfig(groups=("su2",), seed=-1)
+
     def test_rows_pinned_to_killing_lambda(self):
         groups = ("su2", "su3", "so3", "so4", "so5", "sp1", "sp2", "su4", "so6", "sp3")
         rep = run_scan(ScanConfig(groups=groups, samples=2, seed=3))
@@ -262,6 +266,20 @@ class TestInputValidation:
     ])
     def test_bad_tolerance_exit_2(self, argv, tol, capsys):
         assert exit_code(argv + ["--tol", tol]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["einstein", "--group", "su2", "--samples", "2"],
+        ["scan", "--groups", "su2", "--samples", "2"],
+        ["sphere", "--dim", "4", "--einstein", "--samples", "2"],
+    ])
+    def test_negative_seed_exit_2(self, argv, capsys):
+        assert exit_code(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("groups", [",", "", " , "])
+    def test_scan_without_groups_exit_2(self, groups, capsys):
+        assert exit_code(["scan", "--groups", groups, "--samples", "2"]) == 2
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
