@@ -91,13 +91,14 @@ def maurer_cartan(frame: FrameEvaluation) -> np.ndarray:
 
 
 def _gram(omega: np.ndarray, k: float) -> np.ndarray:
-    raw = k * np.einsum("...aji,...bji->...ab", omega.conj(), omega)
+    # the guard reads the k-free Gram, so it does not scale with k
+    raw = np.einsum("...aji,...bji->...ab", omega.conj(), omega)
     imag = float(np.max(np.abs(raw.imag)))
     if imag > _IMAG_TOL:
         raise LieForgeError(
             f"metric entries acquired imaginary parts up to {imag:.3e}"
         )
-    return raw.real
+    return k * raw.real
 
 
 def _finish(g: np.ndarray, point: ChartPoint | None) -> MetricTensor:

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from lieforge.charts import SafeDomain
+from conftest import phim
+from lieforge.charts import SafeDomain, safe_domain
 from lieforge.metric import MetricField
 
 
@@ -36,3 +37,18 @@ def s2_field():
     domain = SafeDomain(lo=np.array([0.3, -np.pi]), hi=np.array([np.pi - 0.3, np.pi]),
                         contains=contains)
     return MetricField(dim=2, func=func, domain=domain, name="s2-hand")
+
+
+def left_invariant_field(spec, q):
+    """g = J^T Q J with J = phi(M), M_eb = theta^c f_cbe: the left-invariant
+    metric with inner product Q on the Lie algebra, on the exp chart of
+    ``spec``.  Q = I is the bi-invariant k = 2 metric; any other Q is a
+    control that need not be Einstein."""
+    q = np.asarray(q, dtype=float)
+
+    def func(pts):
+        j = phim(np.einsum("mc,cbe->meb", np.atleast_2d(pts), spec.structure))
+        return np.swapaxes(j, -1, -2) @ q @ j
+
+    return MetricField(dim=spec.dim, func=func, domain=safe_domain(spec, "exp"),
+                       name=f"{spec.name}-left-invariant")

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
 from conftest import fd_derivative
-from lie_fields import everywhere, flat_field, s2_field  # local helper module
+from lie_fields import everywhere, flat_field, left_invariant_field, s2_field  # local helper module
 from lieforge.catalog import parse_group_name
 from lieforge.charts import ChartPoint, euler_chart, safe_domain, su2_log
 from lieforge.curvature import (
@@ -136,6 +138,13 @@ def counting_field(field):
     return replace(field, func=func), calls
 
 
+def polynomial_derivative(x, k, powers, coef):
+    """d^k of sum_m coef_m x^powers_m at one point, k the order per axis."""
+    falling = np.array([np.prod([math.perm(n, j) for n, j in zip(row, k)]) for row in powers])
+    monomials = falling * np.prod(x ** np.maximum(powers - np.asarray(k), 0), axis=1)
+    return np.einsum("m,mab->ab", monomials, coef)
+
+
 class TestSharedStencil:
     @pytest.mark.parametrize("d", [2, 3, 10])
     def test_one_call_of_distinct_rows(self, d):
@@ -144,7 +153,7 @@ class TestSharedStencil:
         riemann_ricci(field, point)
         assert len(calls) == 1
         rows = calls[0]
-        assert len(rows) == 1 + 6 * d + 8 * d * (d - 1)
+        assert len(rows) == 1 + 4 * d * d
         assert len(np.unique(rows, axis=0)) == len(rows)
 
     @pytest.mark.parametrize("case", ["s2", "conformal"])
@@ -170,6 +179,27 @@ class TestSharedStencil:
                 for h in (4e-2, 2e-2, 1e-2)]
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.0, (errs, orders)
+
+    def test_exact_on_quartic_polynomials(self):
+        # every stencil formula is exact on degree <= 4, so only round-off is left
+        d = 4
+        rng = np.random.default_rng(40)
+        powers = np.array([e for e in np.ndindex(*(5,) * d) if sum(e) <= 4])
+        coef = rng.normal(size=(len(powers), d, d))
+        coef = coef + np.swapaxes(coef, 1, 2)
+        field = MetricField(
+            dim=d, domain=everywhere(d),
+            func=lambda pts: np.stack([polynomial_derivative(x, [0] * d, powers, coef)
+                                       for x in pts]) + 10.0 * np.eye(d))
+        point = np.array([0.3, -0.2, 0.5, 0.1])
+        _, dg, ddg = metric_jet(field, point)
+        eye = np.eye(d, dtype=int)
+        dg_exact = np.stack([polynomial_derivative(point, eye[e], powers, coef)
+                             for e in range(d)])
+        ddg_exact = np.stack([[polynomial_derivative(point, eye[e] + eye[f], powers, coef)
+                               for f in range(d)] for e in range(d)])
+        assert np.abs(dg - dg_exact).max() < 1e-10
+        assert np.abs(ddg - ddg_exact).max() < 1e-7
 
     def test_first_derivatives_match_fd_oracle(self, su2_field):
         point = np.array([0.9, -0.4, 0.6])
@@ -218,6 +248,29 @@ class TestEinsteinCheck:
     def test_empty_points_rejected(self, su2_field):
         with pytest.raises(InvalidInputError):
             einstein_check(su2_field, np.empty((0, 3)), 1e-6)
+
+
+class TestNonEinsteinControl:
+    """The left-invariant Berger metric Q = diag(1, 1, 1/2) on su2 is not Einstein."""
+
+    def test_identity_q_is_the_bi_invariant_metric(self, su2, su2_field):
+        pts = np.vstack([np.zeros(3), sample_safe_points(su2_field, 8, np.random.default_rng(41))])
+        g = left_invariant_field(su2, np.eye(3))(pts)
+        assert np.abs(g - su2_field(pts)).max() < 1e-13
+
+    def test_berger_ricci_at_origin(self, su2):
+        # Milnor 1976: Ric = diag(3/4, 3/4, 1/8) in the orthonormal frame of Q
+        ric = riemann_ricci(left_invariant_field(su2, np.diag([1.0, 1.0, 0.5])), np.zeros(3)).ricci
+        assert np.abs(ric - np.diag([0.75, 0.75, 0.125])).max() < 1e-6
+
+    def test_berger_verdict_fails_on_residual(self, su2):
+        field = left_invariant_field(su2, np.diag([1.0, 1.0, 0.5]))
+        v = einstein_check(field, sample_safe_points(field, 5, np.random.default_rng(42)), 1e-6)
+        assert not v.passed
+        assert v.failure.startswith("residual")
+        assert v.residual > 0.1
+        # a left-invariant metric has constant scalar curvature, here R = 7/4
+        assert v.lambda_hat == pytest.approx(7.0 / 24.0, abs=1e-6)
 
 
 def stiff_field(eps):

@@ -7,16 +7,18 @@ from lieforge.charts import (
     ChartPoint,
     FrameEvaluation,
     euler_chart,
+    euler_chart_batch,
     exp_chart,
     exp_chart_batch,
     safe_domain,
 )
 from lieforge.curvature import metric_jet
-from lieforge.errors import InvalidInputError, SingularityError
+from lieforge.errors import InvalidInputError, LieForgeError, SingularityError
 from lieforge.kernel import PAULI, expm
 from lieforge.metric import (
     MetricConfig,
     MetricField,
+    _gram,
     closed_form_metric_su2_euler,
     closed_form_metric_su2_exp,
     exp_metric_batch,
@@ -204,6 +206,19 @@ class TestClosedFormOracles:
             closed_form_metric_su2_euler(np.pi, 0.1, 0.1)
 
 
+class TestEulerGram:
+    @pytest.mark.parametrize("k", [1.0, 1e9])
+    def test_imaginary_guard_fires_off_anti_hermitian(self, k):
+        # a frame that is not anti-Hermitian gives a complex Gram at any k
+        u, du = euler_chart_batch(np.array([[1.0, 0.2, -0.4]]))
+        omega = np.linalg.inv(u)[:, None, :, :] @ du
+        ref = k / 2.0 * closed_form_metric_su2_euler(1.0, 0.2, -0.4).g
+        assert np.abs(_gram(omega, k)[0] - ref).max() <= 1e-12 * k
+        omega[0, 0, 0, 1] *= np.exp(1j * np.pi / 4)
+        with pytest.raises(LieForgeError, match="imaginary parts"):
+            _gram(omega, k)
+
+
 class TestIsometries:
     @pytest.mark.parametrize("which", ["phi_shift", "psi_shift"])
     def test_shift_invariance(self, su2, which):
@@ -278,7 +293,7 @@ class TestAdjointMetric:
         dom = safe_domain(spec, "exp")
         rng = np.random.default_rng(33)
         pts = stencil_rows(spec, [np.zeros(spec.dim), rng.uniform(dom.lo, dom.hi, spec.dim)])
-        assert len(pts) == 2 * (1 + 6 * spec.dim + 8 * spec.dim * (spec.dim - 1))
+        assert len(pts) == 2 * (1 + 4 * spec.dim * spec.dim)
         g = exp_metric_batch(spec, pts, 3.0)
         ref = phi_metric(spec, pts, 3.0)
         err = np.abs(g - ref).max(axis=(1, 2))

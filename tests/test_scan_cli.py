@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from conftest import killing_lambda
 from lieforge import cli, scan
 from lieforge.catalog import parse_group_name, structure_constants
 from lieforge.errors import InvalidInputError, LieForgeError
-from lieforge.metric import MetricConfig, exp_metric_field
+from lieforge.metric import MetricConfig, closed_form_metric_su2_euler, exp_metric_field
 from lieforge.curvature import sample_safe_points
 from lieforge.scan import (
     ScanConfig,
@@ -221,6 +224,22 @@ class TestCli:
                          "--point", "0,0.3,0.3"])
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["2", "1e9"])
+    def test_euler_metric_scales_with_k(self, k, capsys):
+        # the Euler Gram's imaginary-part guard must not scale with k
+        code = cli.main(["metric", "--group", "su2", "--chart", "euler",
+                         "--point", "1.0,0.2,-0.4", "--k", k, "--format", "json"])
+        assert code == 0
+        g = np.array(json.loads(capsys.readouterr().out)["g"])
+        ref = float(k) / 2.0 * closed_form_metric_su2_euler(1.0, 0.2, -0.4).g
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_euler_einstein_at_large_k(self, capsys):
+        code = cli.main(["einstein", "--group", "su2", "--chart", "euler",
+                         "--k", "1e8", "--samples", "5"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     @pytest.mark.parametrize("theta", ["1e-4", "3e-4", repr(np.pi - 3e-4)])
     def test_euler_stencil_across_pole_exit_2(self, theta, capsys):
         # the curvature stencil (+-2e-3) would reach across theta = 0 or pi
@@ -332,3 +351,33 @@ class TestInputValidation:
         with pytest.raises(InvalidInputError):
             sample_safe_points(exp_metric_field(parse_group_name("su2")), 0,
                                np.random.default_rng(0))
+
+
+_WITHOUT_SCIPY = """
+import contextlib, json, os, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from lieforge.cli import main
+codes = []
+for args in json.loads(sys.argv[1]):
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        codes.append(main(args))
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_cli_runs_without_scipy():
+    # scipy is a test-only dependency: no command may import it
+    commands = [
+        ["scan", "--groups", "su2,so3", "--samples", "2"],
+        ["einstein", "--group", "su2", "--chart", "euler"],
+        ["sphere", "--dim", "4", "--einstein"],
+        ["metric", "--group", "su2", "--point", "0.3,0.4,0.5"],
+        ["curvature", "--group", "su2", "--point", "0.8,0.1,-0.3"],
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0] * len(commands), "scipy": []}
