@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_alloc
 
 GRAM_CONSTANT = 0.5
 
@@ -166,8 +166,9 @@ def _build_group(fam: str, n: int) -> GroupSpec:
     info = _FAMILIES[fam]
     if n < info["min_n"]:
         raise InvalidInputError(f"{fam}({n}) not supported: need n >= {info['min_n']}")
-    gens = np.stack([_normalize(x) for x in info["build"](n)])
     dim = info["dim"](n)
+    check_alloc(16 * dim * info["size"](n) ** 2, f"the {fam}({n}) generators")
+    gens = np.stack([_normalize(x) for x in info["build"](n)])
     if len(gens) != dim:
         raise AssertionError(f"generator count {len(gens)} != dim {dim} for {fam}({n})")
     gens.setflags(write=False)

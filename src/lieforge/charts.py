@@ -1,10 +1,10 @@
 """Chart parametrizations U(theta) of group manifolds with first derivatives.
 
 Two charts are provided: the exponential chart for any cataloged group
-(derivatives by dual-number seeds through the Pade matrix exponential; the
-production metric on this chart uses the adjoint form in ``metric.py``) and the
-z-x-z Euler-angle chart for SU(2) (closed 2x2 factors, derivatives by
-differentiating each factor).
+(U and its derivatives from one eigendecomposition in ``kernel.expm_dual``,
+one generator seeded per partial slot; the production metric on this chart
+uses the adjoint form in ``metric.py``) and the z-x-z Euler-angle chart for
+SU(2) (closed 2x2 factors, derivatives by differentiating each factor).
 """
 
 from __future__ import annotations

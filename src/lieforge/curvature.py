@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, LieForgeError, SingularityError
+from .errors import DomainError, InvalidInputError, LieForgeError, SingularityError, check_alloc
 from .metric import MetricField
 
 BASE_STEP = 1e-3
@@ -163,6 +163,7 @@ def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
     if not count >= 1:
         raise InvalidInputError(f"need at least one sample point, got {count}")
     dom = field.domain
+    check_alloc(8 * count * len(dom.lo), f"{count} sample points")
     kept = np.empty((0, len(dom.lo)))
     for _ in range(SAMPLE_ATTEMPTS):
         batch = rng.uniform(dom.lo, dom.hi, (count, len(dom.lo)))

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the allocation budget shared across the package."""
+
+# the largest array one input may ask for; sizes past it are input errors
+ALLOC_BUDGET_BYTES = 1 << 30
 
 
 class LieForgeError(Exception):
@@ -23,9 +26,16 @@ class SingularityError(LieForgeError):
 
 
 class NumericRangeError(LieForgeError):
-    """Input norm exceeds the numeric budget of a kernel (e.g. expm scaling)."""
+    """Non-finite kernel input, or an input norm past psim's scaling budget."""
 
 
 class DomainError(LieForgeError):
     """A point (or a finite-difference stencil around it) leaves the chart's
     safe domain."""
+
+
+def check_alloc(nbytes: int, what: str) -> None:
+    """Reject an allocation of ``nbytes`` past the budget as an input error."""
+    if nbytes > ALLOC_BUDGET_BYTES:
+        raise InvalidInputError(
+            f"{what} would need more than the {ALLOC_BUDGET_BYTES >> 30} GiB allocation budget")

@@ -1,5 +1,5 @@
-"""Dense matrix kernels: the real psi function and first-order
-forward-mode dual arithmetic.
+"""Dense matrix kernels: the real psi function, the exponential of
+anti-Hermitian matrices, and first-order forward-mode dual arithmetic.
 
 ``psim`` evaluates psi(X) = sum_n X^n / (2n+2)! for batches of real
 matrices.  For skew M, phi(M)^T phi(M) = 2 psi(M^2) with
@@ -9,11 +9,11 @@ square of the adjoint representation.
 Dual values are numpy slot stacks.  The slot axis comes just before the
 value's own axes: ``(..., p+1, n, n)`` for matrices, ``(..., p+1)`` for
 scalars.  Slot 0 is the value, slots ``1..p`` are the partial derivatives,
-one per seeded coordinate direction.  The dual Pade exponential gives
-U(theta) and its partials for the charts, and its frames are the oracle the
-psi-based metric is tested against; scalar stacks give the sphere
-embedding's Jacobian.  All kernel operations broadcast over leading batch
-axes.
+one per seeded coordinate direction.  ``expm_dual`` gives U(theta) and its
+partials for the charts from one eigendecomposition of the anti-Hermitian
+value slot; its frames are the oracle the psi-based metric is tested
+against.  Scalar stacks give the sphere embedding's Jacobian.  All kernel
+operations broadcast over leading batch axes.
 """
 
 from __future__ import annotations
@@ -29,14 +29,8 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_1, SIGMA_2, SIGMA_3)
 
-# Pade-13 numerator coefficients (denominator = numerator with alternating signs)
-_PADE13_B = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_PADE13_THETA = 5.371920351148152
 _MAX_SQUARINGS = 64
+_SKEW_TOL = 1e-12  # expm_dual rejects max|A_0 + A_0^H| > _SKEW_TOL max|A_0|
 
 # Taylor coefficients 1 / (2n+2)! of psi(x) = (cosh(sqrt x) - 1) / x.  At
 # ||X||_1 <= 1 the first omitted term is below 1 / 20! = 4.1e-19.
@@ -65,36 +59,10 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-# ---------------------------------------------------------------------------
-# dual stack primitives
-# ---------------------------------------------------------------------------
-
-def dual_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two dual stacks: first-order Leibniz rule in the partials."""
-    value = a[..., :1, :, :] @ b[..., :1, :, :]
-    parts = a[..., :1, :, :] @ b[..., 1:, :, :] + a[..., 1:, :, :] @ b[..., :1, :, :]
-    return np.concatenate([value, parts], axis=-3)
-
-
 def dual_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two scalar stacks, by the same Leibniz rule."""
+    """Product of two scalar stacks: first-order Leibniz rule in the partials."""
     parts = a[..., :1] * b[..., 1:] + a[..., 1:] * b[..., :1]
     return np.concatenate([a[..., :1] * b[..., :1], parts], axis=-1)
-
-
-def dual_eye(n: int, ndirections: int, batch_shape=()) -> np.ndarray:
-    out = np.zeros(batch_shape + (ndirections + 1, n, n), dtype=complex)
-    out[..., 0, :, :] = np.eye(n)
-    return out
-
-
-def dual_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for dual stacks: x_i = a0^{-1} (b_i - a_i x0)."""
-    a0 = a[..., 0, :, :]
-    x0 = np.linalg.solve(a0, b[..., 0, :, :])
-    rhs = b[..., 1:, :, :] - a[..., 1:, :, :] @ x0[..., None, :, :]
-    parts = np.linalg.solve(a0[..., None, :, :], rhs)
-    return np.concatenate([x0[..., None, :, :], parts], axis=-3)
 
 
 def _scaling(values: np.ndarray, theta: float, what: str) -> int:
@@ -139,37 +107,32 @@ def psim(x: np.ndarray) -> np.ndarray:
 
 
 def expm_dual(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a dual stack by Pade-13 scaling and squaring.
+    """Exponential of a dual stack whose value slot A_0 is anti-Hermitian.
 
-    The dual partials ride through the same approximant, so the partial
-    slots of the result are the exact derivatives of the computed value.
+    With iA_0 = Q diag(w) Q^H, e^{A_0} = Q diag(e^{-iw}) Q^H, and a partial
+    slot A_p maps to the Frechet derivative Q (E o Q^H A_p Q) Q^H with
+    E_ij = e^{-i(w_i + w_j)/2} sinc((w_i - w_j)/2) (Daleckii-Krein; Higham
+    2008, Functions of Matrices, section 3.2).  E is exact where eigenvalues
+    coincide, so no scaling, squaring or solve is involved.
     """
     a = np.asarray(a, dtype=complex)
-    s = _scaling(a[..., 0, :, :], _PADE13_THETA, "expm")
-    a = a / (2.0 ** s)
-
-    b = _PADE13_B
-    n = a.shape[-1]
-    p = a.shape[-3] - 1
-    ident = dual_eye(n, p, a.shape[:-3])
-    a2 = dual_matmul(a, a)
-    a4 = dual_matmul(a2, a2)
-    a6 = dual_matmul(a2, a4)
-    u = dual_matmul(
-        a,
-        dual_matmul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident,
-    )
-    v = (
-        dual_matmul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    r = dual_solve(v - u, v + u)
-    for _ in range(s):
-        r = dual_matmul(r, r)
-    if not np.all(np.isfinite(r)):
-        raise NumericRangeError("expm produced non-finite entries")
-    return r
+    if a.ndim < 3 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInputError(f"expm needs square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericRangeError("non-finite entries in expm input")
+    a0 = a[..., 0, :, :]
+    skew = float(np.max(np.abs(a0 + np.swapaxes(a0, -1, -2).conj()), initial=0.0))
+    if skew > _SKEW_TOL * float(np.max(np.abs(a0), initial=0.0)):
+        raise InvalidInputError(f"expm needs an anti-Hermitian value; |A + A^H| reaches {skew:.3e}")
+    w, q = np.linalg.eigh(1j * a0)
+    q, qh = q[..., None, :, :], np.swapaxes(q, -1, -2).conj()[..., None, :, :]
+    phase = np.exp(-0.5j * w)
+    half = 0.5 * w[..., :, None] - 0.5 * w[..., None, :]  # no overflow at large w
+    e = phase[..., :, None] * phase[..., None, :] * np.sinc(half / np.pi)
+    out = np.empty_like(a)
+    out[..., :1, :, :] = (q * phase[..., None, None, :] ** 2) @ qh
+    out[..., 1:, :, :] = q @ ((qh @ a[..., 1:, :, :] @ q) * e[..., None, :, :]) @ qh
+    return out
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -98,6 +98,8 @@ def scan_one_group(spec: GroupSpec, cfg: ScanConfig, group_index: int) -> GroupR
         # called through this module's name: perfbench/trace.py wraps scan.sample_safe_points
         pts = sample_safe_points(field, cfg.samples, rng)
         verdict = einstein_check(field, pts, cfg.tolerance)
+    except InvalidInputError:
+        raise  # a bad request, not a failed group
     except LieForgeError as exc:
         verdict = EinsteinVerdict.failed(cfg.samples, cfg.tolerance, str(exc))
     return GroupResult(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .charts import SafeDomain
 from .curvature import einstein_check, sample_safe_points
-from .errors import InvalidInputError, SingularityError
+from .errors import InvalidInputError, SingularityError, check_alloc
 from .kernel import dual_mul
 from .metric import MetricField, MetricTensor, _finish
 
@@ -93,6 +93,7 @@ def sphere_metric_field(n_ambient: int) -> MetricField:
         return np.einsum("mia,mib->mab", jac, jac)
 
     npolar = max(n_ambient - 2, 0)
+    check_alloc(16 * (npolar + 1), f"the S^{n_ambient - 1} sampling box")
     lo = np.array([0.3] * npolar + [-np.pi])
     hi = np.array([np.pi - 0.3] * npolar + [np.pi])
     domain = SafeDomain(lo=lo, hi=hi, contains=lambda pts: _off_pole(n_ambient, pts).all(axis=1))

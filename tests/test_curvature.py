@@ -205,9 +205,11 @@ class TestSharedStencil:
         point = np.array([0.9, -0.4, 0.6])
         g, dg, _ = metric_jet(su2_field, point)
         assert np.array_equal(g, su2_field(point)[0])
-        # same offsets and weights; only the kernel's per-batch scaling may differ
-        oracle = [fd_derivative(lambda x: su2_field(x)[0], point, e, h=BASE_STEP)
-                  for e in range(3)]
+        # the plain 4th-order central difference: the production axis line's
+        # offsets and weights, one point per field call, so only psim's
+        # per-batch scaling may differ
+        oracle = [fd_derivative(lambda x: su2_field(x)[0], point, e, h=BASE_STEP,
+                                richardson=False) for e in range(3)]
         assert np.abs(dg - np.stack(oracle)).max() < 1e-12
 
 
@@ -360,7 +362,7 @@ class TestFdCrossCheck:
 
 def test_step_halving_convergence(su2_field):
     # the production dg against the analytic closed-form derivative; at the
-    # steps where the Richardson stencil is still above round-off
+    # steps where the 4th-order line stencil's error is still above round-off
     point = np.array([0.9, -0.4, 0.6])
     exact = closed_form_su2_exp_metric_derivative(point)
     errs = [np.abs(metric_jet(su2_field, point, h=h)[1] - exact).max()

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_derivative, phim, su2_closed_form_u
+from lieforge.catalog import make_group
+from lieforge.charts import exp_chart_batch, safe_domain
 from lieforge.errors import InvalidInputError, NumericRangeError, SingularityError
 from lieforge.kernel import (
     PAULI,
@@ -16,6 +18,11 @@ from lieforge.kernel import (
     mat_inverse,
     psim,
 )
+
+
+# the catalog groups plus one larger group per family
+EXP_GROUPS = [("su", 2), ("su", 3), ("so", 3), ("so", 4), ("so", 5), ("sp", 1), ("sp", 2),
+              ("su", 4), ("so", 6), ("sp", 3), ("so", 8)]
 
 
 def random_matrix(rng, n):
@@ -92,9 +99,50 @@ class TestMatExp:
             u = expm(a)
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-12
 
-    def test_scaling_budget(self):
-        with pytest.raises(NumericRangeError):
-            expm(np.eye(2) * 1e300)
+    @pytest.mark.parametrize("family,n", EXP_GROUPS)
+    def test_chart_frames_match_scipy_frechet(self, family, n):
+        # exp_chart_batch hands expm_dual the value sum_a theta^a X_a with one
+        # generator per partial slot; scipy's expm_frechet is independent of
+        # lieforge.  A generator axis has coinciding eigenvalues, and the
+        # point 1e-9 off it nearly coinciding ones.
+        from scipy.linalg import expm_frechet
+
+        spec = make_group(family, n)
+        dom = safe_domain(spec, "exp")
+        axis = dom.hi[0] * np.eye(spec.dim)[0]
+        pts = np.vstack([
+            np.random.default_rng(5).uniform(dom.lo, dom.hi, (4, spec.dim)),
+            np.zeros(spec.dim), axis, axis + 1e-9 * np.eye(spec.dim)[-1],
+        ])
+        u, du = exp_chart_batch(spec, pts)
+        for p, ui, dui in zip(pts, u, du):
+            a = np.einsum("a,aij->ij", p, spec.generators)
+            for x, dx in zip(spec.generators, dui):
+                ref_u, ref_dx = expm_frechet(a, x)
+                assert np.abs(ui - ref_u).max() < 1e-13
+                assert np.abs(dx - ref_dx).max() < 1e-13
+
+    def test_rejects_non_antihermitian_value(self):
+        # the eigendecomposition needs a normal value: Hermitian ones, huge or
+        # not, and one entry 1e-6 off anti-Hermitian are rejected
+        rng = np.random.default_rng(4)
+        a = random_antihermitian(rng, 3)
+        a[0, 1] += 1e-6
+        for bad in (np.eye(2) * 1e300, np.eye(2), a):
+            with pytest.raises(InvalidInputError, match="anti-Hermitian"):
+                expm(bad)
+        # partial slots are any direction
+        value = random_antihermitian(rng, 3)
+        out = expm_dual(np.stack([value, random_matrix(rng, 3)]))
+        assert np.abs(out[0] - expm(value)).max() < 1e-15
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, slot, bad):
+        stack = np.zeros((2, 2, 2), dtype=complex)
+        stack[slot, 0, 1] = bad
+        with pytest.raises(NumericRangeError):  # a LieForgeError, not a LinAlgError
+            expm_dual(stack)
 
     def test_non_square(self):
         with pytest.raises(InvalidInputError):

@@ -234,8 +234,8 @@ class TestIsometries:
 ORACLE_GROUPS = CATALOG + [("su", 4), ("so", 6), ("sp", 3)]
 
 
-def pade_metric(spec, pts, k=2.0):
-    """g = k Tr(w^dag w) with w = U^{-1} dU from the dual Pade chart."""
+def frame_metric(spec, pts, k=2.0):
+    """g = k Tr(w^dag w) with w = U^{-1} dU from the exp chart's eigh frames."""
     u, du = exp_chart_batch(spec, pts)
     w = np.stack([maurer_cartan(FrameEvaluation(U=ui, dU=dui)) for ui, dui in zip(u, du)])
     return k * np.real(np.einsum("maji,mbji->mab", w.conj(), w))
@@ -280,7 +280,7 @@ class TestAdjointMetric:
         rng = np.random.default_rng(30)
         pts = np.vstack([np.zeros(spec.dim), rng.uniform(dom.lo, dom.hi, (8, spec.dim))])
         g = exp_metric_batch(spec, pts, 2.0)
-        assert np.abs(g - pade_metric(spec, pts)).max() <= 1e-13
+        assert np.abs(g - frame_metric(spec, pts)).max() <= 1e-13
         for theta, gi in zip(pts[:4], g):
             assert np.abs(gi - frechet_metric(spec, theta)).max() <= 1e-13
         assert np.array_equal(g[0], np.eye(spec.dim))
@@ -304,7 +304,7 @@ class TestAdjointMetric:
         v = rng.normal(size=(12, 3))
         pts = v / np.linalg.norm(v, axis=1)[:, None] * (2 * np.pi - 0.011)
         g = exp_metric_batch(su2, pts, 2.0)
-        assert np.abs(g - pade_metric(su2, pts)).max() <= 1e-13
+        assert np.abs(g - frame_metric(su2, pts)).max() <= 1e-13
         for theta, gi in zip(pts, g):
             assert np.abs(gi - frechet_metric(su2, theta)).max() <= 1e-13
             assert np.abs(gi - closed_form_metric_su2_exp(theta).g).max() <= 1e-13

@@ -258,6 +258,9 @@ class TestCli:
         assert "(1e-06, pi - 1e-06)" in err
 
 
+HUGE = "1" + "0" * 30
+
+
 def exit_code(argv):
     """Exit status of one CLI call, whether it returns or raises SystemExit."""
     try:
@@ -346,6 +349,20 @@ class TestInputValidation:
             MetricConfig(group=parse_group_name("su2"), k=k).resolve_k()
         with pytest.raises(InvalidInputError):
             ScanConfig(groups=("su2",), k=k)
+
+    @pytest.mark.parametrize("argv", [
+        ["einstein", "--group", "su2", "--samples", HUGE],
+        ["scan", "--groups", "su2", "--samples", HUGE],
+        ["sphere", "--dim", "3", "--einstein", "--samples", HUGE],
+        ["sphere", "--dim", "100000000000000000000", "--point", "1"],
+        ["einstein", "--group", "su99999999999999999999", "--samples", "1"],
+    ])
+    def test_oversized_input_exit_2(self, argv, capsys):
+        # sizes past the allocation budget are input errors, not numpy tracebacks
+        assert exit_code(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("lieforge: ") and out.err.count("\n") == 1
 
     def test_sampler_rejects_empty_request(self):
         with pytest.raises(InvalidInputError):
