@@ -185,7 +185,11 @@ def parse_group_name(name: str) -> GroupSpec:
         raise InvalidInputError(
             f"bad group name {name!r}: expected e.g. su2, so3, sp1"
         )
-    return make_group(m.group(1), int(m.group(2)))
+    try:
+        n = int(m.group(2))
+    except ValueError:  # past Python's limit on digits converted to an int
+        raise InvalidInputError(f"group size in {name[:12]!r}... has too many digits") from None
+    return make_group(m.group(1), n)
 
 
 def structure_constants(spec: GroupSpec) -> StructureConstants:

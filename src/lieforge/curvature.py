@@ -1,12 +1,14 @@
-"""Levi-Civita curvature of a black-box metric field by finite differences.
+"""Levi-Civita curvature of a metric field from its jet g, dg, ddg.
 
-The curvature at a point comes from one batched field call on one stencil
-with base step h = 1e-3: the centre and the offsets {-2, -1, 1, 2} h along
-each axis e_a, which give dg and the diagonal of ddg, and along each
-diagonal e_a +- e_b, whose difference gives the mixed d_a d_b g by
-polarization (4th-order weights per Fornberg 1988).  Gamma, its derivative
-and Riemann follow in closed form from g, dg and ddg.  The Riemann sign
-convention is fixed so the unit 2-sphere has Ric = +g.
+A field that carries an exact ``jet`` (the exponential chart, the sphere
+pullback) skips the stencil below.  For a black-box field the jet at a point
+comes from one batched field call on one stencil with base step h = 1e-3:
+the centre and the offsets {-2, -1, 1, 2} h along each axis e_a, which give
+dg and the diagonal of ddg, and along each diagonal e_a +- e_b, whose
+difference gives the mixed d_a d_b g by polarization (4th-order weights per
+Fornberg 1988).  Gamma, its derivative and Riemann follow in closed form
+from g, dg and ddg.  The Riemann sign convention is fixed so the unit
+2-sphere has Ric = +g.
 """
 
 from __future__ import annotations
@@ -94,15 +96,22 @@ class CurvatureBundle:
 
 def riemann_ricci(field: MetricField, point: np.ndarray,
                   h: float = BASE_STEP) -> CurvatureBundle:
-    """Full curvature hierarchy at one point, from one metric_jet stencil.
+    """Full curvature hierarchy at one point, from the field's exact jet
+    when it has one and from one metric_jet stencil otherwise.
 
     Gamma^c_ab = g^cd Gamma_dab and, differentiating,
     d_e Gamma^c_ab = g^cd (d_e Gamma_dab - d_e g_dq Gamma^q_ab).
-    Raises SingularityError when ||g||_1 ||g^-1||_1 exceeds
-    CURVATURE_CONDITION_LIMIT.
+    Raises DomainError when a jet field's domain does not contain the point
+    (a stencil checks its own rows), and SingularityError when
+    ||g||_1 ||g^-1||_1 exceeds CURVATURE_CONDITION_LIMIT.
     """
     point = np.asarray(point, dtype=float)
-    g, dg, ddg = metric_jet(field, point, h)
+    if field.jet is None:
+        g, dg, ddg = metric_jet(field, point, h)
+    elif np.asarray(field.domain.contains(point[None]))[0]:
+        g, dg, ddg = field.jet(point)
+    else:
+        raise DomainError(f"{point} is outside the safe domain of {field.name}")
     d = len(g)
     try:
         ginv = np.linalg.inv(g)

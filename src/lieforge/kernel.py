@@ -1,10 +1,13 @@
-"""Dense matrix kernels: the real psi function, the exponential of
-anti-Hermitian matrices, and first-order forward-mode dual arithmetic.
+"""Dense matrix kernels: the real psi function and its divided differences,
+the exponential of anti-Hermitian matrices, and first-order forward-mode dual
+arithmetic.
 
 ``psim`` evaluates psi(X) = sum_n X^n / (2n+2)! for batches of real
 matrices.  For skew M, phi(M)^T phi(M) = 2 psi(M^2) with
 phi(z) = (1 - e^{-z}) / z, so the exponential-chart metric applies psi to the
-square of the adjoint representation.
+square of the adjoint representation.  ``psi_divided_differences`` gives the
+first and second divided differences of psi on a spectrum, from which that
+metric's exact derivatives follow.
 
 Dual values are numpy slot stacks.  The slot axis comes just before the
 value's own axes: ``(..., p+1, n, n)`` for matrices, ``(..., p+1)`` for
@@ -18,6 +21,7 @@ operations broadcast over leading batch axes.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -104,6 +108,45 @@ def psim(x: np.ndarray) -> np.ndarray:
         p = p + 0.5 * (p @ (x @ p))
         x = 4.0 * x
     return p
+
+
+@functools.lru_cache(maxsize=16)
+def _sorted_triples(d: int):
+    """The d(d+1)(d+2)/6 index triples i <= k <= j of range(d), and for the
+    ordered triples (i, k, j), (min, max, max) of (i, j) and (i, i, i) the
+    position of their sorted form among them."""
+    idx = np.indices((d, d, d)).reshape(3, -1)
+    srt = np.sort(idx, axis=0)
+    keep = np.all(srt == idx, axis=0)
+    pos = np.zeros(d ** 3, dtype=np.intp)
+    pos[keep] = np.arange(int(keep.sum()))
+    at = pos.reshape(d, d, d)
+    ar = np.arange(d)
+    lo, hi = np.minimum.outer(ar, ar), np.maximum.outer(ar, ar)
+    out = (idx[:, keep], pos[np.ravel_multi_index(srt, (d, d, d))].reshape(d, d, d),
+           at[lo, hi, hi], at[ar, ar, ar])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def psi_divided_differences(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi(mu_i), psi[mu_i, mu_j] and psi[mu_i, mu_k, mu_j] for a vector mu.
+
+    psi of the upper-bidiagonal [[mu_i, 1, 0], [0, mu_k, 1], [0, 0, mu_j]]
+    carries psi(mu_i), psi[mu_i, mu_k] and psi[mu_i, mu_k, mu_j] in its
+    first row (Opitz 1964; Higham 2008, Functions of Matrices, section 3.2),
+    exact where the mu coincide.  Divided differences are symmetric in their
+    arguments, so one ``psim`` call runs on the sorted triples only and the
+    results are scattered to every ordering.
+    """
+    mu = np.asarray(mu, dtype=float)
+    tri, order2, order1, order0 = _sorted_triples(len(mu))
+    b = np.zeros((tri.shape[1], 3, 3))
+    b[:, [0, 1, 2], [0, 1, 2]] = mu[tri.T]
+    b[:, [0, 1], [1, 2]] = 1.0
+    p = psim(b)[:, 0]
+    return p[order0, 0], p[order1, 1], p[order2, 2]
 
 
 def expm_dual(a: np.ndarray) -> np.ndarray:

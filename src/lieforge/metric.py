@@ -5,10 +5,12 @@ chart the frames have the closed form w_a = phi(ad_A) X_a with
 A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
 orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
 psi(x) = (cosh(sqrt x) - 1) / x, and the metric is one psi evaluation in real
-d x d arithmetic on the adjoint representation.  The Euler chart goes
-through U^{-1} dU.  The module also carries the closed-form SU(2) metrics for
-both charts, which serve as independent oracles for the numeric pipeline,
-and the Euler-chart isometry residuals.
+d x d arithmetic on the adjoint representation; its exact first and second
+derivatives for curvature come from one eigendecomposition of ad^2
+(``exp_metric_jet``).  The Euler chart goes through U^{-1} dU.  The module
+also carries the closed-form SU(2) metrics for both charts, which serve as
+independent oracles for the numeric pipeline, and the Euler-chart isometry
+residuals.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .charts import (  # exp_chart_batch stays importable from here for callers
     exp_chart_batch,
     safe_domain,
 )
-from .errors import InvalidInputError, LieForgeError, SingularityError
-from .kernel import mat_inverse, psim
+from .errors import InvalidInputError, LieForgeError, SingularityError, check_alloc
+from .kernel import mat_inverse, psi_divided_differences, psim
 
 METRIC_CONDITION_LIMIT = 1e10
 _IMAG_TOL = 1e-8
@@ -72,13 +74,17 @@ class MetricField:
     """Batch-evaluable metric over one chart: points (m, d) -> metrics (m, d, d).
 
     ``domain`` is where the field may be evaluated and sampled: its box is the
-    sampling box and its ``contains`` guards every finite-difference stencil.
+    sampling box and its ``contains`` guards every finite-difference stencil
+    and every jet.  ``jet``, when set, gives the exact (g, dg, ddg) at one
+    point in ``curvature.metric_jet``'s layout, and curvature uses it in
+    place of the stencil.
     """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     domain: SafeDomain
     name: str = "field"
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.func(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -133,6 +139,45 @@ def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarra
     return (k * GRAM_CONSTANT) * (p + np.swapaxes(p, -1, -2))
 
 
+def exp_metric_jet(spec: GroupSpec, theta: np.ndarray,
+                   k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g, dg[e, a, b] = d_e g_ab and ddg[e, f, a, b] = d_e d_f g_ab of the
+    exponential-chart metric at one point, exact.
+
+    With F_c = spec.structure[c] and ad = theta^c F_c, X = ad^2 =
+    Q diag(mu) Q^T has d_a X = F_a ad + ad F_a and d_a d_b X = F_a F_b +
+    F_b F_a.  In the eigenbasis, with Xdot_a = Q^T d_a X Q and F'_c = Q^T F_c Q
+    (Daleckii & Krein 1965; Higham 2008, Functions of Matrices, section 3.2):
+    d_a psi(X) = Q (D1 o Xdot_a) Q^T and
+    d_a d_b psi(X) = Q [M_ab + M_ba] Q^T, M_ab = D1 o F'_a F'_b + S_ab,
+    S_ab,ij = sum_k D2_ikj Xdot_a,ik Xdot_b,kj, where D1 and D2 are the first
+    and second divided differences of psi on mu.
+    """
+    theta = np.asarray(theta, dtype=float)
+    d = spec.dim
+    if theta.shape != (d,):
+        raise InvalidInputError(
+            f"exp chart for {spec.name}: expected {d} coordinates, got {theta.size}"
+        )
+    check_alloc(8 * d ** 4, f"the {spec.name} second-derivative jet")
+    f = spec.structure
+    ad = np.tensordot(theta, f, 1)
+    mu, q = np.linalg.eigh(ad @ ad)
+    psi, d1, d2 = psi_divided_differences(mu)
+    fq = q.T @ f @ q                        # F'_c
+    adq = q.T @ ad @ q
+    xdot = fq @ adq + adq @ fq              # Xdot_a
+    # S[a, b, i, j] = sum_k (Xdot_a,ik D2_ikj) Xdot_b,kj, batched over (i, j)
+    y = xdot[:, :, None, :] * np.swapaxes(d2, 1, 2)     # [a, i, j, k]
+    s = np.transpose(y, (1, 2, 0, 3)) @ np.transpose(xdot, (2, 1, 0))  # [i, j, a, b]
+    m = d1 * (fq[:, None] @ fq[None, :]) + np.transpose(s, (2, 3, 0, 1))
+    dpsi = q @ (d1 * xdot) @ q.T
+    ddpsi = q @ (m + np.swapaxes(m, 0, 1)) @ q.T
+    c = k * GRAM_CONSTANT
+    return tuple(c * (p + np.swapaxes(p, -1, -2))
+                 for p in ((q * psi) @ q.T, dpsi, ddpsi))
+
+
 def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.ndarray:
     """Metric of ``spec`` on ``chart`` at a batch of points (m, d) -> (m, d, d)."""
     if chart == "exp":
@@ -144,9 +189,11 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.n
 
 
 def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
-    """``metric_batch`` on ``chart``, carrying the chart's safe domain."""
+    """``metric_batch`` on ``chart``, carrying the chart's safe domain; on the
+    exponential chart also the exact jet ``exp_metric_jet``."""
+    jet = (lambda p: exp_metric_jet(spec, p, k)) if chart == "exp" else None
     return MetricField(dim=spec.dim, func=lambda pts: metric_batch(spec, chart, pts, k),
-                       domain=safe_domain(spec, chart), name=f"{spec.name}-{chart}")
+                       domain=safe_domain(spec, chart), name=f"{spec.name}-{chart}", jet=jet)
 
 
 def exp_metric_field(spec: GroupSpec, k: float = 2.0) -> MetricField:

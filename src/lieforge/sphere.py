@@ -3,7 +3,9 @@
 The hyperspherical parametrization is fixed so that for N = 3 it reads
 x = (sin t1 cos t2, sin t1 sin t2, cos t1); the tangent-frame Jacobian
 B_{i,a} = dx_i / dtheta^a comes from the kernel's dual scalar stacks and the
-induced metric is g_ab = sum_i B_{i,a} B_{i,b}.
+induced metric is g_ab = sum_i B_{i,a} B_{i,b}.  That pullback is diagonal,
+g_aa = prod_{b<a} sin^2 t_b, and the field's exact jet for curvature comes
+from this closed form; the embedding stays its value oracle.
 """
 
 from __future__ import annotations
@@ -86,6 +88,30 @@ def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     return _finish(sphere_metric_field(n_ambient)(theta)[0], None)
 
 
+def sphere_metric_jet(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact g, dg[c, a, b] = d_c g_ab and ddg[c, e, a, b] of the pullback
+    metric at one point, from g_aa = prod_{b<a} sin^2 t_b:
+    d_c log g_aa = 2 cot t_c [c < a] and d_c d_e log g_aa = -2 csc^2 t_c
+    [c = e < a].  Only the polar angles (all but the last) enter.
+    """
+    t = np.asarray(theta, dtype=float)
+    d = t.size
+    ar = np.arange(d)
+    sin = np.sin(t[:-1])
+    diag = np.concatenate([[1.0], np.cumprod(sin * sin)])
+    below = np.triu(np.ones((d, d)), 1)[:-1]                 # [c, a] = [c < a], c polar
+    dlog = np.zeros((d, d))
+    dlog[:-1] = (2.0 * np.cos(t[:-1]) / sin)[:, None] * below
+    hess = dlog[:, None, :] * dlog[None, :, :]                # [c, e, a]
+    hess[ar[:-1], ar[:-1]] -= (2.0 / (sin * sin))[:, None] * below
+    g = np.diag(diag)
+    dg = np.zeros((d, d, d))
+    dg[:, ar, ar] = diag * dlog
+    ddg = np.zeros((d, d, d, d))
+    ddg[:, :, ar, ar] = diag * hess
+    return g, dg, ddg
+
+
 def sphere_metric_field(n_ambient: int) -> MetricField:
     """Pullback field on S^{N-1}, sampled in [0.3, pi - 0.3]^{N-2} x [-pi, pi]."""
     def func(pts):
@@ -98,7 +124,7 @@ def sphere_metric_field(n_ambient: int) -> MetricField:
     hi = np.array([np.pi - 0.3] * npolar + [np.pi])
     domain = SafeDomain(lo=lo, hi=hi, contains=lambda pts: _off_pole(n_ambient, pts).all(axis=1))
     return MetricField(dim=n_ambient - 1, func=func, domain=domain,
-                       name=f"s{n_ambient - 1}-pullback")
+                       name=f"s{n_ambient - 1}-pullback", jet=sphere_metric_jet)
 
 
 def sphere_einstein_check(n_ambient: int, samples: int, tol: float, seed: int = 0):

@@ -4,6 +4,7 @@ pass/fail line with its measured numbers."""
 import copy
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_criterion_4_sphere_section():
         th, ph = rng.uniform(0.1, np.pi - 0.1), rng.uniform(-np.pi, np.pi)
         g = pullback_metric(3, [th, ph]).g
         worst = max(worst, np.abs(g - np.diag([1.0, np.sin(th) ** 2])).max())
-    field = sphere_metric_field(3)
+    field = replace(sphere_metric_field(3), jet=None)  # the FD pipeline, not the exact jet
     pts = np.stack([rng.uniform(0.4, np.pi - 0.4, 8), rng.uniform(-np.pi, np.pi, 8)], axis=1)
     lams = []
     for h in (1e-3, 5e-4):  # FD pipeline as its own oracle at two step sizes
@@ -257,7 +258,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
     deterministic = bytes_a == bytes_b and code_a == code_b == 0
 
     fail_code = cli.main(["einstein", "--group", "su2", "--samples", "2",
-                          "--tol", "1e-12"])
+                          "--tol", "1e-20"])
     capsys.readouterr()
     try:
         cli.main(["scan", "--groups", "su2", "--frobnicate"])

@@ -16,6 +16,7 @@ from lieforge.kernel import (
     expm,
     expm_dual,
     mat_inverse,
+    psi_divided_differences,
     psim,
 )
 
@@ -266,3 +267,37 @@ class TestPsim:
             psim(np.full((2, 2), np.inf))
         with pytest.raises(NumericRangeError):
             psim(np.eye(2) * 1e300)
+
+
+class TestPsiDividedDifferences:
+    @staticmethod
+    def psi(x):
+        t = np.sqrt(np.abs(x))
+        return np.where(x < 0, 2.0 * np.sin(0.5 * t) ** 2, 2.0 * np.sinh(0.5 * t) ** 2) / t ** 2
+
+    def test_distinct_values(self):
+        mu = np.array([-3.0, -1.7, -0.6, -0.1, 0.4])
+        v, d1, d2 = psi_divided_differences(mu)
+        p = self.psi(mu)
+        i, j = np.triu_indices(len(mu), 1)
+        first = (p[i] - p[j]) / (mu[i] - mu[j])
+        assert np.abs(v - p).max() <= 1e-15
+        assert np.abs(d1[i, j] - first).max() <= 1e-14
+        assert np.array_equal(d1, d1.T)
+        for a, b, c in [(0, 2, 4), (1, 3, 4), (0, 1, 3)]:
+            ab, bc = d1[a, b], d1[b, c]
+            ref = (ab - bc) / (mu[a] - mu[c])
+            for perm in [(a, b, c), (c, a, b), (b, c, a), (b, a, c)]:
+                assert d2[perm] == pytest.approx(ref, rel=1e-11)
+
+    def test_coinciding_values_give_derivatives(self):
+        # psi(x) = 1/2 + x/24 + x^2/720 + ...: at 0, psi' = 1/24 and psi''/2 = 1/720
+        v, d1, d2 = psi_divided_differences(np.zeros(3))
+        assert np.all(v == 0.5)
+        assert np.abs(d1 - 1 / 24).max() <= 1e-16
+        assert np.abs(d2 - 1 / 720).max() <= 1e-17
+        # a repeated pair away from 0: psi[x, x] = psi'(x), against a central difference
+        x, h = -1.3, 1e-5
+        _, d1, _ = psi_divided_differences(np.array([x, x]))
+        slope = (self.psi(np.array(x + h)) - self.psi(np.array(x - h))) / (2 * h)
+        assert d1[0, 1] == pytest.approx(float(slope), rel=1e-9)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import phim
+from conftest import fd_derivative, phim
 from lieforge.catalog import GRAM_CONSTANT, make_group
 from lieforge.charts import (
     ChartPoint,
@@ -21,8 +21,10 @@ from lieforge.metric import (
     _gram,
     closed_form_metric_su2_euler,
     closed_form_metric_su2_exp,
+    closed_form_su2_exp_metric_derivative,
     exp_metric_batch,
     exp_metric_field,
+    exp_metric_jet,
     isometry_residual,
     maurer_cartan,
     metric,
@@ -322,3 +324,51 @@ class TestAdjointMetric:
     def test_rejects_wrong_coordinate_count(self, su2):
         with pytest.raises(InvalidInputError):
             exp_metric_batch(su2, np.zeros((2, 4)), 2.0)
+
+
+def jet_points(spec):
+    """Sampled points, the origin, a generator axis and a point 1e-9 off it."""
+    dom = safe_domain(spec, "exp")
+    axis = np.zeros(spec.dim)
+    axis[0] = 0.8 * dom.hi[0]
+    off = axis.copy()
+    off[-1] = 1e-9
+    rng = np.random.default_rng(35)
+    return np.vstack([rng.uniform(dom.lo, dom.hi, (3, spec.dim)), np.zeros(spec.dim), axis, off])
+
+
+class TestExactJet:
+    """exp_metric_jet: psi(ad^2) and its derivatives from one eigendecomposition."""
+
+    @pytest.mark.parametrize("family,n", CATALOG + [("su", 4), ("sp", 3)])
+    def test_matches_finite_differences(self, family, n):
+        spec = make_group(family, n)
+        field = metric_field(spec, "exp", 2.0)
+        for p in jet_points(spec):
+            for exact, fd, bound in zip(exp_metric_jet(spec, p, 2.0), metric_jet(field, p),
+                                        (1e-12, 1e-11, 1e-8)):
+                assert np.abs(exact - fd).max() <= bound
+
+    @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("so", 5), ("sp", 2)])
+    def test_matches_phi_oracle(self, family, n):
+        spec = make_group(family, n)
+        for p in jet_points(spec):
+            g, dg, ddg = exp_metric_jet(spec, p, 3.0)
+            assert np.abs(g - phi_metric(spec, p[None], 3.0)[0]).max() <= 1e-14
+            assert np.array_equal(g, g.T)
+            assert np.array_equal(dg, np.swapaxes(dg, 1, 2))
+            assert np.array_equal(ddg, np.swapaxes(ddg, 2, 3))
+            assert np.abs(ddg - np.swapaxes(ddg, 0, 1)).max() <= 1e-14
+        oracle = [fd_derivative(lambda x: phi_metric(spec, x[None], 3.0)[0], p, e)
+                  for e in range(spec.dim)]
+        assert np.abs(dg - np.stack(oracle)).max() <= 1e-10
+
+    def test_slope_matches_su2_closed_form(self, su2):
+        rng = np.random.default_rng(36)
+        for theta in rng.uniform(-1.5, 1.5, (8, 3)):
+            exact = closed_form_su2_exp_metric_derivative(theta)
+            assert np.abs(exp_metric_jet(su2, theta, 2.0)[1] - exact).max() <= 1e-13
+
+    def test_rejects_wrong_coordinate_count(self, su2):
+        with pytest.raises(InvalidInputError):
+            exp_metric_jet(su2, np.zeros(4), 2.0)

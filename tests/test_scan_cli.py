@@ -74,10 +74,10 @@ class TestRunScan:
         assert [row.dim for row in rep.rows[-3:]] == [15, 15, 21]
         for row in rep.rows:
             exact = killing_lambda(structure_constants(parse_group_name(row.name)).f)
-            assert abs(row.lambda_hat - exact) <= 1e-8, (row.name, row.lambda_hat, exact)
+            assert abs(row.lambda_hat - exact) <= 1e-12, (row.name, row.lambda_hat, exact)
 
     def test_forced_fail_tolerance(self):
-        rep = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-12))
+        rep = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-20))
         assert not rep.passed
 
     def test_sampling_failure_is_a_failed_row(self, monkeypatch):
@@ -90,9 +90,9 @@ class TestRunScan:
         assert np.isnan(row.lambda_hat) and row.max_residual == np.inf
 
     def test_failure_reason_in_report(self):
-        failing = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-12)).to_dict()
+        failing = run_scan(ScanConfig(groups=("su2",), samples=2, tolerance=1e-20)).to_dict()
         reason = failing["groups"][0]["failure"]
-        assert "residual" in reason and "1.000e-12" in reason
+        assert "residual" in reason and "1.000e-20" in reason
         assert json.loads(emit_report(failing, "json"))["groups"][0]["failure"] == reason
         passing = run_scan(ScanConfig(groups=("su2",), samples=2)).to_dict()
         assert passing["groups"][0]["failure"] is None
@@ -180,7 +180,7 @@ class TestCli:
 
     def test_forced_fail_exit_1(self, capsys):
         code = cli.main(["einstein", "--group", "su2", "--samples", "2",
-                         "--tol", "1e-12"])
+                         "--tol", "1e-20"])
         assert code == 1
         assert "not below tolerance" in json.loads(capsys.readouterr().out)["failure"]
 
@@ -356,6 +356,8 @@ class TestInputValidation:
         ["sphere", "--dim", "3", "--einstein", "--samples", HUGE],
         ["sphere", "--dim", "100000000000000000000", "--point", "1"],
         ["einstein", "--group", "su99999999999999999999", "--samples", "1"],
+        ["einstein", "--group", "su" + "9" * 5000, "--samples", "1"],
+        ["einstein", "--group", "su20", "--samples", "1"],
     ])
     def test_oversized_input_exit_2(self, argv, capsys):
         # sizes past the allocation budget are input errors, not numpy tracebacks

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lieforge import sphere
-from lieforge.curvature import einstein_check, sample_safe_points
+from lieforge.curvature import einstein_check, metric_jet, sample_safe_points
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.metric import closed_form_metric_su2_euler
 from lieforge.sphere import (
@@ -10,6 +12,7 @@ from lieforge.sphere import (
     pullback_metric,
     sphere_einstein_check,
     sphere_metric_field,
+    sphere_metric_jet,
 )
 
 
@@ -121,8 +124,27 @@ def test_sphere_einstein(n, expected):
     assert v.lambda_hat == pytest.approx(expected, abs=1e-5)
 
 
+@pytest.mark.parametrize("n", range(3, 14))
+def test_exact_jet_matches_pullback_and_fd(n):
+    field = sphere_metric_field(n)
+    for p in sample_safe_points(field, 4, np.random.default_rng(n)):
+        g, dg, ddg = sphere_metric_jet(p)
+        assert np.abs(g - field(p)[0]).max() <= 1e-14
+        for exact, fd, bound in zip((g, dg, ddg), metric_jet(field, p), (1e-12, 1e-11, 1e-8)):
+            assert np.abs(exact - fd).max() <= bound
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_spheres_pass_with_exact_jet(n):
+    # S^2 .. S^12; the finite-difference stencil failed S^7 and S^8 here
+    v = sphere_einstein_check(n, samples=20, tol=1e-6)
+    assert v.passed
+    assert v.lambda_hat == pytest.approx((n - 2) / 2, rel=1e-10)
+
+
 def test_tolerance_tighter_than_method_noise_fails():
-    v = sphere_einstein_check(3, samples=4, tol=1e-12)
+    field = replace(sphere_metric_field(3), jet=None)  # the finite-difference path
+    v = einstein_check(field, sample_safe_points(field, 4, np.random.default_rng(0)), 1e-12)
     assert not v.passed
 
 
