@@ -131,22 +131,22 @@ def _sorted_triples(d: int):
 
 
 def psi_divided_differences(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi(mu_i), psi[mu_i, mu_j] and psi[mu_i, mu_k, mu_j] for a vector mu.
+    """psi(mu_i), psi[mu_i, mu_j] and psi[mu_i, mu_k, mu_j] for spectra (..., d).
 
     psi of the upper-bidiagonal [[mu_i, 1, 0], [0, mu_k, 1], [0, 0, mu_j]]
     carries psi(mu_i), psi[mu_i, mu_k] and psi[mu_i, mu_k, mu_j] in its
     first row (Opitz 1964; Higham 2008, Functions of Matrices, section 3.2),
     exact where the mu coincide.  Divided differences are symmetric in their
-    arguments, so one ``psim`` call runs on the sorted triples only and the
-    results are scattered to every ordering.
+    arguments, so one ``psim`` call runs on every spectrum's sorted triples
+    only and the results are scattered to every ordering.
     """
     mu = np.asarray(mu, dtype=float)
-    tri, order2, order1, order0 = _sorted_triples(len(mu))
-    b = np.zeros((tri.shape[1], 3, 3))
-    b[:, [0, 1, 2], [0, 1, 2]] = mu[tri.T]
-    b[:, [0, 1], [1, 2]] = 1.0
-    p = psim(b)[:, 0]
-    return p[order0, 0], p[order1, 1], p[order2, 2]
+    tri, order2, order1, order0 = _sorted_triples(mu.shape[-1])
+    b = np.zeros(mu.shape[:-1] + (tri.shape[1], 9))  # row-major 3 x 3
+    b[..., ::4] = mu[..., tri.T]
+    b[..., 1:6:4] = 1.0
+    p = psim(b.reshape(b.shape[:-1] + (3, 3)))[..., 0, :]
+    return p[..., order0, 0], p[..., order1, 1], p[..., order2, 2]
 
 
 def expm_dual(a: np.ndarray) -> np.ndarray:

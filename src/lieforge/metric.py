@@ -6,7 +6,7 @@ A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
 orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
 psi(x) = (cosh(sqrt x) - 1) / x, and the metric is one psi evaluation in real
 d x d arithmetic on the adjoint representation; its exact first and second
-derivatives for curvature come from one eigendecomposition of ad^2
+derivatives for curvature come from one batched eigendecomposition of ad^2
 (``exp_metric_jet``).  The Euler chart goes through U^{-1} dU.  The module
 also carries the closed-form SU(2) metrics for both charts, which serve as
 independent oracles for the numeric pipeline, and the Euler-chart isometry
@@ -75,8 +75,8 @@ class MetricField:
 
     ``domain`` is where the field may be evaluated and sampled: its box is the
     sampling box and its ``contains`` guards every finite-difference stencil
-    and every jet.  ``jet``, when set, gives the exact (g, dg, ddg) at one
-    point in ``curvature.metric_jet``'s layout, and curvature uses it in
+    and every jet.  ``jet``, when set, gives the exact (g, dg, ddg) at points
+    (..., d) in ``curvature.metric_jet``'s layout, and curvature uses it in
     place of the stencil.
     """
 
@@ -141,8 +141,8 @@ def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarra
 
 def exp_metric_jet(spec: GroupSpec, theta: np.ndarray,
                    k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g, dg[e, a, b] = d_e g_ab and ddg[e, f, a, b] = d_e d_f g_ab of the
-    exponential-chart metric at one point, exact.
+    """g, dg[..., e, a, b] = d_e g_ab and ddg[..., e, f, a, b] = d_e d_f g_ab
+    of the exponential-chart metric at points (..., d), exact.
 
     With F_c = spec.structure[c] and ad = theta^c F_c, X = ad^2 =
     Q diag(mu) Q^T has d_a X = F_a ad + ad F_a and d_a d_b X = F_a F_b +
@@ -151,31 +151,29 @@ def exp_metric_jet(spec: GroupSpec, theta: np.ndarray,
     d_a psi(X) = Q (D1 o Xdot_a) Q^T and
     d_a d_b psi(X) = Q [M_ab + M_ba] Q^T, M_ab = D1 o F'_a F'_b + S_ab,
     S_ab,ij = sum_k D2_ikj Xdot_a,ik Xdot_b,kj, where D1 and D2 are the first
-    and second divided differences of psi on mu.
+    and second divided differences of psi on mu; a batch shares one eigh.
     """
-    theta = np.asarray(theta, dtype=float)
-    d = spec.dim
-    if theta.shape != (d,):
-        raise InvalidInputError(
-            f"exp chart for {spec.name}: expected {d} coordinates, got {theta.size}"
-        )
-    check_alloc(8 * d ** 4, f"the {spec.name} second-derivative jet")
+    theta, d = np.asarray(theta, dtype=float), spec.dim
+    if theta.shape[-1:] != (d,):
+        raise InvalidInputError(f"exp chart for {spec.name}: expected {d} coordinates, got {theta.shape}")
+    lead, theta = theta.shape[:-1], theta.reshape(-1, d)
+    check_alloc(8 * len(theta) * d ** 4, f"the {spec.name} second-derivative jet")
     f = spec.structure
-    ad = np.tensordot(theta, f, 1)
+    ad = (theta @ f.reshape(d, d * d)).reshape(-1, d, d)
     mu, q = np.linalg.eigh(ad @ ad)
     psi, d1, d2 = psi_divided_differences(mu)
-    fq = q.T @ f @ q                        # F'_c
-    adq = q.T @ ad @ q
-    xdot = fq @ adq + adq @ fq              # Xdot_a
+    qt = q.swapaxes(1, 2)
+    fq = qt[:, None] @ f @ q[:, None]           # [m, c] = F'_c
+    adq = (qt @ ad @ q)[:, None]
+    xdot = fq @ adq + adq @ fq                  # [m, a] = Xdot_a
     # S[a, b, i, j] = sum_k (Xdot_a,ik D2_ikj) Xdot_b,kj, batched over (i, j)
-    y = xdot[:, :, None, :] * np.swapaxes(d2, 1, 2)     # [a, i, j, k]
-    s = np.transpose(y, (1, 2, 0, 3)) @ np.transpose(xdot, (2, 1, 0))  # [i, j, a, b]
-    m = d1 * (fq[:, None] @ fq[None, :]) + np.transpose(s, (2, 3, 0, 1))
-    dpsi = q @ (d1 * xdot) @ q.T
-    ddpsi = q @ (m + np.swapaxes(m, 0, 1)) @ q.T
-    c = k * GRAM_CONSTANT
-    return tuple(c * (p + np.swapaxes(p, -1, -2))
-                 for p in ((q * psi) @ q.T, dpsi, ddpsi))
+    y = xdot[:, :, :, None, :] * d2.swapaxes(2, 3)[:, None]               # [m, a, i, j, k]
+    s = y.transpose(0, 2, 3, 1, 4) @ xdot.transpose(0, 3, 2, 1)[:, None]  # [m, i, j, a, b]
+    m = d1[:, None, None] * (fq[:, :, None] @ fq[:, None, :]) + s.transpose(0, 3, 4, 1, 2)
+    dpsi = q[:, None] @ (d1[:, None] * xdot) @ qt[:, None]
+    ddpsi = q[:, None, None] @ (m + m.swapaxes(1, 2)) @ qt[:, None, None]
+    return tuple((k * GRAM_CONSTANT * (p + p.swapaxes(-1, -2))).reshape(lead + p.shape[1:])
+                 for p in ((q * psi[:, None]) @ qt, dpsi, ddpsi))
 
 
 def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.ndarray:

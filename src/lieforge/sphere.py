@@ -5,7 +5,8 @@ x = (sin t1 cos t2, sin t1 sin t2, cos t1); the tangent-frame Jacobian
 B_{i,a} = dx_i / dtheta^a comes from the kernel's dual scalar stacks and the
 induced metric is g_ab = sum_i B_{i,a} B_{i,b}.  That pullback is diagonal,
 g_aa = prod_{b<a} sin^2 t_b, and the field's exact jet for curvature comes
-from this closed form; the embedding stays its value oracle.
+from this closed form, broadcast over a batch of points; the embedding stays
+its value oracle.
 """
 
 from __future__ import annotations
@@ -89,27 +90,24 @@ def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
 
 
 def sphere_metric_jet(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact g, dg[c, a, b] = d_c g_ab and ddg[c, e, a, b] of the pullback
-    metric at one point, from g_aa = prod_{b<a} sin^2 t_b:
+    """Exact g, dg[..., c, a, b] = d_c g_ab and ddg[..., c, e, a, b] of the
+    pullback metric at points (..., d), from g_aa = prod_{b<a} sin^2 t_b:
     d_c log g_aa = 2 cot t_c [c < a] and d_c d_e log g_aa = -2 csc^2 t_c
     [c = e < a].  Only the polar angles (all but the last) enter.
     """
     t = np.asarray(theta, dtype=float)
-    d = t.size
-    ar = np.arange(d)
-    sin = np.sin(t[:-1])
-    diag = np.concatenate([[1.0], np.cumprod(sin * sin)])
+    d, ar = t.shape[-1], np.arange(t.shape[-1])
+    sin = np.sin(t[..., :-1])
+    diag = np.concatenate([np.ones(t.shape[:-1] + (1,)), np.cumprod(sin * sin, axis=-1)], axis=-1)
     below = np.triu(np.ones((d, d)), 1)[:-1]                 # [c, a] = [c < a], c polar
-    dlog = np.zeros((d, d))
-    dlog[:-1] = (2.0 * np.cos(t[:-1]) / sin)[:, None] * below
-    hess = dlog[:, None, :] * dlog[None, :, :]                # [c, e, a]
-    hess[ar[:-1], ar[:-1]] -= (2.0 / (sin * sin))[:, None] * below
-    g = np.diag(diag)
-    dg = np.zeros((d, d, d))
-    dg[:, ar, ar] = diag * dlog
-    ddg = np.zeros((d, d, d, d))
-    ddg[:, :, ar, ar] = diag * hess
-    return g, dg, ddg
+    dlog = np.zeros(t.shape + (d,))
+    dlog[..., :-1, :] = (2.0 * np.cos(t[..., :-1]) / sin)[..., None] * below
+    hess = dlog[..., :, None, :] * dlog[..., None, :, :]      # [c, e, a]
+    hess[..., ar[:-1], ar[:-1], :] -= (2.0 / (sin * sin))[..., None] * below
+    jet = tuple(np.zeros(t.shape + (d,) * k) for k in (1, 2, 3))
+    for out, diagonal in zip(jet, (diag, diag[..., None, :] * dlog, diag[..., None, None, :] * hess)):
+        out[..., ar, ar] = diagonal
+    return jet
 
 
 def sphere_metric_field(n_ambient: int) -> MetricField:

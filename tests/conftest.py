@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lieforge.catalog import make_group
+from lieforge.curvature import metric_jet
 from lieforge.kernel import PAULI, _scaling
 
 
@@ -80,3 +81,28 @@ def phim(m):
         p = 0.5 * (p + p @ e)
         e = e @ e
     return p
+
+
+def riemann_tensor(field, point):
+    """Oracle R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac + Gamma^d_ae Gamma^e_bc
+    - Gamma^d_be Gamma^e_ac at one point, from the field's jet (the stencil
+    when it has none), with d_e Gamma^c_ab = g^cd (d_e Gamma_dab -
+    d_e g_dq Gamma^q_ab).  Its contraction R^c_acb is the Ricci tensor that
+    production forms from traces without this d^4 array."""
+    point = np.asarray(point, dtype=float)
+    g, dg, ddg = metric_jet(field, point) if field.jet is None else field.jet(point)
+    d = len(g)
+    ginv = np.linalg.inv(g)
+
+    def lower(x):  # Gamma_dab = (d_a g_db + d_b g_da - d_d g_ab) / 2, one more slot in front
+        return 0.5 * (np.swapaxes(x, -3, -2) + np.moveaxis(x, -3, -1) - x)
+
+    gam_flat = ginv @ lower(dg).reshape(d, d * d)
+    dlow = lower(ddg).reshape(d, d, d * d)
+    gam = gam_flat.reshape(d, d, d)
+    dgam = (ginv @ (dlow - dg @ gam_flat)).reshape(d, d, d, d)  # (e, c, a, b) = d_e Gamma^c_ab
+    t1 = np.transpose(dgam, (1, 3, 0, 2))  # d_a Gamma^d_bc -> [d, c, a, b]
+    t2 = np.transpose(dgam, (1, 3, 2, 0))  # d_b Gamma^d_ac -> [d, c, a, b]
+    q1 = np.einsum("dae,ebc->dcab", gam, gam)
+    q2 = np.einsum("dbe,eac->dcab", gam, gam)
+    return t1 - t2 + q1 - q2

@@ -5,12 +5,14 @@ import pytest
 
 from dataclasses import replace
 
-from conftest import fd_derivative
+from conftest import fd_derivative, riemann_tensor
 from lie_fields import everywhere, flat_field, left_invariant_field, s2_field  # local helper module
 from lieforge.catalog import parse_group_name
 from lieforge.charts import ChartPoint, euler_chart, safe_domain, su2_log
+from lieforge import curvature
 from lieforge.curvature import (
     BASE_STEP,
+    CHUNK_BYTES,
     christoffel,
     einstein_check,
     metric_jet,
@@ -18,6 +20,7 @@ from lieforge.curvature import (
     sample_safe_points,
 )
 from lieforge.errors import DomainError, InvalidInputError, LieForgeError, SingularityError
+from lieforge.sphere import sphere_metric_field
 from lieforge.metric import (
     MetricField,
     closed_form_su2_exp_metric_derivative,
@@ -70,8 +73,9 @@ class TestChristoffel:
 
 class TestRiemannRicci:
     def test_flat_vanishes(self):
-        b = riemann_ricci(flat_field(3), np.array([0.1, 0.2, 0.3]))
-        assert np.abs(b.riemann).max() < 1e-8
+        point = np.array([0.1, 0.2, 0.3])
+        b = riemann_ricci(flat_field(3), point)
+        assert np.abs(riemann_tensor(flat_field(3), point)).max() < 1e-8
         assert np.abs(b.ricci).max() < 1e-8
         assert abs(b.scalar) < 1e-8
 
@@ -91,11 +95,13 @@ class TestRiemannRicci:
             assert riemann_ricci(su2_field, p).scalar == pytest.approx(1.5, abs=1e-6)
 
     def test_symmetries(self, su2_field):
-        b = riemann_ricci(su2_field, np.array([0.9, -0.3, 0.4]))
+        point = np.array([0.9, -0.3, 0.4])
+        b = riemann_ricci(su2_field, point)
         assert np.abs(b.ricci - b.ricci.T).max() < 1e-7
         # antisymmetry in the last index pair, relative to the overall scale
-        scale = np.abs(b.riemann).max()
-        assert np.abs(b.riemann + np.transpose(b.riemann, (0, 1, 3, 2))).max() < 1e-7 * max(scale, 1.0)
+        riem = riemann_tensor(su2_field, point)
+        scale = np.abs(riem).max()
+        assert np.abs(riem + np.transpose(riem, (0, 1, 3, 2))).max() < 1e-7 * max(scale, 1.0)
 
 
     @pytest.mark.parametrize("name", ["su2", "su3", "so4", "so5", "sp2"])
@@ -107,7 +113,8 @@ class TestRiemannRicci:
         b = riemann_ricci(field, np.zeros(spec.dim))
         f = spec.structure
         assert np.abs(b.metric - np.eye(spec.dim)).max() < 1e-14
-        assert np.abs(b.riemann + 0.25 * np.einsum("abe,ecd->dcab", f, f)).max() < 1e-6
+        riem = riemann_tensor(field, np.zeros(spec.dim))
+        assert np.abs(riem + 0.25 * np.einsum("abe,ecd->dcab", f, f)).max() < 1e-6
 
     def test_matches_nested_differences(self):
         # the curvature as nested finite differences: Gamma by FD of g, then
@@ -130,7 +137,58 @@ class TestRiemannRicci:
                 + np.einsum("dae,ebc->dcab", gam, gam) - np.einsum("dbe,eac->dcab", gam, gam))
         b = riemann_ricci(field, point)
         assert np.abs(b.gamma - gam).max() < 1e-12
-        assert np.abs(b.riemann - riem).max() < 1e-7
+        assert np.abs(riemann_tensor(field, point) - riem).max() < 1e-7
+
+
+def ricci_cases():
+    """(field, points) pairs: exact jets, finite-difference (FD) jets, flat."""
+    cases = {}
+    for name in ("su3", "so5", "sp2"):
+        field = exp_metric_field(parse_group_name(name), resolve_k("auto"))
+        cases[name] = field
+    cases["s7"] = sphere_metric_field(8)
+    cases["su2-euler-fd"] = metric_field(parse_group_name("su2"), "euler", 2.0)
+    cases["berger-fd"] = left_invariant_field(parse_group_name("su2"), np.diag([1.0, 1.0, 0.5]))
+    cases["flat"] = flat_field(3)
+    return cases
+
+
+class TestRicciByTraces:
+    """riemann_ricci contracts Ricci from traces; the Riemann oracle agrees."""
+
+    @pytest.mark.parametrize("name", list(ricci_cases()))
+    def test_matches_riemann_contraction(self, name):
+        field = ricci_cases()[name]
+        # one point per call, so both sides contract the same jet
+        for p in sample_safe_points(field, 3, np.random.default_rng(50)):
+            ref = np.einsum("cacb->ab", riemann_tensor(field, p))
+            ric = riemann_ricci(field, p).ricci
+            assert np.abs(ric - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_single_point_keeps_shapes(self, su2_field):
+        b = riemann_ricci(su2_field, np.array([0.4, -0.2, 0.9]))
+        assert b.gamma.shape == (3, 3, 3) and b.ricci.shape == (3, 3)
+        assert b.metric.shape == (3, 3) and isinstance(b.scalar, float)
+
+    def test_leading_axes_match_per_point(self, su2_field):
+        pts = safe_su2_points(6, seed=51).reshape(2, 3, 3)
+        b = riemann_ricci(su2_field, pts)
+        assert b.ricci.shape == (2, 3, 3, 3) and b.scalar.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = riemann_ricci(su2_field, pts[idx])
+            assert np.abs(b.ricci[idx] - one.ricci).max() <= 1e-13
+            assert b.scalar[idx] == pytest.approx(one.scalar, abs=1e-13)
+
+    def test_batch_names_first_singular_point(self):
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.7, 0.0]])
+        with pytest.raises(SingularityError) as exc:
+            riemann_ricci(stiff_where(0.25, 1e-9), pts)
+        assert np.array_equal(exc.value.point, pts[1])
+
+    def test_batch_names_first_point_outside(self, su2_field):
+        pts = np.array([[0.5, 0.0, 0.0], [2 * np.pi - 0.0099, 0.0, 0.0], [7.0, 0.0, 0.0]])
+        with pytest.raises(DomainError, match=r"^\[6\.27"):
+            riemann_ricci(su2_field, pts)
 
 
 def counting_field(field):
@@ -258,6 +316,70 @@ class TestEinsteinCheck:
             einstein_check(su2_field, np.empty((0, 3)), 1e-6)
 
 
+class TestBatchedVerdict:
+    @pytest.mark.parametrize("name", ["su2", "so5", "s7"])
+    def test_lambda_is_per_sample_mean(self, name):
+        field = sphere_metric_field(8) if name == "s7" else exp_metric_field(parse_group_name(name))
+        pts = sample_safe_points(field, 20, np.random.default_rng(52))
+        v = einstein_check(field, pts, 1e-6)
+        lambdas = [riemann_ricci(field, p).scalar / (2 * field.dim) for p in pts]
+        assert v.passed and v.samples == 20
+        assert v.lambda_hat == pytest.approx(np.mean(lambdas), abs=1e-13)
+        assert v.lambda_spread == pytest.approx(np.ptp(lambdas), abs=1e-13)
+
+    def test_fd_jet_is_bitwise_per_point(self, su2):
+        # the stencil rows of every point go through one field call
+        for field in (metric_field(su2, "euler", 2.0), s2_field(),
+                      replace(sphere_metric_field(6), jet=None)):
+            pts = sample_safe_points(field, 4, np.random.default_rng(53))
+            batch = metric_jet(field, pts)
+            for i, p in enumerate(pts):
+                for b, one in zip(batch, metric_jet(field, p)):
+                    assert np.array_equal(b[i], one)
+
+    def test_chunks_respect_the_budget(self):
+        spec = parse_group_name("su4")
+        field = exp_metric_field(spec)
+        sizes = []
+
+        def recording(pts):
+            sizes.append(len(pts))
+            return field.jet(pts)
+
+        v = einstein_check(replace(field, jet=recording),
+                           sample_safe_points(field, 20, np.random.default_rng(54)), 1e-6)
+        assert v.passed and sum(sizes) == 20
+        assert max(sizes) == 1 or max(sizes) * 8 * spec.dim ** 4 <= CHUNK_BYTES
+
+    def test_chunked_verdict_matches_one_call(self, monkeypatch):
+        field = exp_metric_field(parse_group_name("su2"))
+        pts = sample_safe_points(field, 20, np.random.default_rng(55))
+        whole = einstein_check(field, pts, 1e-6)
+        sizes = []
+        monkeypatch.setattr(curvature, "CHUNK_BYTES", 3 * 8 * 3 ** 4)
+        recording = replace(field, jet=lambda p: sizes.append(len(p)) or field.jet(p))
+        split = einstein_check(recording, pts, 1e-6)
+        assert sizes == [3] * 6 + [2]
+        assert split.lambda_hat == pytest.approx(whole.lambda_hat, abs=1e-13)
+        assert split.residual <= 1e-12 and split.passed
+
+    @pytest.mark.parametrize("case", ["jet-domain", "stencil-domain", "singular"])
+    def test_failure_names_the_second_sample(self, su2_field, case):
+        if case == "singular":
+            field, bad = stiff_where(0.25, 1e-9), np.array([0.5, 0.0])
+            good, message = np.zeros(2), "failed: metric condition 1.000e+09 exceeds 1e+08"
+        else:
+            field = su2_field if case == "jet-domain" else replace(su2_field, jet=None)
+            good = np.array([0.5, 0.0, 0.0])
+            bad = np.array([2 * np.pi - (0.0099 if case == "jet-domain" else 0.0101), 0.0, 0.0])
+            message = ("is outside the safe domain" if case == "jet-domain"
+                       else "stencil leaves the safe domain")
+        v = einstein_check(field, np.array([good, bad, good]), 1e-6)
+        assert not v.passed and v.samples == 3
+        assert v.failure.startswith(f"sample {bad} failed: ")
+        assert message in v.failure
+
+
 class TestNonEinsteinControl:
     """The left-invariant Berger metric Q = diag(1, 1, 1/2) on su2 is not Einstein."""
 
@@ -287,6 +409,16 @@ def stiff_field(eps):
         return np.broadcast_to(np.diag([1.0, eps]), (len(pts), 2, 2)).copy()
 
     return MetricField(dim=2, func=func, domain=everywhere(2), name="stiff")
+
+
+def stiff_where(x0, eps):
+    """diag(1, eps) where the first coordinate exceeds x0, the identity elsewhere."""
+    def func(pts):
+        g = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
+        g[:, 1, 1] = np.where(pts[:, 0] > x0, eps, 1.0)
+        return g
+
+    return MetricField(dim=2, func=func, domain=everywhere(2), name="stiff-where")
 
 
 class TestConditionGuard:

@@ -369,6 +369,20 @@ class TestExactJet:
             exact = closed_form_su2_exp_metric_derivative(theta)
             assert np.abs(exp_metric_jet(su2, theta, 2.0)[1] - exact).max() <= 1e-13
 
+    @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("so", 5), ("sp", 2)])
+    def test_batch_matches_per_point(self, family, n):
+        # one eigh and one shared psim call for the batch: only round-off moves
+        spec = make_group(family, n)
+        pts = jet_points(spec)
+        for batch in (pts, pts.reshape(2, 3, spec.dim)):
+            jets = exp_metric_jet(spec, batch, 2.0)
+            for idx in np.ndindex(batch.shape[:-1]):
+                for b, one in zip(jets, exp_metric_jet(spec, batch[idx], 2.0)):
+                    assert b[idx].shape == one.shape
+                    assert np.abs(b[idx] - one).max() <= 1e-13
+
     def test_rejects_wrong_coordinate_count(self, su2):
         with pytest.raises(InvalidInputError):
             exp_metric_jet(su2, np.zeros(4), 2.0)
+        with pytest.raises(InvalidInputError):
+            exp_metric_jet(su2, np.zeros((5, 4)), 2.0)

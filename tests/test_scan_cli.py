@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -365,6 +366,13 @@ class TestInputValidation:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("lieforge: ") and out.err.count("\n") == 1
+
+    def test_oversized_group_exits_fast(self, capsys):
+        # the jet's allocation check fires before any d^4 array exists
+        start = time.perf_counter()
+        assert exit_code(["einstein", "--group", "su20", "--samples", "20"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("lieforge: ")
 
     def test_sampler_rejects_empty_request(self):
         with pytest.raises(InvalidInputError):

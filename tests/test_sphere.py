@@ -134,6 +134,18 @@ def test_exact_jet_matches_pullback_and_fd(n):
             assert np.abs(exact - fd).max() <= bound
 
 
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_exact_jet_batch_matches_per_point(n):
+    field = sphere_metric_field(n)
+    pts = sample_safe_points(field, 6, np.random.default_rng(n))
+    for batch in (pts, pts.reshape(3, 2, n - 1)):
+        jets = sphere_metric_jet(batch)
+        for idx in np.ndindex(batch.shape[:-1]):
+            for b, one in zip(jets, sphere_metric_jet(batch[idx])):
+                assert b[idx].shape == one.shape
+                assert np.abs(b[idx] - one).max() <= 1e-13
+
+
 @pytest.mark.parametrize("n", range(3, 14))
 def test_spheres_pass_with_exact_jet(n):
     # S^2 .. S^12; the finite-difference stencil failed S^7 and S^8 here
