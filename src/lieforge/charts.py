@@ -4,7 +4,8 @@ Two charts are provided: the exponential chart for any cataloged group
 (U and its derivatives from one eigendecomposition in ``kernel.expm_dual``,
 one generator seeded per partial slot; the production metric on this chart
 uses the adjoint form in ``metric.py``) and the z-x-z Euler-angle chart for
-SU(2) (closed 2x2 factors, derivatives by differentiating each factor).
+SU(2) (one stack of closed 2x2 factors from one phase exponential,
+derivatives by constant Pauli products).
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import numpy as np
 
 from .catalog import GroupSpec
 from .errors import InvalidInputError
-from .kernel import expm_dual
+from .kernel import SIGMA_1, SIGMA_3, expm_dual
 
 EXP_SU2_NORM_MAX = 2.0 * np.pi - 1e-2
 EULER_SIN_MARGIN = 1e-6
+_HALF_I_SIGMA_1 = 0.5j * SIGMA_1
+_HALF_I_SIGMA_3 = 0.5j * SIGMA_3
 
 
 @dataclass(frozen=True)
@@ -82,52 +85,28 @@ def exp_chart(spec: GroupSpec, theta: np.ndarray) -> FrameEvaluation:
     return FrameEvaluation(U=u[0], dU=du[0])
 
 
-def _uz(alpha):
-    alpha = np.asarray(alpha, dtype=float)
-    out = np.zeros(alpha.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(0.5j * alpha)
-    out[..., 1, 1] = np.exp(-0.5j * alpha)
-    return out
-
-
-def _duz(alpha):
-    alpha = np.asarray(alpha, dtype=float)
-    out = np.zeros(alpha.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 0.5j * np.exp(0.5j * alpha)
-    out[..., 1, 1] = -0.5j * np.exp(-0.5j * alpha)
-    return out
-
-
-def _ux(theta):
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(theta.shape + (2, 2), dtype=complex)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    out[..., 0, 0] = out[..., 1, 1] = c
-    out[..., 0, 1] = out[..., 1, 0] = 1j * s
-    return out
-
-
-def _dux(theta):
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(theta.shape + (2, 2), dtype=complex)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    out[..., 0, 0] = out[..., 1, 1] = -0.5 * s
-    out[..., 0, 1] = out[..., 1, 0] = 0.5j * c
-    return out
-
-
 def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SU(2) z-x-z chart for a batch of (theta, phi, psi) rows."""
+    """SU(2) z-x-z chart U = U_z(phi) U_x(theta) U_z(psi) for a batch of
+    (theta, phi, psi) rows, U_z(a) = exp(i a sigma_3 / 2) and
+    U_x(t) = exp(i t sigma_1 / 2).  Each derivative is a constant product:
+    d_phi U = (i/2) sigma_3 U, d_psi U = U (i/2) sigma_3 and
+    d_theta U = U_z(phi) U_x(theta) (i/2) sigma_1 U_z(psi)."""
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     if angles.shape[1] != 3:
         raise InvalidInputError("euler chart takes (theta, phi, psi)")
-    th, ph, ps = angles[:, 0], angles[:, 1], angles[:, 2]
-    uzp, uxt, uzs = _uz(ph), _ux(th), _uz(ps)
-    u = uzp @ uxt @ uzs
-    du = np.empty(angles.shape[:1] + (3, 2, 2), dtype=complex)
-    du[:, 0] = uzp @ _dux(th) @ uzs
-    du[:, 1] = _duz(ph) @ uxt @ uzs
-    du[:, 2] = uzp @ uxt @ _duz(ps)
+    half = np.exp(0.5j * angles)  # e^{i theta/2}, e^{i phi/2}, e^{i psi/2}
+    # the factors U_z(phi), U_x(theta), U_z(psi), stacked in product order
+    f = np.zeros((3,) + angles.shape[:1] + (2, 2), dtype=complex)
+    f[1, :, 0, 0] = f[1, :, 1, 1] = half[:, 0].real
+    f[1, :, 0, 1] = f[1, :, 1, 0] = 1j * half[:, 0].imag
+    f[::2, :, 0, 0] = half[:, 1:].T
+    f[::2, :, 1, 1] = half[:, 1:].T.conj()
+    zx = f[0] @ f[1]
+    u = zx @ f[2]
+    du = np.empty(u.shape[:1] + (3, 2, 2), dtype=complex)
+    du[:, 0] = zx @ (_HALF_I_SIGMA_1 @ f[2])
+    du[:, 1] = _HALF_I_SIGMA_3 @ u
+    du[:, 2] = u @ _HALF_I_SIGMA_3
     return u, du
 
 

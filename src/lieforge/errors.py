@@ -26,7 +26,8 @@ class SingularityError(LieForgeError):
 
 
 class NumericRangeError(LieForgeError):
-    """Non-finite kernel input, or an input norm past psim's scaling budget."""
+    """Non-finite kernel input or metric, or an input norm past psim's scaling
+    budget."""
 
 
 class DomainError(LieForgeError):

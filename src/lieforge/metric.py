@@ -7,10 +7,10 @@ orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
 psi(x) = (cosh(sqrt x) - 1) / x, and the metric is one psi evaluation in real
 d x d arithmetic on the adjoint representation; its exact first and second
 derivatives for curvature come from one batched eigendecomposition of ad^2
-(``exp_metric_jet``).  The Euler chart goes through U^{-1} dU.  The module
-also carries the closed-form SU(2) metrics for both charts, which serve as
-independent oracles for the numeric pipeline, and the Euler-chart isometry
-residuals.
+(``exp_metric_jet``).  The Euler chart goes through U^dag dU, as U^dag =
+U^{-1} on SU(2).  The module also carries the closed-form SU(2) metrics for
+both charts, which serve as independent oracles for the numeric pipeline,
+and the Euler-chart isometry residuals.
 """
 
 from __future__ import annotations
@@ -30,11 +30,15 @@ from .charts import (  # exp_chart_batch stays importable from here for callers
     exp_chart_batch,
     safe_domain,
 )
-from .errors import InvalidInputError, LieForgeError, SingularityError, check_alloc
+from .errors import (InvalidInputError, LieForgeError, NumericRangeError, SingularityError,
+                     check_alloc)
 from .kernel import mat_inverse, psi_divided_differences, psim
 
 METRIC_CONDITION_LIMIT = 1e10
 _IMAG_TOL = 1e-8
+# d^4 float arrays per point that exp_metric_jet holds at once (y, s, m and
+# the ddg temporaries): tracemalloc peaks at 5.2-5.5 of them from su4 up
+JET_PEAK_D4_ARRAYS = 6
 
 
 @dataclass(frozen=True)
@@ -107,16 +111,26 @@ def _gram(omega: np.ndarray, k: float) -> np.ndarray:
     return k * raw.real
 
 
+def _where(point: ChartPoint | None) -> str:
+    return "" if point is None else f" at {point.chart} point {point.coords}"
+
+
 def _finish(g: np.ndarray, point: ChartPoint | None) -> MetricTensor:
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > METRIC_CONDITION_LIMIT:
-        where = "" if point is None else f" at {point.chart} point {point.coords}"
+    """Condition number and inverse of a symmetric g from one eigh: |w| are
+    g's singular values, so max|w| / min|w| is the 2-norm condition number."""
+    if not np.isfinite(g).all():
+        raise NumericRangeError(f"metric has non-finite entries{_where(point)}")
+    w, v = np.linalg.eigh(g)
+    size = np.abs(w)
+    lo, hi = float(size.min()), float(size.max())
+    cond = hi / lo if lo > 0 else np.inf
+    if cond > METRIC_CONDITION_LIMIT:
         raise SingularityError(
-            f"metric is degenerate (condition {cond:.3e}){where}",
+            f"metric is degenerate (condition {cond:.3e}){_where(point)}",
             condition=cond,
             point=point,
         )
-    return MetricTensor(g=g, g_inv=np.linalg.inv(g), point=point, condition=cond)
+    return MetricTensor(g=g, g_inv=(v / w) @ v.T, point=point, condition=cond)
 
 
 def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarray:
@@ -157,7 +171,7 @@ def exp_metric_jet(spec: GroupSpec, theta: np.ndarray,
     if theta.shape[-1:] != (d,):
         raise InvalidInputError(f"exp chart for {spec.name}: expected {d} coordinates, got {theta.shape}")
     lead, theta = theta.shape[:-1], theta.reshape(-1, d)
-    check_alloc(8 * len(theta) * d ** 4, f"the {spec.name} second-derivative jet")
+    check_alloc(8 * JET_PEAK_D4_ARRAYS * len(theta) * d ** 4, f"the {spec.name} second-derivative jet")
     f = spec.structure
     ad = (theta @ f.reshape(d, d * d)).reshape(-1, d, d)
     mu, q = np.linalg.eigh(ad @ ad)
@@ -181,8 +195,8 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.n
     if chart == "exp":
         return exp_metric_batch(spec, pts, k)
     if chart == "euler":
-        u, du = euler_chart_batch(pts)
-        return _gram(np.linalg.inv(u)[:, None, :, :] @ du, k)
+        u, du = euler_chart_batch(pts)  # U in SU(2), so U^{-1} = U^dag
+        return _gram(u.conj().swapaxes(1, 2)[:, None] @ du, k)
     raise InvalidInputError(f"unknown chart {chart!r}")
 
 

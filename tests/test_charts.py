@@ -72,18 +72,37 @@ class TestEulerChart:
         assert np.abs(euler_chart(np.pi, 0, 0).U - 1j * SIGMA_1).max() < 1e-14
 
     def test_three_factor_product_oracle(self):
-        # multiply the three printed 2x2 factor matrices directly
+        # multiply the three printed 2x2 factor matrices, and their derivatives,
+        # directly
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            th, ph, ps = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, (50, 3))
+        u_batch, du_batch = euler_chart_batch(angles)
+        for (th, ph, ps), u, du in zip(angles, u_batch, du_batch):
             uz_phi = np.diag([np.exp(0.5j * ph), np.exp(-0.5j * ph)])
+            duz_phi = np.diag([0.5j * np.exp(0.5j * ph), -0.5j * np.exp(-0.5j * ph)])
             ux = np.array([
                 [np.cos(th / 2), 1j * np.sin(th / 2)],
                 [1j * np.sin(th / 2), np.cos(th / 2)],
             ])
+            dux = np.array([
+                [-0.5 * np.sin(th / 2), 0.5j * np.cos(th / 2)],
+                [0.5j * np.cos(th / 2), -0.5 * np.sin(th / 2)],
+            ])
             uz_psi = np.diag([np.exp(0.5j * ps), np.exp(-0.5j * ps)])
-            u = euler_chart(th, ph, ps).U
+            duz_psi = np.diag([0.5j * np.exp(0.5j * ps), -0.5j * np.exp(-0.5j * ps)])
+            assert np.abs(euler_chart(th, ph, ps).U - uz_phi @ ux @ uz_psi).max() < 1e-14
             assert np.abs(u - uz_phi @ ux @ uz_psi).max() < 1e-14
+            assert np.abs(du[0] - uz_phi @ dux @ uz_psi).max() < 1e-14
+            assert np.abs(du[1] - duz_phi @ ux @ uz_psi).max() < 1e-14
+            assert np.abs(du[2] - uz_phi @ ux @ duz_psi).max() < 1e-14
+
+    def test_maurer_cartan_is_anti_hermitian(self):
+        # U^dag dU_a lies in su(2), so the Euler metric may take U^dag for U^{-1}
+        angles = np.random.default_rng(7).uniform(-2 * np.pi, 2 * np.pi, (200, 3))
+        u, du = euler_chart_batch(angles)
+        assert np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(2)).max() < 1e-15
+        w = u.conj().swapaxes(1, 2)[:, None] @ du
+        assert np.abs(w + w.conj().swapaxes(2, 3)).max() < 1e-15
 
     def test_derivatives_vs_fd(self):
         angles = np.array([0.9, -0.4, 1.7])

@@ -1,8 +1,13 @@
+import importlib
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+import lieforge.errors
 from conftest import fd_derivative, phim
-from lieforge.catalog import GRAM_CONSTANT, make_group
+from lieforge.catalog import GRAM_CONSTANT, make_group, parse_group_name
 from lieforge.charts import (
     ChartPoint,
     FrameEvaluation,
@@ -13,11 +18,14 @@ from lieforge.charts import (
     safe_domain,
 )
 from lieforge.curvature import metric_jet
-from lieforge.errors import InvalidInputError, LieForgeError, SingularityError
+from lieforge.errors import (InvalidInputError, LieForgeError, NumericRangeError,
+                            SingularityError)
 from lieforge.kernel import PAULI, expm
 from lieforge.metric import (
+    METRIC_CONDITION_LIMIT,
     MetricConfig,
     MetricField,
+    _finish,
     _gram,
     closed_form_metric_su2_euler,
     closed_form_metric_su2_exp,
@@ -30,6 +38,7 @@ from lieforge.metric import (
     metric,
     metric_field,
 )
+from lieforge.sphere import pullback_metric, sphere_metric_field
 
 CATALOG = [("su", 2), ("su", 3), ("so", 3), ("so", 4), ("so", 5), ("sp", 1), ("sp", 2)]
 
@@ -141,6 +150,56 @@ class TestPipelineMetric:
         pts = np.random.default_rng(3).uniform(-1.5, 1.5, (100, 3))
         g = field(pts)
         assert np.isrealobj(g)
+
+
+def finish_cases():
+    """(name, MetricTensor) at safe-domain points of every chart that reaches _finish."""
+    rng = np.random.default_rng(40)
+    for family, n in CATALOG:
+        spec = make_group(family, n)
+        dom, cfg = safe_domain(spec, "exp"), MetricConfig(group=spec)
+        for theta in rng.uniform(dom.lo, dom.hi, (4, spec.dim)):
+            yield spec.name, metric(cfg, ChartPoint("exp", theta, spec))
+    su2 = make_group("su", 2)
+    dom = safe_domain(su2, "euler")
+    for angles in np.vstack([dom.lo, dom.hi, rng.uniform(dom.lo, dom.hi, (6, 3))]):
+        yield "su2-euler", metric(cfg_euler(su2), ChartPoint("euler", angles, su2))
+    for n_ambient in range(3, 9):
+        dom = sphere_metric_field(n_ambient).domain
+        for theta in rng.uniform(dom.lo, dom.hi, (4, n_ambient - 1)):
+            yield f"s{n_ambient - 1}", pullback_metric(n_ambient, theta)
+
+
+class TestFinish:
+    """Condition number and inverse of a metric from one symmetric eigendecomposition."""
+
+    def test_condition_and_inverse_match_numpy(self):
+        names = set()
+        for name, mt in finish_cases():
+            names.add(name)
+            cond = np.linalg.cond(mt.g)
+            assert abs(mt.condition - cond) <= 1e-13 * mt.condition * cond
+            resid = np.linalg.norm(mt.g @ mt.g_inv - np.eye(len(mt.g)))
+            assert resid <= 1e-13 * mt.condition
+        assert len(names) == len(CATALOG) + 1 + 6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_metric_is_a_lieforge_error(self, bad):
+        g = np.eye(3)
+        with pytest.raises(NumericRangeError, match="non-finite"):
+            _finish(np.full((3, 3), bad), None)
+        g[1, 2] = g[2, 1] = bad
+        with pytest.raises(NumericRangeError, match="non-finite"):
+            _finish(g, None)
+
+    @pytest.mark.parametrize("g", [np.zeros((3, 3)), np.diag([1.0, 2.0, 0.0]),
+                                   np.diag([1.0, -1e-12, 1.0])])
+    def test_singular_metric_raises_without_warning(self, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError) as exc:
+                _finish(g, None)
+        assert exc.value.condition > METRIC_CONDITION_LIMIT
 
 
 class TestClosedFormOracles:
@@ -276,7 +335,7 @@ class TestAdjointMetric:
     """The production exp-chart metric psi(ad^2) against three oracles."""
 
     @pytest.mark.parametrize("family,n", ORACLE_GROUPS)
-    def test_matches_pade_and_frechet(self, family, n):
+    def test_matches_frames_and_frechet(self, family, n):
         spec = make_group(family, n)
         dom = safe_domain(spec, "exp")
         rng = np.random.default_rng(30)
@@ -380,6 +439,30 @@ class TestExactJet:
                 for b, one in zip(jets, exp_metric_jet(spec, batch[idx], 2.0)):
                     assert b[idx].shape == one.shape
                     assert np.abs(b[idx] - one).max() <= 1e-13
+
+    def test_budget_counts_every_array_at_the_peak(self, monkeypatch):
+        # a budget just above one su3 d^4 array: the jet holds several at once
+        su3 = make_group("su", 3)
+        monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", 8 * su3.dim ** 4 + 8)
+        with pytest.raises(InvalidInputError, match="allocation budget"):
+            exp_metric_jet(su3, np.full(su3.dim, 0.1), 2.0)
+
+    @pytest.mark.parametrize("name,m", [("su4", 1), ("su5", 1), ("sp3", 3)])
+    def test_peak_stays_within_the_budgeted_count(self, name, m, monkeypatch):
+        # the bytes check_alloc is asked for cover what the jet really holds
+        spec = parse_group_name(name)
+        pts = np.full((m, spec.dim), 0.05)
+        asked = []
+        monkeypatch.setattr(importlib.import_module("lieforge.metric"), "check_alloc",
+                            lambda nbytes, _: asked.append(nbytes))
+        exp_metric_jet(spec, pts, 2.0)
+        tracemalloc.start()
+        try:
+            exp_metric_jet(spec, pts, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= asked[-1]
 
     def test_rejects_wrong_coordinate_count(self, su2):
         with pytest.raises(InvalidInputError):

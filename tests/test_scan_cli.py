@@ -368,11 +368,14 @@ class TestInputValidation:
         assert out.err.startswith("lieforge: ") and out.err.count("\n") == 1
 
     def test_oversized_group_exits_fast(self, capsys):
-        # the jet's allocation check fires before any d^4 array exists
-        start = time.perf_counter()
-        assert exit_code(["einstein", "--group", "su20", "--samples", "20"]) == 2
-        assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err.startswith("lieforge: ")
+        # the jet's allocation check fires before any d^4 array exists; su10
+        # has one d^4 array under the budget but not the several the jet holds
+        for argv in (["einstein", "--group", "su20", "--samples", "20"],
+                     ["einstein", "--group", "su10", "--samples", "1"]):
+            start = time.perf_counter()
+            assert exit_code(argv) == 2
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err.startswith("lieforge: ")
 
     def test_sampler_rejects_empty_request(self):
         with pytest.raises(InvalidInputError):
