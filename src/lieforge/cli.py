@@ -233,7 +233,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = parse_cli(sys.argv[1:] if argv is None else argv)
     try:
-        code = _COMMANDS[args.command](args)
+        # huge coordinates overflow to inf or nan, which the finiteness and
+        # domain checks turn into errors; numpy's warnings would only repeat them
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = _COMMANDS[args.command](args)
     except LieForgeError as exc:
         print(f"lieforge: {exc}", file=sys.stderr)
         return 2

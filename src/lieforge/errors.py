@@ -26,8 +26,8 @@ class SingularityError(LieForgeError):
 
 
 class NumericRangeError(LieForgeError):
-    """Non-finite kernel input or metric, or an input norm past psim's scaling
-    budget."""
+    """Non-finite kernel input or metric, or a spectrum past the range of the
+    series for psi's divided differences."""
 
 
 class DomainError(LieForgeError):

@@ -2,12 +2,12 @@
 the exponential of anti-Hermitian matrices, and first-order forward-mode dual
 arithmetic.
 
-``psim`` evaluates psi(X) = sum_n X^n / (2n+2)! for batches of real
-matrices.  For skew M, phi(M)^T phi(M) = 2 psi(M^2) with
-phi(z) = (1 - e^{-z}) / z, so the exponential-chart metric applies psi to the
-square of the adjoint representation.  ``psi_divided_differences`` gives the
-first and second divided differences of psi on a spectrum, from which that
-metric's exact derivatives follow.
+``psi`` evaluates psi(x) = sum_n x^n / (2n+2)! on a spectrum.  For skew M,
+phi(M)^T phi(M) = 2 psi(M^2) with phi(z) = (1 - e^{-z}) / z, so the
+exponential-chart metric is psi of the square of the adjoint representation,
+taken on the eigenvalues of that square.  ``psi_divided_differences`` gives
+the first and second divided differences of psi on a spectrum, from which
+that metric's exact derivatives follow.
 
 Dual values are numpy slot stacks.  The slot axis comes just before the
 value's own axes: ``(..., p+1, n, n)`` for matrices, ``(..., p+1)`` for
@@ -21,7 +21,6 @@ operations broadcast over leading batch axes.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -33,13 +32,17 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_1, SIGMA_2, SIGMA_3)
 
-_MAX_SQUARINGS = 64
 _SKEW_TOL = 1e-12  # expm_dual rejects max|A_0 + A_0^H| > _SKEW_TOL max|A_0|
 
-# Taylor coefficients 1 / (2n+2)! of psi(x) = (cosh(sqrt x) - 1) / x.  At
-# ||X||_1 <= 1 the first omitted term is below 1 / 20! = 4.1e-19.
-_PSI_THETA = 1.0
-_PSI_TAYLOR = tuple(1.0 / math.factorial(2 * n + 2) for n in range(9))
+# Taylor coefficients c_n = 1 / (2n+2)! of psi(x) = (cosh(sqrt x) - 1) / x
+# in the Hankel forms of its divided differences, with powers mu^p, p < 20.
+# On [PSI_SERIES_MIN, 0] the first omitted terms stay below 1e-21.
+PSI_SERIES_MIN = -(2 * np.pi) ** 2
+_PSI_TERMS = 20
+_PSI_C = np.array([1.0 / math.factorial(2 * n + 2) for n in range(3 * _PSI_TERMS)])
+_POWERS = np.arange(_PSI_TERMS)
+_PSI_H1 = _PSI_C[_POWERS[:, None] + _POWERS + 1]
+_PSI_H2 = _PSI_C[_POWERS[:, None, None] + _POWERS[:, None] + _POWERS + 2].reshape(_PSI_TERMS, -1)
 
 CONDITION_LIMIT = 1e12
 
@@ -69,84 +72,37 @@ def dual_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a[..., :1] * b[..., :1], parts], axis=-1)
 
 
-def _scaling(values: np.ndarray, theta: float, what: str) -> int:
-    """Halvings s that bring the batch's largest 1-norm to at most ``theta``.
-
-    One s serves the whole batch, so every matrix in it goes through the
-    same arithmetic and finite differences across the batch stay smooth.
-    """
-    if values.shape[-1] != values.shape[-2]:
-        raise InvalidInputError(f"{what} needs square matrices, got shape {values.shape}")
-    norm = float(np.max(np.abs(values).sum(axis=-2), initial=0.0))
-    if not math.isfinite(norm):
-        raise NumericRangeError(f"non-finite entries in {what} input")
-    if norm <= theta:
-        return 0
-    s = int(math.ceil(math.log2(norm / theta)))
-    if s > _MAX_SQUARINGS:
-        raise NumericRangeError(f"{what} input norm {norm:.3e} exceeds the scaling budget")
-    return s
+def psi(mu: np.ndarray) -> np.ndarray:
+    """psi(mu) = (cosh(sqrt mu) - 1) / mu = (sin(h) / h)^2 / 2 at h = sqrt(-mu) / 2,
+    exact for every mu <= 0, the spectrum of ad^2.  The floor on h^2 reads
+    round-off above 0 as 0 and keeps 0 / 0 out: sin(h) / h is 1 there."""
+    h = np.sqrt(np.maximum(-0.25 * np.asarray(mu, dtype=float), 1e-300))
+    s = np.sin(h) / h
+    return 0.5 * s * s
 
 
-def psim(x: np.ndarray) -> np.ndarray:
-    """psi(X) = sum_n X^n / (2n+2)! for a batch of real matrices (..., d, d).
+def psi_divided_differences(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi[mu_i, mu_j] and psi[mu_i, mu_k, mu_j] for spectra (..., d) in
+    [PSI_SERIES_MIN, 0].
 
-    The degree-8 series at X / 4^s in Paterson-Stockmeyer form (products X^2
-    and X^3), then s doublings psi(4X) = psi(X) (I + X psi(X) / 2).
-    """
-    x = np.asarray(x, dtype=float)
-    s = (_scaling(x, _PSI_THETA, "psim") + 1) // 2
-    x = x / (4.0 ** s)
-    c = _PSI_TAYLOR
-    ident = np.eye(x.shape[-1])
-    x2 = x @ x
-    x3 = x2 @ x
-    p = c[6] * ident + c[7] * x + c[8] * x2
-    p = c[3] * ident + c[4] * x + c[5] * x2 + x3 @ p
-    p = c[0] * ident + c[1] * x + c[2] * x2 + x3 @ p
-    for _ in range(s):
-        p = p + 0.5 * (p @ (x @ p))
-        x = 4.0 * x
-    return p
-
-
-@functools.lru_cache(maxsize=16)
-def _sorted_triples(d: int):
-    """The d(d+1)(d+2)/6 index triples i <= k <= j of range(d), and for the
-    ordered triples (i, k, j), (min, max, max) of (i, j) and (i, i, i) the
-    position of their sorted form among them."""
-    idx = np.indices((d, d, d)).reshape(3, -1)
-    srt = np.sort(idx, axis=0)
-    keep = np.all(srt == idx, axis=0)
-    pos = np.zeros(d ** 3, dtype=np.intp)
-    pos[keep] = np.arange(int(keep.sum()))
-    at = pos.reshape(d, d, d)
-    ar = np.arange(d)
-    lo, hi = np.minimum.outer(ar, ar), np.maximum.outer(ar, ar)
-    out = (idx[:, keep], pos[np.ravel_multi_index(srt, (d, d, d))].reshape(d, d, d),
-           at[lo, hi, hi], at[ar, ar, ar])
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def psi_divided_differences(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi(mu_i), psi[mu_i, mu_j] and psi[mu_i, mu_k, mu_j] for spectra (..., d).
-
-    psi of the upper-bidiagonal [[mu_i, 1, 0], [0, mu_k, 1], [0, 0, mu_j]]
-    carries psi(mu_i), psi[mu_i, mu_k] and psi[mu_i, mu_k, mu_j] in its
-    first row (Opitz 1964; Higham 2008, Functions of Matrices, section 3.2),
-    exact where the mu coincide.  Divided differences are symmetric in their
-    arguments, so one ``psim`` call runs on every spectrum's sorted triples
-    only and the results are scattered to every ordering.
+    The divided differences of x^n are complete homogeneous polynomials
+    (Higham 2008, Functions of Matrices, section 3.2), so with the Vandermonde
+    rows v_i = (mu_i^p)_{p < 20} they are Hankel forms in the Taylor
+    coefficients c_n: D1_ij = v_i^T H1 v_j with H1_pq = c_{p+q+1}, symmetrized,
+    and D2_ikj = H2(v_i, v_k, v_j) with H2_pqr = c_{p+q+r+2}.  Both are exact
+    where the mu coincide, with no branch and no sorting.
     """
     mu = np.asarray(mu, dtype=float)
-    tri, order2, order1, order0 = _sorted_triples(mu.shape[-1])
-    b = np.zeros(mu.shape[:-1] + (tri.shape[1], 9))  # row-major 3 x 3
-    b[..., ::4] = mu[..., tri.T]
-    b[..., 1:6:4] = 1.0
-    p = psim(b.reshape(b.shape[:-1] + (3, 3)))[..., 0, :]
-    return p[..., order0, 0], p[..., order1, 1], p[..., order2, 2]
+    low = float(np.min(mu, initial=0.0))
+    if not low >= PSI_SERIES_MIN:
+        raise NumericRangeError(
+            f"divided differences of psi need eigenvalues >= {PSI_SERIES_MIN:.4f}, got {low:.4g}")
+    n = _PSI_TERMS
+    v = mu[..., None] ** _POWERS  # [..., i, p]
+    vt = np.swapaxes(v, -1, -2)
+    d1 = v @ _PSI_H1 @ vt
+    t = (v @ _PSI_H2).reshape(v.shape[:-1] + (n, n)) @ vt[..., None, :, :]  # [..., i, q, j]
+    return 0.5 * (d1 + np.swapaxes(d1, -1, -2)), v[..., None, :, :] @ t
 
 
 def expm_dual(a: np.ndarray) -> np.ndarray:

@@ -4,17 +4,18 @@
 chart the frames have the closed form w_a = phi(ad_A) X_a with
 A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
 orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
-psi(x) = (cosh(sqrt x) - 1) / x, and the metric is one psi evaluation in real
-d x d arithmetic on the adjoint representation; its exact first and second
-derivatives for curvature come from one batched eigendecomposition of ad^2
-(``exp_metric_jet``).  The Euler chart goes through U^dag dU, as U^dag =
-U^{-1} on SU(2).  The module also carries the closed-form SU(2) metrics for
+psi(x) = (cosh(sqrt x) - 1) / x, and the metric is psi of ad_A^2 in real
+d x d arithmetic on the adjoint representation.  The metric and, for
+curvature, its exact first and second derivatives (``exp_metric_jet``) come
+from one batched eigendecomposition of ad^2.  The Euler chart goes through
+U^dag dU, as U^dag = U^{-1} on SU(2).  The module also carries the closed-form SU(2) metrics for
 both charts, which serve as independent oracles for the numeric pipeline,
 and the Euler-chart isometry residuals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -32,7 +33,7 @@ from .charts import (  # exp_chart_batch stays importable from here for callers
 )
 from .errors import (InvalidInputError, LieForgeError, NumericRangeError, SingularityError,
                      check_alloc)
-from .kernel import mat_inverse, psi_divided_differences, psim
+from .kernel import mat_inverse, psi, psi_divided_differences
 
 METRIC_CONDITION_LIMIT = 1e10
 _IMAG_TOL = 1e-8
@@ -133,30 +134,42 @@ def _finish(g: np.ndarray, point: ChartPoint | None) -> MetricTensor:
     return MetricTensor(g=g, g_inv=(v / w) @ v.T, point=point, condition=cond)
 
 
-def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarray:
-    """Exponential-chart metric at a batch of points (m, dim) -> (m, dim, dim).
+def _exp_metric(spec: GroupSpec, thetas: np.ndarray,
+                k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """ad, the eigenvalues mu and vectors Q of X = ad^2 (one eigh) and the
+    metric g at points (..., dim) of the exponential chart, flattened to (m, ...).
 
     With M_eb = theta^c f_cbe the matrix of ad_A, w_a = J_ea X_e for
     J = phi(M), and Tr(X_e^dag X_f) = delta_ef / 2 gives g = k J^T J / 2.
     M is skew, so J^T J = phi(-M) phi(M) = 2 psi(M^2) and g = k psi(M^2),
-    written as k (psi + psi^T) / 2 so that g is symmetric to the last bit.
+    written as k (p + p^T) / 2 so that g is symmetric to the last bit, with
+    p = I / 2 + Q diag(psi(mu) - 1/2) Q^T: the identity part stays exact, so
+    finite differences of g see less round-off.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     d = spec.dim
-    if thetas.shape[1] != d:
+    if thetas.shape[-1:] != (d,):
         raise InvalidInputError(
-            f"exp chart for {spec.name}: expected {d} coordinates, "
-            f"got {thetas.shape[1]}"
-        )
+            f"exp chart for {spec.name}: expected {d} coordinates, got shape {thetas.shape}")
     ad = (thetas @ spec.structure.reshape(d, d * d)).reshape(-1, d, d)  # [m, b, e]
-    p = psim(ad @ ad)  # ad @ ad = (M^T)^2 = M^2, symmetric since M is skew
-    return (k * GRAM_CONSTANT) * (p + np.swapaxes(p, -1, -2))
+    x = ad @ ad  # (M^T)^2 = M^2, symmetric since M is skew
+    if not np.isfinite(x).all():
+        raise NumericRangeError(f"non-finite entries in ad^2 on the {spec.name} exp chart")
+    mu, q = np.linalg.eigh(x)
+    p = (q * (psi(mu) - 0.5)[:, None]) @ q.swapaxes(1, 2)
+    p.reshape(len(p), d * d)[:, ::d + 1] += 0.5
+    return ad, mu, q, (k * GRAM_CONSTANT) * (p + p.swapaxes(1, 2))
+
+
+def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarray:
+    """Exponential-chart metric at a batch of points (m, dim) -> (m, dim, dim)."""
+    return _exp_metric(spec, np.asarray(thetas, dtype=float), k)[3]
 
 
 def exp_metric_jet(spec: GroupSpec, theta: np.ndarray,
                    k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g, dg[..., e, a, b] = d_e g_ab and ddg[..., e, f, a, b] = d_e d_f g_ab
-    of the exponential-chart metric at points (..., d), exact.
+    of the exponential-chart metric at points (..., d), exact; g is
+    ``exp_metric_batch``'s value.
 
     With F_c = spec.structure[c] and ad = theta^c F_c, X = ad^2 =
     Q diag(mu) Q^T has d_a X = F_a ad + ad F_a and d_a d_b X = F_a F_b +
@@ -166,17 +179,15 @@ def exp_metric_jet(spec: GroupSpec, theta: np.ndarray,
     d_a d_b psi(X) = Q [M_ab + M_ba] Q^T, M_ab = D1 o F'_a F'_b + S_ab,
     S_ab,ij = sum_k D2_ikj Xdot_a,ik Xdot_b,kj, where D1 and D2 are the first
     and second divided differences of psi on mu; a batch shares one eigh.
+    Raises NumericRangeError where mu leaves their range [PSI_SERIES_MIN, 0].
     """
     theta, d = np.asarray(theta, dtype=float), spec.dim
-    if theta.shape[-1:] != (d,):
-        raise InvalidInputError(f"exp chart for {spec.name}: expected {d} coordinates, got {theta.shape}")
-    lead, theta = theta.shape[:-1], theta.reshape(-1, d)
-    check_alloc(8 * JET_PEAK_D4_ARRAYS * len(theta) * d ** 4, f"the {spec.name} second-derivative jet")
-    f = spec.structure
-    ad = (theta @ f.reshape(d, d * d)).reshape(-1, d, d)
-    mu, q = np.linalg.eigh(ad @ ad)
-    psi, d1, d2 = psi_divided_differences(mu)
-    qt = q.swapaxes(1, 2)
+    lead = theta.shape[:-1]
+    check_alloc(8 * JET_PEAK_D4_ARRAYS * math.prod(lead) * d ** 4,
+                f"the {spec.name} second-derivative jet")
+    ad, mu, q, g = _exp_metric(spec, theta, k)
+    d1, d2 = psi_divided_differences(mu)
+    f, qt = spec.structure, q.swapaxes(1, 2)
     fq = qt[:, None] @ f @ q[:, None]           # [m, c] = F'_c
     adq = (qt @ ad @ q)[:, None]
     xdot = fq @ adq + adq @ fq                  # [m, a] = Xdot_a
@@ -186,8 +197,9 @@ def exp_metric_jet(spec: GroupSpec, theta: np.ndarray,
     m = d1[:, None, None] * (fq[:, :, None] @ fq[:, None, :]) + s.transpose(0, 3, 4, 1, 2)
     dpsi = q[:, None] @ (d1[:, None] * xdot) @ qt[:, None]
     ddpsi = q[:, None, None] @ (m + m.swapaxes(1, 2)) @ qt[:, None, None]
-    return tuple((k * GRAM_CONSTANT * (p + p.swapaxes(-1, -2))).reshape(lead + p.shape[1:])
-                 for p in ((q * psi[:, None]) @ qt, dpsi, ddpsi))
+    dg, ddg = ((k * GRAM_CONSTANT * (p + p.swapaxes(-1, -2))).reshape(lead + p.shape[1:])
+               for p in (dpsi, ddpsi))
+    return g.reshape(lead + (d, d)), dg, ddg
 
 
 def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.ndarray:

@@ -170,30 +170,9 @@ def dumps_csv(report_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dumps_table(report_dict: dict) -> str:
-    header = f"{'group':<8}{'dim':>4}{'lambda':>12}{'spread':>12}{'residual':>12}  {'status':<6}{'ms':>10}"
-    lines = [header, "-" * len(header)]
-    def num(x, spec):
-        return format(x, spec) if x is not None else "nan"
-
-    for row in report_dict["groups"]:
-        lines.append(
-            f"{row['name']:<8}{row['dim']:>4}"
-            f"{num(row['lambda_hat'], '.6f'):>12}"
-            f"{num(row['lambda_spread'], '.2e'):>12}"
-            f"{num(row['max_residual'], '.2e'):>12}"
-            f"  {'pass' if row['pass'] else 'fail':<6}"
-            f"{row['wall_time_ms']:>10.1f}"
-        )
-    lines.append(f"overall: {'pass' if report_dict['pass'] else 'fail'}")
-    return "\n".join(lines) + "\n"
-
-
 def emit_report(report_dict: dict, fmt: str = "json") -> bytes:
     if fmt == "json":
         return dumps_json(report_dict).encode()
     if fmt == "csv":
         return dumps_csv(report_dict).encode()
-    if fmt == "table":
-        return dumps_table(report_dict).encode()
     raise InvalidInputError(f"unknown report format {fmt!r}")

@@ -5,7 +5,8 @@ import pytest
 
 from lieforge.catalog import make_group
 from lieforge.curvature import metric_jet
-from lieforge.kernel import PAULI, _scaling
+from lieforge.errors import InvalidInputError, NumericRangeError
+from lieforge.kernel import PAULI
 
 
 @pytest.fixture(scope="session")
@@ -64,22 +65,29 @@ def phim(m):
 
     Degree-14 Taylor series at M / 2^s with ||M / 2^s||_1 <= 1/2 (first
     omitted term below 1.5e-18), then s doublings
-    phi(2M) = phi(M) (I + e^{-M}) / 2 and e^{-2M} = (e^{-M})^2.  The
-    exp-chart metric k phi(ad)^T phi(ad) / 2 built from it is what the
+    phi(2M) = phi(M) (I + e^{-M}) / 2 and e^{-2M} = (e^{-M})^2.  Each matrix
+    has its own s, so its value does not depend on the rest of the batch.
+    The exp-chart metric k phi(ad)^T phi(ad) / 2 built from it is what the
     production psi form is checked against.
     """
     m = np.asarray(m, dtype=float)
-    s = _scaling(m, 0.5, "phim")
-    m = m / (2.0 ** s)
+    if m.shape[-1] != m.shape[-2]:
+        raise InvalidInputError(f"phim needs square matrices, got shape {m.shape}")
+    norm = np.abs(m).sum(axis=-2).max(axis=-1)
+    if not np.all(norm <= 2.0 ** 60):  # nan and inf too
+        raise NumericRangeError(f"phim input norm {np.max(norm):.3e} is out of range")
+    s = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
+    m = m / (2.0 ** s)[..., None, None]
     c = _PHI_TAYLOR
     ident = np.eye(m.shape[-1])
     p = c[-1] * m + c[-2] * ident
     for ck in c[-3::-1]:
         p = m @ p + ck * ident
     e = ident - m @ p  # e^{-M} = I - M phi(M)
-    for _ in range(s):
-        p = 0.5 * (p + p @ e)
-        e = e @ e
+    for i in range(int(np.max(s, initial=0))):
+        more = (s > i)[..., None, None]
+        p = np.where(more, 0.5 * (p + p @ e), p)
+        e = np.where(more, e @ e, e)
     return p
 
 

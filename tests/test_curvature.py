@@ -270,8 +270,8 @@ class TestSharedStencil:
         g, dg, _ = metric_jet(su2_field, point)
         assert np.array_equal(g, su2_field(point)[0])
         # the plain 4th-order central difference: the production axis line's
-        # offsets and weights, one point per field call, so only psim's
-        # per-batch scaling may differ
+        # offsets and weights, one point per field call; the field evaluates
+        # each row from its own eigendecomposition, so the batch does not enter
         oracle = [fd_derivative(lambda x: su2_field(x)[0], point, e, h=BASE_STEP,
                                 richardson=False) for e in range(3)]
         assert np.abs(dg - np.stack(oracle)).max() < 1e-12

@@ -9,6 +9,7 @@ from lieforge.charts import exp_chart_batch, safe_domain
 from lieforge.errors import InvalidInputError, NumericRangeError, SingularityError
 from lieforge.kernel import (
     PAULI,
+    PSI_SERIES_MIN,
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
@@ -16,8 +17,8 @@ from lieforge.kernel import (
     expm,
     expm_dual,
     mat_inverse,
+    psi,
     psi_divided_differences,
-    psim,
 )
 
 
@@ -225,63 +226,33 @@ class TestPhim:
             phim(np.eye(2) * 1e300)
 
 
-class TestPsim:
-    def test_scalar_series(self):
-        # 1x1 matrices: psi(x) = (1 - cos sqrt|x|) / |x| for x < 0 and
-        # (cosh sqrt x - 1) / x for x > 0, written with half-angle squares so
-        # the reference keeps full precision near 0; several doublings.  The
-        # points stay away from the zeros x = -(2 pi k)^2, where only an
-        # absolute bound is meaningful.
-        x = np.array([-400.0, -30.0, -4.0, -1.0, -1e-3, 1e-3, 0.3, 1.0, 4.0, 50.0])
-        t = np.sqrt(np.abs(x))
-        ref = np.where(x < 0, 2.0 * np.sin(0.5 * t) ** 2, 2.0 * np.sinh(0.5 * t) ** 2) / t ** 2
-        got = psim(x[:, None, None])[:, 0, 0]
-        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+def psi_reference(x):
+    """psi(x) = (1 - cos sqrt|x|) / |x| for x < 0, written with the half-angle
+    square so that it keeps full precision near 0."""
+    t = np.sqrt(np.abs(x))
+    return np.where(x == 0, 0.5, 2.0 * np.sin(0.5 * t) ** 2 / np.where(x == 0, 1.0, t * t))
 
-    def test_zero_is_half_identity(self):
-        assert np.array_equal(psim(np.zeros((2, 4, 4))), np.broadcast_to(0.5 * np.eye(4), (2, 4, 4)))
 
-    @pytest.mark.parametrize("scale", [0.1, 0.5, 3.0, 20.0])
-    @pytest.mark.parametrize("antisymmetric,tol", [(True, 1e-13), (False, 1e-12)])
-    def test_matches_scipy_expm(self, scale, antisymmetric, tol):
-        # X psi(X) = cosh(M) - I for X = M^2, with scipy's independent expm.
-        # Adjoint matrices are antisymmetric, so X = M^2 is symmetric there.
-        from scipy.linalg import expm as scipy_expm
+class TestPsi:
+    def test_matches_half_angle_reference(self):
+        # psi vanishes at x = -(2 pi k)^2: there only an absolute bound is meaningful
+        x = np.array([-400.0, PSI_SERIES_MIN, -39.4, -4.0, -1.0, -1e-3, 0.0])
+        got, ref = psi(x), psi_reference(x)
+        assert got[-1] == 0.5
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(ref, 1e-2))
 
-        rng = np.random.default_rng(21)
-        m = rng.normal(size=(6, 5, 5))
-        if antisymmetric:
-            m = m - np.swapaxes(m, -1, -2)
-        m *= scale / np.abs(m).sum(axis=-2).max()
-        p = psim(m @ m)
-        for mi, pi in zip(m, p):
-            ref = 0.5 * (scipy_expm(mi) + scipy_expm(-mi)) - np.eye(5)
-            assert np.abs(mi @ mi @ pi - ref).max() < tol * max(1.0, np.abs(ref).max())
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(InvalidInputError):
-            psim(np.ones((2, 3)))
-        with pytest.raises(NumericRangeError):
-            psim(np.full((2, 2), np.nan))
-        with pytest.raises(NumericRangeError):
-            psim(np.full((2, 2), np.inf))
-        with pytest.raises(NumericRangeError):
-            psim(np.eye(2) * 1e300)
+    def test_round_off_above_zero_reads_as_zero(self):
+        assert np.array_equal(psi(np.array([1e-17, 0.0])), [0.5, 0.5])
 
 
 class TestPsiDividedDifferences:
-    @staticmethod
-    def psi(x):
-        t = np.sqrt(np.abs(x))
-        return np.where(x < 0, 2.0 * np.sin(0.5 * t) ** 2, 2.0 * np.sinh(0.5 * t) ** 2) / t ** 2
-
     def test_distinct_values(self):
-        mu = np.array([-3.0, -1.7, -0.6, -0.1, 0.4])
-        v, d1, d2 = psi_divided_differences(mu)
-        p = self.psi(mu)
+        # ad^2 is negative semidefinite, and -39 reaches the end of the range
+        mu = np.array([-39.0, -3.0, -1.7, -0.6, -0.1])
+        d1, d2 = psi_divided_differences(mu)
+        p = psi_reference(mu)
         i, j = np.triu_indices(len(mu), 1)
         first = (p[i] - p[j]) / (mu[i] - mu[j])
-        assert np.abs(v - p).max() <= 1e-15
         assert np.abs(d1[i, j] - first).max() <= 1e-14
         assert np.array_equal(d1, d1.T)
         for a, b, c in [(0, 2, 4), (1, 3, 4), (0, 1, 3)]:
@@ -292,12 +263,17 @@ class TestPsiDividedDifferences:
 
     def test_coinciding_values_give_derivatives(self):
         # psi(x) = 1/2 + x/24 + x^2/720 + ...: at 0, psi' = 1/24 and psi''/2 = 1/720
-        v, d1, d2 = psi_divided_differences(np.zeros(3))
-        assert np.all(v == 0.5)
+        d1, d2 = psi_divided_differences(np.zeros(3))
         assert np.abs(d1 - 1 / 24).max() <= 1e-16
         assert np.abs(d2 - 1 / 720).max() <= 1e-17
         # a repeated pair away from 0: psi[x, x] = psi'(x), against a central difference
         x, h = -1.3, 1e-5
-        _, d1, _ = psi_divided_differences(np.array([x, x]))
-        slope = (self.psi(np.array(x + h)) - self.psi(np.array(x - h))) / (2 * h)
+        d1, _ = psi_divided_differences(np.array([x, x]))
+        slope = (psi_reference(np.array(x + h)) - psi_reference(np.array(x - h))) / (2 * h)
         assert d1[0, 1] == pytest.approx(float(slope), rel=1e-9)
+
+    def test_rejects_spectra_past_the_series_range(self):
+        psi_divided_differences(np.array([PSI_SERIES_MIN, 0.0]))
+        for bad in (np.nextafter(PSI_SERIES_MIN, -np.inf), -np.inf, np.nan):
+            with pytest.raises(NumericRangeError):
+                psi_divided_differences(np.array([bad, 0.0]))

@@ -1,12 +1,14 @@
 import importlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import lieforge.errors
 from conftest import fd_derivative, phim
+from lie_fields import left_invariant_field
 from lieforge.catalog import GRAM_CONSTANT, make_group, parse_group_name
 from lieforge.charts import (
     ChartPoint,
@@ -384,6 +386,26 @@ class TestAdjointMetric:
         with pytest.raises(InvalidInputError):
             exp_metric_batch(su2, np.zeros((2, 4)), 2.0)
 
+    def test_rejects_overflowing_coordinates(self, su2):
+        with np.errstate(over="ignore"), pytest.raises(NumericRangeError):  # ad^2 overflows
+            exp_metric_batch(su2, np.array([1e300, 0.0, 0.0]), 2.0)
+
+    @pytest.mark.parametrize("name", ["su2", "su3", "berger"])
+    def test_stencil_jet_does_not_see_its_batch(self, name):
+        # each row's metric comes from its own eigendecomposition (the Berger
+        # control: its own phim scaling), so a point's finite-difference jet
+        # is the same alone and next to a point at 1% of its norm, or at 100
+        # times it
+        if name == "berger":
+            field = left_invariant_field(parse_group_name("su2"), np.diag([1.0, 1.0, 0.5]))
+        else:
+            field = replace(metric_field(parse_group_name(name), "exp", 2.0), jet=None)
+        p = np.random.default_rng(37).uniform(field.domain.lo, field.domain.hi, field.dim)
+        pair = metric_jet(field, np.stack([p, 0.01 * p]))
+        for at, point in enumerate((p, 0.01 * p)):
+            for one, both in zip(metric_jet(field, point), pair):
+                assert np.array_equal(one, both[at])
+
 
 def jet_points(spec):
     """Sampled points, the origin, a generator axis and a point 1e-9 off it."""
@@ -430,7 +452,7 @@ class TestExactJet:
 
     @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("so", 5), ("sp", 2)])
     def test_batch_matches_per_point(self, family, n):
-        # one eigh and one shared psim call for the batch: only round-off moves
+        # one batched eigh and batched Hankel forms: only round-off moves
         spec = make_group(family, n)
         pts = jet_points(spec)
         for batch in (pts, pts.reshape(2, 3, spec.dim)):
@@ -469,3 +491,14 @@ class TestExactJet:
             exp_metric_jet(su2, np.zeros(4), 2.0)
         with pytest.raises(InvalidInputError):
             exp_metric_jet(su2, np.zeros((5, 4)), 2.0)
+
+    @pytest.mark.parametrize("family,n", CATALOG)
+    def test_value_is_the_batch_metric(self, family, n):
+        spec = make_group(family, n)
+        pts = jet_points(spec)
+        assert np.array_equal(exp_metric_jet(spec, pts, 2.0)[0], exp_metric_batch(spec, pts, 2.0))
+
+    def test_rejects_spectrum_past_the_series_range(self, su2):
+        # |theta| = 6.5 puts an eigenvalue of ad^2 at -42.25 < -(2 pi)^2
+        with pytest.raises(NumericRangeError):
+            exp_metric_jet(su2, np.array([6.5, 0.0, 0.0]), 2.0)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -69,10 +70,11 @@ class TestRunScan:
             ScanConfig(groups=("su2",), seed=-1)
 
     def test_rows_pinned_to_killing_lambda(self):
-        groups = ("su2", "su3", "so3", "so4", "so5", "sp1", "sp2", "su4", "so6", "sp3")
+        groups = ("su2", "su3", "so3", "so4", "so5", "sp1", "sp2", "su4", "so6", "sp3",
+                  "su5", "so7", "so8")
         rep = run_scan(ScanConfig(groups=groups, samples=2, seed=3))
         assert rep.passed
-        assert [row.dim for row in rep.rows[-3:]] == [15, 15, 21]
+        assert [row.dim for row in rep.rows[-3:]] == [24, 21, 28]
         for row in rep.rows:
             exact = killing_lambda(structure_constants(parse_group_name(row.name)).f)
             assert abs(row.lambda_hat - exact) <= 1e-12, (row.name, row.lambda_hat, exact)
@@ -119,13 +121,10 @@ class TestReportFormats:
         assert float(fields[2]) == pytest.approx(0.25, abs=1e-6)
         assert fields[5] == "pass"
 
-    def test_table(self, report):
-        text = emit_report(report, "table").decode()
-        assert "su2" in text and "overall: pass" in text
-
     def test_unknown_format(self, report):
-        with pytest.raises(InvalidInputError):
-            emit_report(report, "xml")
+        for fmt in ("xml", "table"):
+            with pytest.raises(InvalidInputError):
+                emit_report(report, fmt)
 
     def test_float_serialization_precision(self):
         x = 0.1 + 0.2
@@ -363,6 +362,16 @@ class TestInputValidation:
     def test_oversized_input_exit_2(self, argv, capsys):
         # sizes past the allocation budget are input errors, not numpy tracebacks
         assert exit_code(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("lieforge: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["metric", "curvature"])
+    def test_huge_coordinates_exit_2_without_warnings(self, command, capsys):
+        # ad^2 and the domain's norm overflow; stderr carries only the error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exit_code([command, "--group", "su2", "--point=1e300,0,0"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("lieforge: ") and out.err.count("\n") == 1
