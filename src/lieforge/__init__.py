@@ -20,7 +20,6 @@ from .metric import (
     MetricField,
     MetricTensor,
     closed_form_metric_su2_euler,
-    closed_form_metric_su2_exp,
     exp_metric_field,
     isometry_residual,
     maurer_cartan,

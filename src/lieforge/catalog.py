@@ -34,7 +34,12 @@ class GroupSpec:
 
     @functools.cached_property
     def structure(self) -> np.ndarray:
-        """f[a, b, c] with [X_a, X_b] = sum_c f_abc X_c, computed on first use."""
+        """f[a, b, c] with [X_a, X_b] = sum_c f_abc X_c, computed on first use;
+        the build holds f and three complex (d, d, n, n) arrays at once, or one
+        of them and the complex (d, d, d) trace with its real part."""
+        d, n2 = self.dim, self.matrix_size ** 2
+        check_alloc(16 * d * d * max(3 * n2, n2 + 2 * d) + 8 * d ** 3,
+                    f"the {self.name} structure constants")
         x = self.generators
         comm = np.einsum("aij,bjk->abik", x, x) - np.einsum("bij,ajk->abik", x, x)
         # Tr(X_c^dag [X_a, X_b]) / (1/2)

@@ -1,14 +1,15 @@
-"""Levi-Civita curvature of a metric field from its jet g, dg, ddg.
+"""Levi-Civita curvature of a metric field from its ``metric.FrameJet``.
 
-Jets are batched: points (..., d) give g, dg, ddg with those leading axes.
-The exact ``jet`` of a field (exponential chart, sphere pullback) replaces
-the stencil below; for a black-box field one batched field call evaluates,
-with step h = 1e-3, the centre and the offsets {-2, -1, 1, 2} h along each
-axis e_a (dg, diagonal of ddg) and each diagonal e_a +- e_b, whose
-difference gives the mixed d_a d_b g by polarization (Fornberg 1988).
-Gamma and Ricci follow from traces of the jet, with no Riemann tensor and
-the sign fixed so the unit 2-sphere has Ric = +g.  ``einstein_check`` sends
-its samples in chunks sized against the allocation budget.
+A field's exact jet (exponential chart, sphere pullback) gives, at d^3
+memory per point, dg and the second derivatives contracted with g^-1 in an
+orthonormal frame where g is diagonal.  For a black-box field one batched
+field call evaluates, with step h = 1e-3, the centre and the offsets
+{-2, -1, 1, 2} h along each axis e_a (dg, diagonal of ddg) and each diagonal
+e_a +- e_b, whose difference gives the mixed d_a d_b g by polarization
+(Fornberg 1988); that ddg is contracted and turned into the eigenframe of g.
+Gamma and Ricci follow from traces in the frame, with no Riemann tensor and
+the sign fixed so the unit 2-sphere has Ric = +g.  ``einstein_check`` reads
+only frame-invariant norms and sends its samples in budget-sized chunks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import (ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, LieForgeError,
                      SingularityError, check_alloc)
-from .metric import MetricField
+from .metric import FrameJet, MetricField
 
 BASE_STEP = 1e-3
 # riemann_ricci rejects ||g||_1 ||g^-1||_1 above this; for symmetric g the
@@ -28,9 +29,9 @@ CURVATURE_CONDITION_LIMIT = 1e8
 SAMPLE_ATTEMPTS = 200
 # offsets along each stencil line, in units of the step
 _LINE = np.array([-2.0, -1.0, 1.0, 2.0])
-# samples per riemann_ricci call in einstein_check: as many d^4 floats (one
-# ddg each) as fit, at least one; larger chunks ran slower from d = 10 up
-CHUNK_BYTES = ALLOC_BUDGET_BYTES >> 12
+# samples per curvature call in einstein_check: as many d^3 floats (one per
+# sample) as fit, at least one; larger chunks ran slower from d = 28 up
+CHUNK_BYTES = ALLOC_BUDGET_BYTES >> 13
 
 
 def _require_inside(field: MetricField, pts: np.ndarray, message: str) -> None:
@@ -85,61 +86,78 @@ class CurvatureBundle:  # at points (..., d); every field keeps those leading ax
     point: np.ndarray
 
 
-def _inverse(g: np.ndarray) -> np.ndarray:
-    """g^-1 per matrix; inf where g is exactly singular (infinite condition)."""
-    try:
-        return np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        return np.full_like(g, np.inf) if g.ndim == 2 else np.stack([_inverse(x) for x in g])
+def _rotate(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_ijk q_ci q_aj q_bk t_ijk for 3-tensors t (m, d, d, d)."""
+    m, d = q.shape[:2]
+    return (q @ (q[:, None] @ t @ q.swapaxes(1, 2)[:, None]).reshape(m, d, d * d)).reshape(t.shape)
+
+
+def _stencil_jet(field: MetricField, points: np.ndarray, h: float) -> FrameJet:
+    """metric_jet's ddg contracted with g^-1 = Q diag(1 / lam) Q^T from one
+    eigh of g, and turned with dg into the eigenframe theta = Q theta'."""
+    (g, dg, ddg), (m, d) = metric_jet(field, points, h), points.shape
+    lam, q = np.linalg.eigh(g)
+    qt = q.swapaxes(1, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular g: the guard reports it
+        ginv = (q / lam[:, None]) @ qt
+        gvec = ginv.reshape(m, 1, d * d)
+        # g^cd d_x d_c g_dy (partials commute), g^cd d_c d_d g_xy, g^cd d_x d_y g_cd
+        mixed = (gvec[:, None] @ ddg.reshape(m, d, d * d, d)).reshape(m, d, d)
+        outer = (gvec @ ddg.reshape(m, d * d, d * d)).reshape(m, d, d)
+        inner = (ddg.reshape(m, d * d, d * d) @ gvec.reshape(m, d * d, 1)).reshape(m, d, d)
+        return FrameJet(g=g, g_inv=ginv, q=q, lam=lam, dg=_rotate(dg, qt), inner=qt @ inner @ q,
+                        outer=qt @ outer @ q, mixed=qt @ mixed @ q)
+
+
+def _frame_ricci(field: MetricField, points: np.ndarray,
+                 h: float) -> tuple[FrameJet, np.ndarray, np.ndarray, np.ndarray]:
+    """The jet at points (m, d), and Gamma, Ricci and R in its frame, where
+    g^-1 = diag(w), w = 1 / lam.  With A_y = g^-1 d_y g, Ricci is
+    d_c Gamma^c_xy - d_y Gamma^c_xc + Gamma^c_cq Gamma^q_xy - Gamma^c_yq Gamma^q_cx,
+    d_c Gamma^c_xy = g^cd (d_c Gamma_dxy - d_c g_dq Gamma^q_xy),
+    d_y Gamma^c_xc = (g^cd d_x d_y g_cd - tr(A_y A_x)) / 2, Gamma^c_cq = tr(A_q) / 2.
+    Raises SingularityError, naming the first point, where the chart g has
+    ||g||_1 ||g^-1||_1 > CURVATURE_CONDITION_LIMIT."""
+    if field.jet is None:
+        jet = _stencil_jet(field, points, h)
+    else:
+        _require_inside(field, points, "{0} is outside the safe domain of {1}")
+        jet = field.jet(points)
+    condition = np.abs(jet.g).sum(1).max(1) * np.abs(jet.g_inv).sum(1).max(1)
+    if not (condition <= CURVATURE_CONDITION_LIMIT).all():
+        i = np.argmin(condition <= CURVATURE_CONDITION_LIMIT)
+        worst = float(np.nan_to_num(condition[i], nan=np.inf))  # nan: g exactly singular
+        raise SingularityError(
+            f"metric condition {worst:.3e} exceeds {CURVATURE_CONDITION_LIMIT:.0e}",
+            condition=worst, point=points[i])
+    (m, d), dg, w = points.shape, jet.dg, 1.0 / jet.lam
+    t = dg.swapaxes(1, 2)  # Gamma_dab = (d_a g_db + d_b g_da - d_d g_ab) / 2, then w_d
+    gam = (0.5 * w[:, :, None, None]) * (t + t.swapaxes(2, 3) - dg)
+    flat = dg.reshape(m, d, d * d)
+    tr_aa = (flat * (w[:, :, None] * w[:, None]).reshape(m, 1, d * d)) @ flat.swapaxes(1, 2)
+    # (Gamma^c_cq - g^cd d_c g_dq) Gamma^q_xy
+    v = (0.5 * dg.diagonal(0, 2, 3) - dg.diagonal(0, 1, 2)) @ w[:, :, None]
+    swapped = gam.swapaxes(1, 2)                                 # [y, c, q] = Gamma^c_yq
+    quad = swapped.reshape(m, d, d * d) @ swapped.reshape(m, d * d, d)
+    ric = (0.5 * (jet.mixed + jet.mixed.swapaxes(1, 2) - jet.outer - jet.inner + tr_aa) - quad
+           + (v.swapaxes(1, 2) @ gam.reshape(m, d, d * d)).reshape(m, d, d))
+    return jet, gam, ric, (ric.diagonal(0, 1, 2) * w).sum(1)
 
 
 def riemann_ricci(field: MetricField, points: np.ndarray,
                   h: float = BASE_STEP) -> CurvatureBundle:
-    """Gamma, Ricci and R at points (..., d) from one call of the field's jet
-    (metric_jet when it has none).  With A_y = g^-1 d_y g, Ricci is
-    d_c Gamma^c_xy - d_y Gamma^c_xc + Gamma^c_cq Gamma^q_xy - Gamma^c_yq Gamma^q_cx,
-    d_c Gamma^c_xy = g^cd (d_c Gamma_dxy - d_c g_dq Gamma^q_xy),
-    d_y Gamma^c_xc = (g^cd d_x d_y g_cd - tr(A_y A_x)) / 2, Gamma^c_cq = tr(A_q) / 2:
-    d^4 work per point and no d^4 array beyond ddg.  Raises DomainError for
-    a point outside a jet field's domain (a stencil checks its own rows) and
-    SingularityError where ||g||_1 ||g^-1||_1 > CURVATURE_CONDITION_LIMIT,
-    naming the first such point.
-    """
+    """Gamma, Ricci and R in chart coordinates at points (..., d) from one
+    call of the field's jet (the stencil when it has none).  Raises
+    DomainError for a point outside a jet field's domain (a stencil checks
+    its own rows) and SingularityError as ``_frame_ricci`` does."""
     points = np.asarray(points, dtype=float)
     lead, flat = points.shape[:-1], points.reshape(-1, points.shape[-1])
-    if field.jet is None:
-        g, dg, ddg = metric_jet(field, flat, h)
-    else:
-        _require_inside(field, flat, "{0} is outside the safe domain of {1}")
-        g, dg, ddg = field.jet(flat)
-    m, d = flat.shape
-    ginv = _inverse(g)
-    condition = np.abs(g).sum(1).max(1) * np.abs(ginv).sum(1).max(1)
-    fine = condition <= CURVATURE_CONDITION_LIMIT
-    if not fine.all():
-        i = np.argmin(fine)
-        raise SingularityError(
-            f"metric condition {condition[i]:.3e} exceeds {CURVATURE_CONDITION_LIMIT:.0e}",
-            condition=float(condition[i]), point=flat[i])
-    t = dg.swapaxes(1, 2)  # Gamma_dab = (d_a g_db + d_b g_da - d_d g_ab) / 2, then g^cd
-    gam = (ginv @ (0.5 * (t + t.swapaxes(2, 3) - dg)).reshape(m, d, d * d)).reshape(m, d, d, d)
-    gvec = ginv.reshape(m, 1, d * d)
-    a = ginv[:, None] @ dg                                           # [y] = A_y
-    tr_aa = a.reshape(m, d, d * d) @ a.swapaxes(2, 3).reshape(m, d, d * d).transpose(0, 2, 1)
-    # g^cd d_x d_c g_dy (partials commute), g^cd d_c d_d g_xy, g^cd d_x d_y g_cd
-    mixed = (gvec[:, None] @ ddg.reshape(m, d, d * d, d)).reshape(m, d, d)
-    outer = (gvec @ ddg.reshape(m, d * d, d * d)).reshape(m, d, d)
-    inner = (ddg.reshape(m, d * d, d * d) @ gvec.reshape(m, d * d, 1)).reshape(m, d, d)
-    # (Gamma^c_cq - g^cd d_c g_dq) Gamma^q_xy
-    w = 0.5 * a.diagonal(0, 2, 3).sum(2) - (gvec @ dg.reshape(m, d * d, d)).reshape(m, d)
-    swapped = gam.swapaxes(1, 2)                                 # [y, c, q] = Gamma^c_yq
-    quad = swapped.reshape(m, d, d * d) @ swapped.reshape(m, d * d, d)
-    ric = (0.5 * (mixed + mixed.swapaxes(1, 2) - outer - inner + tr_aa) - quad
-           + (w[:, None] @ gam.reshape(m, d, d * d)).reshape(m, d, d))
-    scalar = (gvec @ ric.reshape(m, d * d, 1)).reshape(lead)
-    return CurvatureBundle(gamma=gam.reshape(lead + (d, d, d)), ricci=ric.reshape(lead + (d, d)),
+    jet, gam, ric, scalar = _frame_ricci(field, flat, h)
+    d, q, scalar = flat.shape[1], jet.q, scalar.reshape(lead)
+    return CurvatureBundle(gamma=_rotate(gam, q).reshape(lead + (d, d, d)),
+                           ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
                            scalar=scalar if lead else float(scalar),
-                           metric=g.reshape(lead + (d, d)), point=points)
+                           metric=jet.g.reshape(lead + (d, d)), point=points)
 
 
 def christoffel(field: MetricField, point: np.ndarray, h: float = BASE_STEP) -> np.ndarray:
@@ -190,38 +208,42 @@ def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
 
 def einstein_check(field: MetricField, points: np.ndarray, tol: float,
                    h: float = BASE_STEP) -> EinsteinVerdict:
-    """Test R_ab = 2 Lambda g_ab over a sample of points, given to riemann_ricci
-    in chunks of CHUNK_BYTES; a failing chunk is rerun point by point to name
-    its first failing sample.  Lambda is estimated per sample as R / (2 d) and
-    averaged; the residual is the worst relative Frobenius deviation of Ric
-    from 2 Lambda g.  The Lambda-term field equation is checked with
-    Lambda_field = Lambda (d - 2), which is degenerate (identically zero) for
-    d = 2 and is then reported but excluded from pass/fail.
+    """Test R_ab = 2 Lambda g_ab over a sample of points, in the frames of their
+    jets, in chunks of CHUNK_BYTES; a failing chunk is rerun point by point to
+    name its first failing sample.  Lambda is estimated per sample as
+    R / (2 d) and averaged; the residual is the worst relative Frobenius
+    deviation of Ric from 2 Lambda g.  The Lambda-term field equation is
+    checked with Lambda_field = Lambda (d - 2), which is degenerate
+    (identically zero) for d = 2 and is then reported but excluded from
+    pass/fail.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) < 1:
         raise InvalidInputError("einstein check needs at least one sample point")
     d, parts = field.dim, []
-    step = max(1, CHUNK_BYTES // (8 * d ** 4))
+    step = max(1, CHUNK_BYTES // (8 * d ** 3))
     for chunk in (points[i:i + step] for i in range(0, len(points), step)):
         try:
-            b = riemann_ricci(field, chunk, h)
+            jet, _, ric, scalar = _frame_ricci(field, chunk, h)
         except (SingularityError, DomainError):
             for p in chunk:
                 try:
-                    riemann_ricci(field, p, h)
+                    _frame_ricci(field, p[None], h)
                 except (SingularityError, DomainError) as exc:
                     return EinsteinVerdict.failed(len(points), tol, f"sample {p} failed: {exc}")
             raise
-        parts.append((b.ricci, b.metric, b.scalar))
-    ric, g, scalar = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        parts.append((ric, jet.lam, scalar))
+    ric, g_eig, scalar = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     lambdas = scalar / (2.0 * d)
     lam = float(lambdas.sum()) / len(lambdas)
-    # ||Ric - s g||_F / ||g||_F per sample, s = 2 Lambda and R / 2 - Lambda (d - 2)
+    # ||Ric - s g||_F / ||g||_F per sample in the jet's frame, g = diag(g_eig),
+    # s = 2 Lambda and R / 2 - Lambda (d - 2); an expanded square loses digits
     shift = np.empty((2, len(lambdas), 1, 1))
     shift[0], shift[1, :, 0, 0] = 2.0 * lam, 0.5 * scalar - lam * (d - 2)
+    g = np.zeros(ric.shape)
+    g.reshape(len(g), d * d)[:, ::d + 1] = g_eig
     r = ric - shift * g
-    ratio = np.einsum("kmab,kmab->km", r, r) / np.einsum("mab,mab->m", g, g)
+    ratio = np.einsum("kmab,kmab->km", r, r) / np.einsum("ma,ma->m", g_eig, g_eig)
     residual, field_residual = np.sqrt(ratio.max(axis=1)).tolist()
     failure = None
     if not residual < tol:

@@ -93,15 +93,18 @@ def psi_divided_differences(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where the mu coincide, with no branch and no sorting.
     """
     mu = np.asarray(mu, dtype=float)
-    low = float(np.min(mu, initial=0.0))
+    low = float(mu.min(initial=0.0))
     if not low >= PSI_SERIES_MIN:
         raise NumericRangeError(
             f"divided differences of psi need eigenvalues >= {PSI_SERIES_MIN:.4f}, got {low:.4g}")
-    n = _PSI_TERMS
-    v = mu[..., None] ** _POWERS  # [..., i, p]
+    n, d = _PSI_TERMS, mu.shape[-1]
+    v = np.empty(mu.shape + (n,))  # [..., i, p] = mu_i^p
+    v[..., 0], v[..., 1:] = 1.0, mu[..., None]
+    np.cumprod(v, axis=-1, out=v)
     vt = np.swapaxes(v, -1, -2)
     d1 = v @ _PSI_H1 @ vt
-    t = (v @ _PSI_H2).reshape(v.shape[:-1] + (n, n)) @ vt[..., None, :, :]  # [..., i, q, j]
+    t = (v @ _PSI_H2).reshape(mu.shape[:-1] + (d * n, n)) @ vt
+    t = t.reshape(v.shape + (d,))  # [..., i, q, j]
     return 0.5 * (d1 + np.swapaxes(d1, -1, -2)), v[..., None, :, :] @ t
 
 

@@ -6,18 +6,17 @@ A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
 orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
 psi(x) = (cosh(sqrt x) - 1) / x, and the metric is psi of ad_A^2 in real
 d x d arithmetic on the adjoint representation.  The metric and, for
-curvature, its exact first and second derivatives (``exp_metric_jet``) come
-from one batched eigendecomposition of ad^2.  The Euler chart goes through
-U^dag dU, as U^dag = U^{-1} on SU(2).  The module also carries the closed-form SU(2) metrics for
-both charts, which serve as independent oracles for the numeric pipeline,
-and the Euler-chart isometry residuals.
+curvature, its exact jet in the eigenframe of ad^2 (``exp_metric_jet``)
+come from one batched eigendecomposition of ad^2.  The Euler chart goes
+through U^dag dU, as U^dag = U^{-1} on SU(2).  The module also carries the
+closed-form SU(2) Euler-chart metric and the Euler-chart isometry residuals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .catalog import GRAM_CONSTANT, GroupSpec, make_group
 from .charts import (  # exp_chart_batch stays importable from here for callers
     ChartPoint,
     FrameEvaluation,
-    EXP_SU2_NORM_MAX,
     SafeDomain,
     euler_chart_batch,
     exp_chart_batch,
@@ -37,9 +35,10 @@ from .kernel import mat_inverse, psi, psi_divided_differences
 
 METRIC_CONDITION_LIMIT = 1e10
 _IMAG_TOL = 1e-8
-# d^4 float arrays per point that exp_metric_jet holds at once (y, s, m and
-# the ddg temporaries): tracemalloc peaks at 5.2-5.5 of them from su4 up
-JET_PEAK_D4_ARRAYS = 6
+# d^3 float arrays per point that a curvature jet and the traces read from it
+# hold at once: tracemalloc peaks at 11.2-15.2 of them from su3 up
+JET_PEAK_D3_ARRAYS = 16
+_SIGMA = np.array([-2.0, 2.0])[:, None, None]  # exp_metric_jet's sigma_s, times 2
 
 
 @dataclass(frozen=True)
@@ -74,22 +73,37 @@ class MetricTensor:
     condition: float
 
 
+class FrameJet(NamedTuple):
+    """What Ricci by traces reads at points (m, d), in the orthonormal frame
+    theta = Q theta' where g' = diag(lam): dg[m, e, a, b] = d'_e g'_ab and,
+    with w = 1 / lam, inner_xy = sum_c w_c d'_x d'_y g'_cc, outer_xy =
+    sum_c w_c d'_c d'_c g'_xy and mixed_xy = sum_c w_c d'_x d'_c g'_cy; g and
+    g_inv = Q diag(w) Q^T are in chart coordinates, for the condition guard."""
+    g: np.ndarray
+    g_inv: np.ndarray
+    q: np.ndarray
+    lam: np.ndarray
+    dg: np.ndarray
+    inner: np.ndarray
+    outer: np.ndarray
+    mixed: np.ndarray
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Batch-evaluable metric over one chart: points (m, d) -> metrics (m, d, d).
 
     ``domain`` is where the field may be evaluated and sampled: its box is the
     sampling box and its ``contains`` guards every finite-difference stencil
-    and every jet.  ``jet``, when set, gives the exact (g, dg, ddg) at points
-    (..., d) in ``curvature.metric_jet``'s layout, and curvature uses it in
-    place of the stencil.
+    and every jet.  ``jet``, when set, gives the exact ``FrameJet`` at points
+    (m, d), and curvature uses it in place of the stencil.
     """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     domain: SafeDomain
     name: str = "field"
-    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+    jet: Callable[[np.ndarray], FrameJet] | None = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.func(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -165,41 +179,51 @@ def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarra
     return _exp_metric(spec, np.asarray(thetas, dtype=float), k)[3]
 
 
-def exp_metric_jet(spec: GroupSpec, theta: np.ndarray,
-                   k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g, dg[..., e, a, b] = d_e g_ab and ddg[..., e, f, a, b] = d_e d_f g_ab
-    of the exponential-chart metric at points (..., d), exact; g is
-    ``exp_metric_batch``'s value.
+def exp_metric_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
+    """The exact ``FrameJet`` at points (..., d), flattened, in the frame Q of
+    X = ad^2 = Q diag(mu) Q^T: lam = 2 kappa psi(mu), kappa = k GRAM_CONSTANT.
 
-    With F_c = spec.structure[c] and ad = theta^c F_c, X = ad^2 =
-    Q diag(mu) Q^T has d_a X = F_a ad + ad F_a and d_a d_b X = F_a F_b +
-    F_b F_a.  In the eigenbasis, with Xdot_a = Q^T d_a X Q and F'_c = Q^T F_c Q
-    (Daleckii & Krein 1965; Higham 2008, Functions of Matrices, section 3.2):
-    d_a psi(X) = Q (D1 o Xdot_a) Q^T and
-    d_a d_b psi(X) = Q [M_ab + M_ba] Q^T, M_ab = D1 o F'_a F'_b + S_ab,
-    S_ab,ij = sum_k D2_ikj Xdot_a,ik Xdot_b,kj, where D1 and D2 are the first
-    and second divided differences of psi on mu; a batch shares one eigh.
-    Raises NumericRangeError where mu leaves their range [PSI_SERIES_MIN, 0].
+    With F_c = spec.structure[c], stack U[0, e] = F~_e = Q^T (sum_c Q_ce F_c) Q
+    (skew) and U[1, e] = Xdot'_e = F~_e ad' + ad' F~_e (symmetric), ad' =
+    Q^T ad Q, and K[0, i, k, j] = D1_ij, K[1, i, k, j] = D2_ikj, psi's divided
+    differences on mu (Daleckii & Krein 1965; Higham 2008, section 3.2).
+    Then d'_e g' = 2 kappa D1 o Xdot'_e, d'_e d'_f g' = 2 kappa (M_ef + M_fe)
+    with M_ef,ij = sum_{s,k} K_s,ikj U_s,e,ik U_s,f,kj, and with sigma =
+    (-1, 1): inner = 4 kappa sum_{s,c,k} sigma_s w_c K_s,ckc U_s,x,ck U_s,y,ck,
+    outer = 4 kappa sum_{s,k} K_s,xky T_s,k,xy for T_s,k = sum_c w_c
+    U_s,c[:, k] (x) U_s,c[k, :], and mixed = 2 kappa [U (w K U) + sum_{s,k}
+    U_s,x,ky H_s,ky] for H_s,ky = sum_c w_c U_s,c,ck K_s,cky.  Arrays are d^3
+    per point.  Raises NumericRangeError where mu leaves [PSI_SERIES_MIN, 0].
     """
     theta, d = np.asarray(theta, dtype=float), spec.dim
-    lead = theta.shape[:-1]
-    check_alloc(8 * JET_PEAK_D4_ARRAYS * math.prod(lead) * d ** 4,
-                f"the {spec.name} second-derivative jet")
+    check_alloc(8 * JET_PEAK_D3_ARRAYS * math.prod(theta.shape[:-1]) * d ** 3,
+                f"the {spec.name} curvature jet")
     ad, mu, q, g = _exp_metric(spec, theta, k)
     d1, d2 = psi_divided_differences(mu)
-    f, qt = spec.structure, q.swapaxes(1, 2)
-    fq = qt[:, None] @ f @ q[:, None]           # [m, c] = F'_c
-    adq = (qt @ ad @ q)[:, None]
-    xdot = fq @ adq + adq @ fq                  # [m, a] = Xdot_a
-    # S[a, b, i, j] = sum_k (Xdot_a,ik D2_ikj) Xdot_b,kj, batched over (i, j)
-    y = xdot[:, :, :, None, :] * d2.swapaxes(2, 3)[:, None]               # [m, a, i, j, k]
-    s = y.transpose(0, 2, 3, 1, 4) @ xdot.transpose(0, 3, 2, 1)[:, None]  # [m, i, j, a, b]
-    m = d1[:, None, None] * (fq[:, :, None] @ fq[:, None, :]) + s.transpose(0, 3, 4, 1, 2)
-    dpsi = q[:, None] @ (d1[:, None] * xdot) @ qt[:, None]
-    ddpsi = q[:, None, None] @ (m + m.swapaxes(1, 2)) @ qt[:, None, None]
-    dg, ddg = ((k * GRAM_CONSTANT * (p + p.swapaxes(-1, -2))).reshape(lead + p.shape[1:])
-               for p in (dpsi, ddpsi))
-    return g.reshape(lead + (d, d)), dg, ddg
+    m, c2, qt = len(q), 2.0 * k * GRAM_CONSTANT, q.swapaxes(1, 2)
+    p = psi(mu)
+    wp = 1.0 / p                                  # 2 kappa w
+    u = np.empty((m, 2, d, d, d))                 # [m, s, e, i, j]
+    fe = (qt @ spec.structure.reshape(d, d * d)).reshape(m, d, d, d)
+    np.matmul(qt[:, None], fe @ q[:, None], out=u[:, 0])
+    fa = u[:, 0] @ (qt @ ad @ q)[:, None]         # F~_e ad', and ad' F~_e is its transpose
+    np.add(fa, fa.swapaxes(2, 3), out=u[:, 1])
+    kern = np.empty((m, 2, d, d, d))              # [m, s, i, k, j]
+    kern[:, 0] = d1[:, :, None, :]
+    kern[:, 1] = d2
+    ws = wp[:, None, None, :] * _SIGMA            # [m, s, 1, c] = 4 kappa sigma_s w_c
+    us = u.reshape(m, 2, d, d * d)
+    # K_s,ckc as [s, k, c]: U_s,x is skew or symmetric, so U_s,x,ck U_s,y,ck
+    # summed against it equals the sum against [s, c, k]
+    wdiag = (ws * kern.diagonal(0, 2, 4)).reshape(m, 2, 1, d * d)
+    inner = ((us * wdiag) @ us.swapaxes(2, 3)).sum(1)
+    col = u.transpose(0, 1, 4, 2, 3)              # [m, s, k, c, x] = U_s,c,xk
+    outer = (kern.swapaxes(2, 3) * ((col * ws[..., None]).swapaxes(3, 4) @ col)).sum((1, 2))
+    wk = wp[:, None, :, None, None] * kern        # [m, s, c, k, y] = 2 kappa w_c K_s,cky
+    hs = u.diagonal(0, 2, 3)[..., None, :] @ wk.swapaxes(2, 3)  # [m, s, k, 1, y] = 2 kappa H
+    mixed = (us @ (wk * u).reshape(m, 2, d * d, d)).sum(1) + (u * hs.swapaxes(2, 3)).sum((1, 3))
+    return FrameJet(g=g, g_inv=(q * (wp / c2)[:, None]) @ qt, q=q, lam=c2 * p,
+                    dg=(c2 * d1)[:, None] * u[:, 1], inner=inner, outer=outer, mixed=mixed)
 
 
 def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.ndarray:
@@ -235,71 +259,8 @@ def metric(cfg: MetricConfig, point: ChartPoint) -> MetricTensor:
 
 
 # ---------------------------------------------------------------------------
-# closed-form SU(2) oracles
+# closed-form SU(2) Euler-chart metric and its isometries
 # ---------------------------------------------------------------------------
-
-def _radial_coeff(t: float) -> float:
-    """A(t) = 4 sin^2(t/2) / t^2, Taylor-expanded near t = 0."""
-    if t < 1e-4:
-        t2 = t * t
-        return 1.0 - t2 / 12.0 + t2 * t2 / 360.0 - t2 * t2 * t2 / 20160.0
-    s = np.sin(0.5 * t)
-    return 4.0 * s * s / (t * t)
-
-
-def closed_form_metric_su2_exp(theta: np.ndarray) -> MetricTensor:
-    """Printed exponential-chart metric and its printed inverse."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (3,):
-        raise InvalidInputError("su2 exp chart takes 3 coordinates")
-    t = float(np.linalg.norm(theta))
-    if t >= EXP_SU2_NORM_MAX:
-        raise SingularityError(
-            f"|theta| = {t:.6f} is at or beyond the chart degeneracy at 2*pi",
-            point=theta,
-        )
-    eye = np.eye(3)
-    if t < 1e-12:
-        g = eye.copy()
-        g_inv = eye.copy()
-    else:
-        proj = np.outer(theta, theta) / (t * t)
-        a = _radial_coeff(t)
-        g = a * eye + (1.0 - a) * proj
-        g_inv = (1.0 / a) * eye + (1.0 - 1.0 / a) * proj
-    point = ChartPoint("exp", theta, make_group("su", 2))
-    return MetricTensor(g=g, g_inv=g_inv, point=point,
-                        condition=float(np.linalg.cond(g)))
-
-
-def closed_form_su2_exp_metric_derivative(theta: np.ndarray) -> np.ndarray:
-    """Analytic d_c g_ab of the printed exponential-chart metric.
-
-    Written as g_ab = p_ab + h(t) (t^2 d_ab - t_a t_b) with p the radial
-    projector and h(t) = 2 (1 - cos t) / t^4; returns array [c, a, b].
-    """
-    theta = np.asarray(theta, dtype=float)
-    t = float(np.linalg.norm(theta))
-    if t < 1e-3:
-        raise InvalidInputError("analytic derivative needs |theta| away from 0")
-    eye = np.eye(3)
-    t2 = t * t
-    h = 2.0 * (1.0 - np.cos(t)) / (t2 * t2)
-    hp = 2.0 * np.sin(t) / (t2 * t2) - 8.0 * (1.0 - np.cos(t)) / (t2 * t2 * t)
-    outer = np.outer(theta, theta)
-    d = np.empty((3, 3, 3))
-    for c in range(3):
-        dproj = np.zeros((3, 3))
-        dproj[c, :] += theta
-        dproj[:, c] += theta
-        d[c] = (
-            dproj / t2
-            - 2.0 * outer * theta[c] / (t2 * t2)
-            + hp * (theta[c] / t) * (t2 * eye - outer)
-            + h * (2.0 * theta[c] * eye - dproj)
-        )
-    return d
-
 
 def closed_form_metric_su2_euler(theta: float, phi: float, psi: float) -> MetricTensor:
     """Printed Euler-chart metric (coordinates ordered theta, phi, psi)."""

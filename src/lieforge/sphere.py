@@ -4,9 +4,9 @@ The hyperspherical parametrization is fixed so that for N = 3 it reads
 x = (sin t1 cos t2, sin t1 sin t2, cos t1); the tangent-frame Jacobian
 B_{i,a} = dx_i / dtheta^a comes from the kernel's dual scalar stacks and the
 induced metric is g_ab = sum_i B_{i,a} B_{i,b}.  That pullback is diagonal,
-g_aa = prod_{b<a} sin^2 t_b, and the field's exact jet for curvature comes
-from this closed form, broadcast over a batch of points; the embedding stays
-its value oracle.
+g_aa = prod_{b<a} sin^2 t_b, and the field's exact curvature jet comes from
+this closed form in the chart's own frame, batched over points; the
+embedding stays its value oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .charts import SafeDomain
 from .curvature import einstein_check, sample_safe_points
 from .errors import InvalidInputError, SingularityError, check_alloc
 from .kernel import dual_mul
-from .metric import MetricField, MetricTensor, _finish
+from .metric import JET_PEAK_D3_ARRAYS, FrameJet, MetricField, MetricTensor, _finish
 
 POLE_MARGIN = 1e-6
 
@@ -89,25 +89,33 @@ def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     return _finish(sphere_metric_field(n_ambient)(theta)[0], None)
 
 
-def sphere_metric_jet(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact g, dg[..., c, a, b] = d_c g_ab and ddg[..., c, e, a, b] of the
-    pullback metric at points (..., d), from g_aa = prod_{b<a} sin^2 t_b:
-    d_c log g_aa = 2 cot t_c [c < a] and d_c d_e log g_aa = -2 csc^2 t_c
-    [c = e < a].  Only the polar angles (all but the last) enter.
+def sphere_metric_jet(theta: np.ndarray) -> FrameJet:
+    """Exact ``FrameJet`` of the pullback at points (m, d) in the chart's own
+    frame: g = diag(lam), lam_a = prod_{b<a} sin^2 t_b, d_c log lam_a =
+    2 cot t_c [c < a] and hess_cea = d_c d_e lam_a / lam_a = d_c log lam_a
+    d_e log lam_a - 2 csc^2 t_c [c = e < a] give inner_xy = sum_a hess_xya,
+    outer_xx = lam_x sum_c hess_ccx / lam_c and mixed = 0, as d_y lam_y = 0.
     """
-    t = np.asarray(theta, dtype=float)
-    d, ar = t.shape[-1], np.arange(t.shape[-1])
-    sin = np.sin(t[..., :-1])
-    diag = np.concatenate([np.ones(t.shape[:-1] + (1,)), np.cumprod(sin * sin, axis=-1)], axis=-1)
-    below = np.triu(np.ones((d, d)), 1)[:-1]                 # [c, a] = [c < a], c polar
-    dlog = np.zeros(t.shape + (d,))
-    dlog[..., :-1, :] = (2.0 * np.cos(t[..., :-1]) / sin)[..., None] * below
-    hess = dlog[..., :, None, :] * dlog[..., None, :, :]      # [c, e, a]
-    hess[..., ar[:-1], ar[:-1], :] -= (2.0 / (sin * sin))[..., None] * below
-    jet = tuple(np.zeros(t.shape + (d,) * k) for k in (1, 2, 3))
-    for out, diagonal in zip(jet, (diag, diag[..., None, :] * dlog, diag[..., None, None, :] * hess)):
-        out[..., ar, ar] = diagonal
-    return jet
+    t = np.atleast_2d(np.asarray(theta, dtype=float))
+    (m, d), ar = t.shape, np.arange(t.shape[-1])
+    check_alloc(8 * JET_PEAK_D3_ARRAYS * m * d ** 3, f"the S^{d} curvature jet")
+    sin = np.sin(t[:, :-1])
+    lam = np.concatenate([np.ones((m, 1)), np.cumprod(sin * sin, axis=-1)], axis=-1)
+    below = np.triu(np.ones((d, d)), 1)[:-1]                  # [c, a] = [c < a], c polar
+    dlog = np.zeros((m, d, d))
+    dlog[:, :-1] = (2.0 * np.cos(t[:, :-1]) / sin)[..., None] * below
+    csc2 = np.zeros((m, d, d))                                # [c, a] = 2 csc^2 t_c [c < a]
+    csc2[:, :-1] = (2.0 / (sin * sin))[..., None] * below
+    w = 1.0 / lam
+    g, g_inv, outer = np.zeros((3, m, d, d))
+    g[:, ar, ar], g_inv[:, ar, ar] = lam, w
+    outer[:, ar, ar] = lam * (w[:, None] @ (dlog * dlog - csc2))[:, 0]
+    inner = dlog @ dlog.swapaxes(1, 2)
+    inner[:, ar, ar] -= csc2.sum(2)
+    dg = np.zeros((m, d, d, d))
+    dg[:, :, ar, ar] = lam[:, None] * dlog
+    return FrameJet(g=g, g_inv=g_inv, q=np.broadcast_to(np.eye(d), (m, d, d)), lam=lam, dg=dg,
+                    inner=inner, outer=outer, mixed=np.zeros((m, d, d)))
 
 
 def sphere_metric_field(n_ambient: int) -> MetricField:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lieforge.catalog import make_group
+from lieforge.charts import safe_domain
 from lieforge.curvature import metric_jet
 from lieforge.errors import InvalidInputError, NumericRangeError
 from lieforge.kernel import PAULI
@@ -91,14 +92,15 @@ def phim(m):
     return p
 
 
-def riemann_tensor(field, point):
+def riemann_tensor(field, point, jet=None):
     """Oracle R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac + Gamma^d_ae Gamma^e_bc
-    - Gamma^d_be Gamma^e_ac at one point, from the field's jet (the stencil
-    when it has none), with d_e Gamma^c_ab = g^cd (d_e Gamma_dab -
-    d_e g_dq Gamma^q_ab).  Its contraction R^c_acb is the Ricci tensor that
-    production forms from traces without this d^4 array."""
+    - Gamma^d_be Gamma^e_ac at one point, from ``jet`` (a full (g, dg, ddg)
+    jet such as ``oracles.exp_full_jet``; the stencil when it is None), with
+    d_e Gamma^c_ab = g^cd (d_e Gamma_dab - d_e g_dq Gamma^q_ab).  Its
+    contraction R^c_acb is the Ricci tensor that production forms from
+    traces without this d^4 array."""
     point = np.asarray(point, dtype=float)
-    g, dg, ddg = metric_jet(field, point) if field.jet is None else field.jet(point)
+    g, dg, ddg = metric_jet(field, point) if jet is None else jet(point)
     d = len(g)
     ginv = np.linalg.inv(g)
 
@@ -114,3 +116,14 @@ def riemann_tensor(field, point):
     q1 = np.einsum("dae,ebc->dcab", gam, gam)
     q2 = np.einsum("dbe,eac->dcab", gam, gam)
     return t1 - t2 + q1 - q2
+
+
+def jet_points(spec):
+    """Sampled points, the origin, a generator axis and a point 1e-9 off it."""
+    dom = safe_domain(spec, "exp")
+    axis = np.zeros(spec.dim)
+    axis[0] = 0.8 * dom.hi[0]
+    off = axis.copy()
+    off[-1] = 1e-9
+    rng = np.random.default_rng(35)
+    return np.vstack([rng.uniform(dom.lo, dom.hi, (3, spec.dim)), np.zeros(spec.dim), axis, off])

@@ -1,0 +1,176 @@
+"""Test oracles: full second-derivative jets and chart-coordinate Ricci for
+the contracted frame jets that curvature reads in production, and the
+printed closed-form SU(2) exponential-chart metric with its derivative.
+
+``exp_full_jet`` and ``sphere_full_jet`` give (g, dg, ddg) with the whole
+d^4 ``ddg``; ``frame_contractions`` contracts that ``ddg`` with g^-1 and
+turns the result into a frame jet's eigenframe, and ``chart_view`` turns a
+frame jet back into chart coordinates; ``chart_ricci`` is Ricci by traces
+in chart coordinates, with ``np.linalg.inv``.
+"""
+
+import numpy as np
+
+from lieforge.catalog import GRAM_CONSTANT, make_group
+from lieforge.charts import EXP_SU2_NORM_MAX, ChartPoint
+from lieforge.errors import InvalidInputError, SingularityError
+from lieforge.kernel import psi_divided_differences
+from lieforge.metric import MetricTensor, _exp_metric
+
+
+def exp_full_jet(spec, theta, k):
+    """g, dg[e, a, b] = d_e g_ab and ddg[e, f, a, b] = d_e d_f g_ab of the
+    exponential-chart metric at one point, exact.
+
+    With F_c = spec.structure[c] and ad = theta^c F_c, X = ad^2 =
+    Q diag(mu) Q^T has d_a X = F_a ad + ad F_a and d_a d_b X = F_a F_b +
+    F_b F_a.  In the eigenbasis, with Xdot_a = Q^T d_a X Q and F'_c = Q^T F_c Q
+    (Daleckii & Krein 1965; Higham 2008, Functions of Matrices, section 3.2):
+    d_a psi(X) = Q (D1 o Xdot_a) Q^T and
+    d_a d_b psi(X) = Q [M_ab + M_ba] Q^T, M_ab = D1 o F'_a F'_b + S_ab,
+    S_ab,ij = sum_k D2_ikj Xdot_a,ik Xdot_b,kj, where D1 and D2 are the first
+    and second divided differences of psi on mu.  D1 and D2 are symmetric,
+    F' skew and Xdot symmetric, so M_ba = M_ab^T; ddg is built a few rows a
+    at a time, which keeps the temporaries near d^3.
+    """
+    theta, d = np.asarray(theta, dtype=float), spec.dim
+    ad, mu, q, g = (x[0] for x in _exp_metric(spec, theta, k))
+    d1, d2 = psi_divided_differences(mu)
+    fq = q.T @ spec.structure @ q               # [c] = F'_c
+    adq = q.T @ ad @ q
+    xdot = fq @ adq + adq @ fq                  # [a] = Xdot_a
+    kappa = k * GRAM_CONSTANT
+
+    def symmetric(p):  # exactly symmetric in the last two axes
+        return kappa * (p + p.swapaxes(-1, -2))
+
+    dg = symmetric(q @ (d1 * xdot) @ q.T)
+    ddg = np.empty((d, d, d, d))
+    xt = xdot.transpose(2, 1, 0)                # [j, k, b]
+    for a in np.array_split(np.arange(d), max(1, d // 8)):
+        y = (xdot[a][..., None] * d2).transpose(3, 0, 1, 2).reshape(d, len(a) * d, d)  # [j, ai, k]
+        s = (y @ xt).reshape(d, len(a), d, d).transpose(1, 3, 2, 0)                  # [a, b, i, j]
+        m = d1 * (fq[a][:, None] @ fq) + s
+        ddg[a] = symmetric(q @ (m + m.swapaxes(2, 3)) @ q.T)
+    return g, dg, ddg
+
+
+def sphere_full_jet(theta):
+    """Exact g, dg[..., c, a, b] = d_c g_ab and ddg[..., c, e, a, b] of the
+    hyperspherical pullback metric at points (..., d), from
+    g_aa = prod_{b<a} sin^2 t_b: d_c log g_aa = 2 cot t_c [c < a] and
+    d_c d_e log g_aa = -2 csc^2 t_c [c = e < a]."""
+    t = np.asarray(theta, dtype=float)
+    d, ar = t.shape[-1], np.arange(t.shape[-1])
+    sin = np.sin(t[..., :-1])
+    diag = np.concatenate([np.ones(t.shape[:-1] + (1,)), np.cumprod(sin * sin, axis=-1)], axis=-1)
+    below = np.triu(np.ones((d, d)), 1)[:-1]
+    dlog = np.zeros(t.shape + (d,))
+    dlog[..., :-1, :] = (2.0 * np.cos(t[..., :-1]) / sin)[..., None] * below
+    hess = dlog[..., :, None, :] * dlog[..., None, :, :]
+    hess[..., ar[:-1], ar[:-1], :] -= (2.0 / (sin * sin))[..., None] * below
+    jet = tuple(np.zeros(t.shape + (d,) * k) for k in (1, 2, 3))
+    for out, diagonal in zip(jet, (diag, diag[..., None, :] * dlog, diag[..., None, None, :] * hess)):
+        out[..., ar, ar] = diagonal
+    return jet
+
+
+def frame_contractions(g, dg, ddg, q):
+    """dg, inner, outer and mixed of a full jet at one point, contracted with
+    g^-1 = inv(g) in chart coordinates and then turned into the frame
+    theta = Q theta' of the columns of ``q``."""
+    ginv = np.linalg.inv(g)
+    inner = np.einsum("cd,xycd->xy", ginv, ddg)
+    outer = np.einsum("cd,cdxy->xy", ginv, ddg)
+    mixed = np.einsum("cd,xcdy->xy", ginv, ddg)
+    dg_frame = np.einsum("ce,cab->eab", q, q.T @ dg @ q)
+    return (dg_frame,) + tuple(q.T @ t @ q for t in (inner, outer, mixed))
+
+
+def chart_ricci(g, dg, ddg):
+    """Ricci at one point from a full jet, by the trace formula in chart
+    coordinates: with A_y = g^-1 d_y g, Ric_xy = (g^cd d_x d_c g_dy +
+    g^cd d_y d_c g_dx - g^cd d_c d_d g_xy - g^cd d_x d_y g_cd + tr(A_y A_x)) / 2
+    - Gamma^c_yq Gamma^q_cx + (Gamma^c_cq - g^cd d_c g_dq) Gamma^q_xy."""
+    ginv = np.linalg.inv(g)
+    low = 0.5 * (np.einsum("adb->dab", dg) + np.einsum("bda->dab", dg) - dg)
+    gam = np.einsum("cd,dab->cab", ginv, low)
+    a = ginv @ dg
+    mixed = np.einsum("cd,xcdy->xy", ginv, ddg)
+    outer = np.einsum("cd,cdxy->xy", ginv, ddg)
+    inner = np.einsum("cd,xycd->xy", ginv, ddg)
+    tr_aa = np.einsum("yij,xji->xy", a, a)
+    w = 0.5 * np.einsum("qii->q", a) - np.einsum("cd,cdq->q", ginv, dg)
+    quad = np.einsum("cyq,qcx->xy", gam, gam)
+    return 0.5 * (mixed + mixed.T - outer - inner + tr_aa) - quad + np.einsum("q,qxy->xy", w, gam)
+
+
+def chart_view(jet):
+    """A frame jet's dg, inner, outer and mixed at points (m, ...), turned
+    back into chart coordinates: T = Q T' Q^T on every index."""
+    q, qt = jet.q, jet.q.swapaxes(1, 2)
+    dg = np.einsum("mce,meab->mcab", q, q[:, None] @ jet.dg @ qt[:, None])
+    return (dg,) + tuple(q @ t @ qt for t in (jet.inner, jet.outer, jet.mixed))
+
+
+def _radial_coeff(t: float) -> float:
+    """A(t) = 4 sin^2(t/2) / t^2, Taylor-expanded near t = 0."""
+    if t < 1e-4:
+        t2 = t * t
+        return 1.0 - t2 / 12.0 + t2 * t2 / 360.0 - t2 * t2 * t2 / 20160.0
+    s = np.sin(0.5 * t)
+    return 4.0 * s * s / (t * t)
+
+
+def closed_form_metric_su2_exp(theta: np.ndarray) -> MetricTensor:
+    """Printed exponential-chart metric and its printed inverse."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (3,):
+        raise InvalidInputError("su2 exp chart takes 3 coordinates")
+    t = float(np.linalg.norm(theta))
+    if t >= EXP_SU2_NORM_MAX:
+        raise SingularityError(
+            f"|theta| = {t:.6f} is at or beyond the chart degeneracy at 2*pi",
+            point=theta,
+        )
+    eye = np.eye(3)
+    if t < 1e-12:
+        g = eye.copy()
+        g_inv = eye.copy()
+    else:
+        proj = np.outer(theta, theta) / (t * t)
+        a = _radial_coeff(t)
+        g = a * eye + (1.0 - a) * proj
+        g_inv = (1.0 / a) * eye + (1.0 - 1.0 / a) * proj
+    point = ChartPoint("exp", theta, make_group("su", 2))
+    return MetricTensor(g=g, g_inv=g_inv, point=point,
+                        condition=float(np.linalg.cond(g)))
+
+
+def closed_form_su2_exp_metric_derivative(theta: np.ndarray) -> np.ndarray:
+    """Analytic d_c g_ab of the printed exponential-chart metric.
+
+    Written as g_ab = p_ab + h(t) (t^2 d_ab - t_a t_b) with p the radial
+    projector and h(t) = 2 (1 - cos t) / t^4; returns array [c, a, b].
+    """
+    theta = np.asarray(theta, dtype=float)
+    t = float(np.linalg.norm(theta))
+    if t < 1e-3:
+        raise InvalidInputError("analytic derivative needs |theta| away from 0")
+    eye = np.eye(3)
+    t2 = t * t
+    h = 2.0 * (1.0 - np.cos(t)) / (t2 * t2)
+    hp = 2.0 * np.sin(t) / (t2 * t2) - 8.0 * (1.0 - np.cos(t)) / (t2 * t2 * t)
+    outer = np.outer(theta, theta)
+    d = np.empty((3, 3, 3))
+    for c in range(3):
+        dproj = np.zeros((3, 3))
+        dproj[c, :] += theta
+        dproj[:, c] += theta
+        d[c] = (
+            dproj / t2
+            - 2.0 * outer * theta[c] / (t2 * t2)
+            + hp * (theta[c] / t) * (t2 * eye - outer)
+            + h * (2.0 * theta[c] * eye - dproj)
+        )
+    return d

@@ -25,8 +25,6 @@ from lieforge.kernel import expm
 from lieforge.metric import (
     MetricConfig,
     closed_form_metric_su2_euler,
-    closed_form_metric_su2_exp,
-    closed_form_su2_exp_metric_derivative,
     exp_metric_field,
     metric_field,
     isometry_residual,
@@ -36,6 +34,7 @@ from lieforge.metric import (
 from lieforge.scan import ScanConfig, emit_report, run_scan
 from lieforge.sphere import pullback_metric, sphere_metric_field
 from lieforge.charts import FrameEvaluation
+from oracles import closed_form_metric_su2_exp, closed_form_su2_exp_metric_derivative
 
 CATALOG = ["su2", "su3", "so3", "so4", "so5", "sp1", "sp2"]
 

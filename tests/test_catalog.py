@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from lieforge.catalog import (
     structure_constants,
     symplectic_form,
 )
+import lieforge.errors
 from lieforge.errors import InvalidInputError
 from lieforge.kernel import expm
 
@@ -167,6 +170,25 @@ def test_structure_constants_cached_on_spec():
     x = spec.generators
     comm = np.einsum("aij,bjk->abik", x, x) - np.einsum("bij,ajk->abik", x, x)
     assert np.abs(comm - np.einsum("abc,cij->abij", f, x)).max() < 1e-13
+
+
+def test_structure_build_is_budgeted(monkeypatch):
+    # the commutators are complex (d, d, n, n) arrays: a fresh su3 spec asks
+    # for three of them and f, and its build stays inside what it asks for
+    spec = make_group("su", 3)
+    asked = 48 * 8 ** 2 * 3 ** 2 + 8 * 8 ** 3
+    monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", asked - 1)
+    with pytest.raises(InvalidInputError, match="su3 structure constants"):
+        replace(spec).structure
+    monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", asked)
+    fresh = replace(spec)
+    tracemalloc.start()
+    try:
+        f = fresh.structure
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(f, spec.structure) and peak <= asked
 
 
 @pytest.mark.parametrize("family,n,expected", [

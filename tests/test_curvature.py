@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from conftest import fd_derivative, riemann_tensor
 from lie_fields import everywhere, flat_field, left_invariant_field, s2_field  # local helper module
+from oracles import closed_form_su2_exp_metric_derivative, exp_full_jet, sphere_full_jet
 from lieforge.catalog import parse_group_name
 from lieforge.charts import ChartPoint, euler_chart, safe_domain, su2_log
 from lieforge import curvature
@@ -23,7 +24,6 @@ from lieforge.errors import DomainError, InvalidInputError, LieForgeError, Singu
 from lieforge.sphere import sphere_metric_field
 from lieforge.metric import (
     MetricField,
-    closed_form_su2_exp_metric_derivative,
     exp_metric_field,
     metric_field,
     resolve_k,
@@ -99,7 +99,7 @@ class TestRiemannRicci:
         b = riemann_ricci(su2_field, point)
         assert np.abs(b.ricci - b.ricci.T).max() < 1e-7
         # antisymmetry in the last index pair, relative to the overall scale
-        riem = riemann_tensor(su2_field, point)
+        riem = riemann_tensor(su2_field, point, lambda p: exp_full_jet(parse_group_name("su2"), p, 2.0))
         scale = np.abs(riem).max()
         assert np.abs(riem + np.transpose(riem, (0, 1, 3, 2))).max() < 1e-7 * max(scale, 1.0)
 
@@ -113,7 +113,8 @@ class TestRiemannRicci:
         b = riemann_ricci(field, np.zeros(spec.dim))
         f = spec.structure
         assert np.abs(b.metric - np.eye(spec.dim)).max() < 1e-14
-        riem = riemann_tensor(field, np.zeros(spec.dim))
+        riem = riemann_tensor(field, np.zeros(spec.dim),
+                              lambda p: exp_full_jet(spec, p, resolve_k("auto")))
         assert np.abs(riem + 0.25 * np.einsum("abe,ecd->dcab", f, f)).max() < 1e-6
 
     def test_matches_nested_differences(self):
@@ -137,19 +138,23 @@ class TestRiemannRicci:
                 + np.einsum("dae,ebc->dcab", gam, gam) - np.einsum("dbe,eac->dcab", gam, gam))
         b = riemann_ricci(field, point)
         assert np.abs(b.gamma - gam).max() < 1e-12
-        assert np.abs(riemann_tensor(field, point) - riem).max() < 1e-7
+        exact = riemann_tensor(field, point, lambda p: exp_full_jet(spec, p, resolve_k("auto")))
+        assert np.abs(exact - riem).max() < 1e-7
 
 
 def ricci_cases():
-    """(field, points) pairs: exact jets, finite-difference (FD) jets, flat."""
+    """(field, full jet) pairs: exact jets with their full-ddg oracle, and
+    finite-difference (FD) and flat fields, whose oracle is the stencil."""
     cases = {}
     for name in ("su3", "so5", "sp2"):
-        field = exp_metric_field(parse_group_name(name), resolve_k("auto"))
-        cases[name] = field
-    cases["s7"] = sphere_metric_field(8)
-    cases["su2-euler-fd"] = metric_field(parse_group_name("su2"), "euler", 2.0)
-    cases["berger-fd"] = left_invariant_field(parse_group_name("su2"), np.diag([1.0, 1.0, 0.5]))
-    cases["flat"] = flat_field(3)
+        spec = parse_group_name(name)
+        cases[name] = (exp_metric_field(spec, resolve_k("auto")),
+                       lambda p, spec=spec: exp_full_jet(spec, p, resolve_k("auto")))
+    cases["s7"] = (sphere_metric_field(8), sphere_full_jet)
+    cases["su2-euler-fd"] = (metric_field(parse_group_name("su2"), "euler", 2.0), None)
+    cases["berger-fd"] = (left_invariant_field(parse_group_name("su2"), np.diag([1.0, 1.0, 0.5])),
+                          None)
+    cases["flat"] = (flat_field(3), None)
     return cases
 
 
@@ -158,10 +163,10 @@ class TestRicciByTraces:
 
     @pytest.mark.parametrize("name", list(ricci_cases()))
     def test_matches_riemann_contraction(self, name):
-        field = ricci_cases()[name]
+        field, jet = ricci_cases()[name]
         # one point per call, so both sides contract the same jet
         for p in sample_safe_points(field, 3, np.random.default_rng(50)):
-            ref = np.einsum("cacb->ab", riemann_tensor(field, p))
+            ref = np.einsum("cacb->ab", riemann_tensor(field, p, jet))
             ric = riemann_ricci(field, p).ricci
             assert np.abs(ric - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -349,14 +354,14 @@ class TestBatchedVerdict:
         v = einstein_check(replace(field, jet=recording),
                            sample_safe_points(field, 20, np.random.default_rng(54)), 1e-6)
         assert v.passed and sum(sizes) == 20
-        assert max(sizes) == 1 or max(sizes) * 8 * spec.dim ** 4 <= CHUNK_BYTES
+        assert max(sizes) == 1 or max(sizes) * 8 * spec.dim ** 3 <= CHUNK_BYTES
 
     def test_chunked_verdict_matches_one_call(self, monkeypatch):
         field = exp_metric_field(parse_group_name("su2"))
         pts = sample_safe_points(field, 20, np.random.default_rng(55))
         whole = einstein_check(field, pts, 1e-6)
         sizes = []
-        monkeypatch.setattr(curvature, "CHUNK_BYTES", 3 * 8 * 3 ** 4)
+        monkeypatch.setattr(curvature, "CHUNK_BYTES", 3 * 8 * 3 ** 3)
         recording = replace(field, jet=lambda p: sizes.append(len(p)) or field.jet(p))
         split = einstein_check(recording, pts, 1e-6)
         assert sizes == [3] * 6 + [2]

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import lieforge.errors
-from conftest import fd_derivative, phim
+from conftest import fd_derivative, jet_points, phim
+from oracles import (chart_view, closed_form_metric_su2_exp,
+                     closed_form_su2_exp_metric_derivative, exp_full_jet)
 from lie_fields import left_invariant_field
 from lieforge.catalog import GRAM_CONSTANT, make_group, parse_group_name
 from lieforge.charts import (
@@ -19,19 +21,18 @@ from lieforge.charts import (
     exp_chart_batch,
     safe_domain,
 )
-from lieforge.curvature import metric_jet
+from lieforge.curvature import metric_jet, riemann_ricci
 from lieforge.errors import (InvalidInputError, LieForgeError, NumericRangeError,
                             SingularityError)
 from lieforge.kernel import PAULI, expm
 from lieforge.metric import (
+    JET_PEAK_D3_ARRAYS,
     METRIC_CONDITION_LIMIT,
     MetricConfig,
     MetricField,
     _finish,
     _gram,
     closed_form_metric_su2_euler,
-    closed_form_metric_su2_exp,
-    closed_form_su2_exp_metric_derivative,
     exp_metric_batch,
     exp_metric_field,
     exp_metric_jet,
@@ -407,26 +408,16 @@ class TestAdjointMetric:
                 assert np.array_equal(one, both[at])
 
 
-def jet_points(spec):
-    """Sampled points, the origin, a generator axis and a point 1e-9 off it."""
-    dom = safe_domain(spec, "exp")
-    axis = np.zeros(spec.dim)
-    axis[0] = 0.8 * dom.hi[0]
-    off = axis.copy()
-    off[-1] = 1e-9
-    rng = np.random.default_rng(35)
-    return np.vstack([rng.uniform(dom.lo, dom.hi, (3, spec.dim)), np.zeros(spec.dim), axis, off])
-
-
 class TestExactJet:
-    """exp_metric_jet: psi(ad^2) and its derivatives from one eigendecomposition."""
+    """exp_metric_jet: psi(ad^2) and its contracted derivatives from one
+    eigendecomposition; the full-ddg oracle exp_full_jet against differences."""
 
     @pytest.mark.parametrize("family,n", CATALOG + [("su", 4), ("sp", 3)])
     def test_matches_finite_differences(self, family, n):
         spec = make_group(family, n)
         field = metric_field(spec, "exp", 2.0)
         for p in jet_points(spec):
-            for exact, fd, bound in zip(exp_metric_jet(spec, p, 2.0), metric_jet(field, p),
+            for exact, fd, bound in zip(exp_full_jet(spec, p, 2.0), metric_jet(field, p),
                                         (1e-12, 1e-11, 1e-8)):
                 assert np.abs(exact - fd).max() <= bound
 
@@ -434,12 +425,15 @@ class TestExactJet:
     def test_matches_phi_oracle(self, family, n):
         spec = make_group(family, n)
         for p in jet_points(spec):
-            g, dg, ddg = exp_metric_jet(spec, p, 3.0)
+            g, dg, ddg = exp_full_jet(spec, p, 3.0)
             assert np.abs(g - phi_metric(spec, p[None], 3.0)[0]).max() <= 1e-14
             assert np.array_equal(g, g.T)
             assert np.array_equal(dg, np.swapaxes(dg, 1, 2))
             assert np.array_equal(ddg, np.swapaxes(ddg, 2, 3))
             assert np.abs(ddg - np.swapaxes(ddg, 0, 1)).max() <= 1e-14
+            jet = exp_metric_jet(spec, p, 3.0)
+            assert np.array_equal(jet.g[0], g)
+            assert np.abs(chart_view(jet)[0][0] - dg).max() <= 1e-14
         oracle = [fd_derivative(lambda x: phi_metric(spec, x[None], 3.0)[0], p, e)
                   for e in range(spec.dim)]
         assert np.abs(dg - np.stack(oracle)).max() <= 1e-10
@@ -448,43 +442,46 @@ class TestExactJet:
         rng = np.random.default_rng(36)
         for theta in rng.uniform(-1.5, 1.5, (8, 3)):
             exact = closed_form_su2_exp_metric_derivative(theta)
-            assert np.abs(exp_metric_jet(su2, theta, 2.0)[1] - exact).max() <= 1e-13
+            assert np.abs(chart_view(exp_metric_jet(su2, theta, 2.0))[0][0] - exact).max() <= 1e-13
 
     @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("so", 5), ("sp", 2)])
     def test_batch_matches_per_point(self, family, n):
         # one batched eigh and batched Hankel forms: only round-off moves
         spec = make_group(family, n)
         pts = jet_points(spec)
-        for batch in (pts, pts.reshape(2, 3, spec.dim)):
-            jets = exp_metric_jet(spec, batch, 2.0)
-            for idx in np.ndindex(batch.shape[:-1]):
-                for b, one in zip(jets, exp_metric_jet(spec, batch[idx], 2.0)):
-                    assert b[idx].shape == one.shape
-                    assert np.abs(b[idx] - one).max() <= 1e-13
+        jet = exp_metric_jet(spec, pts, 2.0)
+        batch = (jet.g, jet.lam) + chart_view(jet)
+        for i, p in enumerate(pts):
+            one = exp_metric_jet(spec, p, 2.0)
+            for b, x in zip(batch, (one.g, one.lam) + chart_view(one)):
+                assert b[i].shape == x[0].shape
+                assert np.abs(b[i] - x[0]).max() <= 1e-13
 
     def test_budget_counts_every_array_at_the_peak(self, monkeypatch):
-        # a budget just above one su3 d^4 array: the jet holds several at once
+        # a budget of eight su3 d^3 arrays: the jet holds more at once
         su3 = make_group("su", 3)
-        monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", 8 * su3.dim ** 4 + 8)
+        monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", 8 * 8 * su3.dim ** 3)
         with pytest.raises(InvalidInputError, match="allocation budget"):
             exp_metric_jet(su3, np.full(su3.dim, 0.1), 2.0)
 
     @pytest.mark.parametrize("name,m", [("su4", 1), ("su5", 1), ("sp3", 3)])
     def test_peak_stays_within_the_budgeted_count(self, name, m, monkeypatch):
-        # the bytes check_alloc is asked for cover what the jet really holds
+        # the bytes check_alloc is asked for cover what the jet and the traces
+        # read from it really hold
         spec = parse_group_name(name)
+        field = metric_field(spec, "exp", 2.0)
         pts = np.full((m, spec.dim), 0.05)
         asked = []
         monkeypatch.setattr(importlib.import_module("lieforge.metric"), "check_alloc",
                             lambda nbytes, _: asked.append(nbytes))
-        exp_metric_jet(spec, pts, 2.0)
+        riemann_ricci(field, pts)
         tracemalloc.start()
         try:
-            exp_metric_jet(spec, pts, 2.0)
+            riemann_ricci(field, pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= asked[-1]
+        assert peak <= asked[-1] == 8 * JET_PEAK_D3_ARRAYS * m * spec.dim ** 3
 
     def test_rejects_wrong_coordinate_count(self, su2):
         with pytest.raises(InvalidInputError):
@@ -496,7 +493,7 @@ class TestExactJet:
     def test_value_is_the_batch_metric(self, family, n):
         spec = make_group(family, n)
         pts = jet_points(spec)
-        assert np.array_equal(exp_metric_jet(spec, pts, 2.0)[0], exp_metric_batch(spec, pts, 2.0))
+        assert np.array_equal(exp_metric_jet(spec, pts, 2.0).g, exp_metric_batch(spec, pts, 2.0))
 
     def test_rejects_spectrum_past_the_series_range(self, su2):
         # |theta| = 6.5 puts an eigenvalue of ad^2 at -42.25 < -(2 pi)^2

