@@ -5,8 +5,8 @@ curvature, and Einstein-property verification."""
 __version__ = "0.1.0"
 
 from .catalog import GroupSpec, StructureConstants, make_group, parse_group_name, structure_constants
-from .charts import ChartPoint, FrameEvaluation, chart_transition_check, euler_chart, exp_chart, su2_log
-from .curvature import CurvatureBundle, EinsteinVerdict, christoffel, einstein_check, riemann_ricci
+from .charts import ChartPoint
+from .curvature import CurvatureBundle, EinsteinVerdict, einstein_check, riemann_ricci
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -21,10 +21,8 @@ from .metric import (
     MetricTensor,
     closed_form_metric_su2_euler,
     exp_metric_field,
-    isometry_residual,
-    maurer_cartan,
     metric,
     metric_field,
 )
 from .scan import ScanConfig, ScanReport, emit_report, run_scan
-from .sphere import hyperspherical_embedding, pullback_metric, sphere_einstein_check
+from .sphere import pullback_metric, sphere_einstein_check

@@ -1,16 +1,19 @@
-"""Chart parametrizations U(theta) of group manifolds with first derivatives.
+"""Chart parametrizations U(theta) of group manifolds with first derivatives,
+and the safe domain of each chart.
 
 Two charts are provided: the exponential chart for any cataloged group
 (U and its derivatives from one eigendecomposition in ``kernel.expm_dual``,
 one generator seeded per partial slot; the production metric on this chart
-uses the adjoint form in ``metric.py``) and the z-x-z Euler-angle chart for
-SU(2) (one stack of closed 2x2 factors from one phase exponential,
-derivatives by constant Pauli products).
+uses the adjoint form in ``metric.py``, so these frames serve the tests and
+the benchmark as an oracle) and the z-x-z Euler-angle chart for SU(2) (one
+stack of closed 2x2 factors from one phase exponential, derivatives by
+constant Pauli products), whose U and d_theta U also give the Euler metric's
+exact jet in ``metric.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,7 +23,11 @@ from .errors import InvalidInputError
 from .kernel import SIGMA_1, SIGMA_3, expm_dual
 
 EXP_SU2_NORM_MAX = 2.0 * np.pi - 1e-2
-EULER_SIN_MARGIN = 1e-6
+# g's smallest eigenvalue is about delta^2 / 2 at a distance delta from a
+# pole theta = 0 or pi, and the curvature from the exact jet loses about
+# 1e-15 / delta^4 to round-off there: |R - 3/2| reached 1.1e-3 over 100
+# points at this margin
+EULER_POLE_MARGIN = 1e-3
 _HALF_I_SIGMA_1 = 0.5j * SIGMA_1
 _HALF_I_SIGMA_3 = 0.5j * SIGMA_3
 
@@ -55,14 +62,6 @@ class ChartPoint:
             raise InvalidInputError(f"unknown chart {self.chart!r}")
 
 
-@dataclass(frozen=True)
-class FrameEvaluation:
-    """Group element U and its coordinate derivatives dU_a at one point."""
-
-    U: np.ndarray
-    dU: np.ndarray  # (d, n, n)
-
-
 def exp_chart_batch(spec: GroupSpec, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """U = exp(sum_a theta^a X_a) and dU_a for a batch of points (m, dim)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -78,11 +77,6 @@ def exp_chart_batch(spec: GroupSpec, thetas: np.ndarray) -> tuple[np.ndarray, np
     stack[:, 1:] = spec.generators  # seed one direction per coordinate
     out = expm_dual(stack)
     return out[:, 0], out[:, 1:]
-
-
-def exp_chart(spec: GroupSpec, theta: np.ndarray) -> FrameEvaluation:
-    u, du = exp_chart_batch(spec, np.asarray(theta, dtype=float)[None, :])
-    return FrameEvaluation(U=u[0], dU=du[0])
 
 
 def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,41 +104,6 @@ def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, du
 
 
-def euler_chart(theta: float, phi: float, psi: float) -> FrameEvaluation:
-    u, du = euler_chart_batch(np.array([[theta, phi, psi]]))
-    return FrameEvaluation(U=u[0], dU=du[0])
-
-
-def evaluate(point: ChartPoint) -> FrameEvaluation:
-    if point.chart == "exp":
-        return exp_chart(point.group, point.coords)
-    return euler_chart(*point.coords)
-
-
-def chart_transition_check(p_exp: ChartPoint, p_euler: ChartPoint) -> float:
-    """Frobenius distance between the group elements of two SU(2) points."""
-    if p_exp.group.name != "su2" or p_euler.group.name != "su2":
-        raise InvalidInputError("transition check is defined for SU(2) charts")
-    ua = evaluate(p_exp).U
-    ub = evaluate(p_euler).U
-    return float(np.linalg.norm(ua - ub))
-
-
-def su2_log(u: np.ndarray) -> np.ndarray:
-    """Exponential-chart coordinates of an SU(2) element (|theta| < 2*pi)."""
-    c = 0.5 * np.real(u[0, 0] + u[1, 1])
-    s = np.array([
-        0.5 * np.imag(u[0, 1] + u[1, 0]),
-        0.5 * np.real(u[0, 1] - u[1, 0]),
-        0.5 * np.imag(u[0, 0] - u[1, 1]),
-    ])
-    sn = np.linalg.norm(s)
-    half = np.arctan2(sn, c)
-    if sn < 1e-14:
-        return np.zeros(3)
-    return 2.0 * half * s / sn
-
-
 def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
     """Sampling box and membership predicate for a chart.
 
@@ -159,9 +118,8 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
         hi = np.array([np.pi - 0.25, np.pi, np.pi])
 
         def contains(pts):
-            # a bound on theta itself, so that no stencil reaches across a pole
             theta = np.atleast_2d(pts)[:, 0]
-            return (theta > EULER_SIN_MARGIN) & (theta < np.pi - EULER_SIN_MARGIN)
+            return (theta > EULER_POLE_MARGIN) & (theta < np.pi - EULER_POLE_MARGIN)
 
         return SafeDomain(lo=lo, hi=hi, contains=contains)
 

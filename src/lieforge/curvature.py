@@ -1,15 +1,11 @@
 """Levi-Civita curvature of a metric field from its ``metric.FrameJet``.
 
-A field's exact jet (exponential chart, sphere pullback) gives, at d^3
-memory per point, dg and the second derivatives contracted with g^-1 in an
-orthonormal frame where g is diagonal.  For a black-box field one batched
-field call evaluates, with step h = 1e-3, the centre and the offsets
-{-2, -1, 1, 2} h along each axis e_a (dg, diagonal of ddg) and each diagonal
-e_a +- e_b, whose difference gives the mixed d_a d_b g by polarization
-(Fornberg 1988); that ddg is contracted and turned into the eigenframe of g.
-Gamma and Ricci follow from traces in the frame, with no Riemann tensor and
-the sign fixed so the unit 2-sphere has Ric = +g.  ``einstein_check`` reads
-only frame-invariant norms and sends its samples in budget-sized chunks.
+Every field carries an exact jet (exponential chart, Euler chart, sphere
+pullback): dg and the second derivatives contracted with g^-1, in an
+orthonormal frame where g is diagonal.  Gamma and Ricci follow from traces
+in that frame, with no Riemann tensor and the sign fixed so the unit
+2-sphere has Ric = +g.  ``einstein_check`` reads only frame-invariant norms
+and sends its samples in budget-sized chunks.
 """
 
 from __future__ import annotations
@@ -20,15 +16,12 @@ import numpy as np
 
 from .errors import (ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, LieForgeError,
                      SingularityError, check_alloc)
-from .metric import FrameJet, MetricField
+from .metric import FrameJet, MetricField, _rotate
 
-BASE_STEP = 1e-3
 # riemann_ricci rejects ||g||_1 ||g^-1||_1 above this; for symmetric g the
 # product bounds the 2-norm condition number from above
 CURVATURE_CONDITION_LIMIT = 1e8
 SAMPLE_ATTEMPTS = 200
-# offsets along each stencil line, in units of the step
-_LINE = np.array([-2.0, -1.0, 1.0, 2.0])
 # samples per curvature call in einstein_check: as many d^3 floats (one per
 # sample) as fit, at least one; larger chunks ran slower from d = 28 up
 CHUNK_BYTES = ALLOC_BUDGET_BYTES >> 13
@@ -41,42 +34,6 @@ def _require_inside(field: MetricField, pts: np.ndarray, message: str) -> None:
         raise DomainError(message.format(pts[np.argmin(inside)], field.name))
 
 
-def metric_jet(field: MetricField, points: np.ndarray,
-               h: float = BASE_STEP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g, dg[..., e, a, b] = d_e g_ab and ddg[..., e, f, a, b] = d_e d_f g_ab
-    at points (..., d), from one guarded field call on 1 + 4 d^2 distinct rows
-    per point: the centre and the offsets {-2, -1, 1, 2} h along the d axes
-    e_a and the d (d - 1) diagonals e_a +- e_b.  On the axes dg is the
-    4th-order central difference (f(-2) - 8 f(-1) + 8 f(1) - f(2)) / (12 h)
-    and the diagonal of ddg is (-f(-2) + 16 f(-1) - 30 f(0) + 16 f(1) - f(2))
-    / (12 h^2).  Each mixed d_a d_b g is that second difference of
-    q(s) = D(s) / 4, where D(s) = f(s (e_a + e_b)) - f(s (e_a - e_b)) and
-    q(0) = 0: (-D(-2) + 16 D(-1) + 16 D(1) - D(2)) / (48 h^2), with the
-    diagonals subtracted first because that order sets the round-off.
-    """
-    points = np.asarray(points, dtype=float)
-    lead, d = points.shape[:-1], points.shape[-1]
-    eye, (pa, pb) = np.eye(d), np.triu_indices(d, 1)
-    lines = np.concatenate([eye, eye[pa] + eye[pb], eye[pa] - eye[pb]])  # (d + 2p, d)
-    offsets = (_LINE * h)[None, :, None] * lines[:, None, :]
-    stencil = np.concatenate([np.zeros((1, d)), offsets.reshape(-1, d)])
-    rows = (points[..., None, :] + stencil).reshape(-1, d)
-    _require_inside(field, rows, "finite-difference stencil leaves the safe domain of {1} near {0}")
-    vals = field(rows).reshape(lead + (len(stencil), d, d))
-    g = vals[..., 0, :, :]
-    on_line = np.moveaxis(vals[..., 1:, :, :].reshape(lead + (len(lines), len(_LINE), d, d)), -3, 0)
-    fm2, fm1, fp1, fp2 = on_line[..., :d, :, :]
-    dg = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    ddg, ar = np.empty(lead + (d, d, d, d)), np.arange(d)
-    ddg[..., ar, ar, :, :] = (-fm2 + 16.0 * fm1 - 30.0 * g[..., None, :, :]
-                              + 16.0 * fp1 - fp2) / (12.0 * h * h)
-    dm2, dm1, dp1, dp2 = on_line[..., d:d + len(pa), :, :] - on_line[..., d + len(pa):, :, :]
-    cross = (-dm2 + 16.0 * dm1 + 16.0 * dp1 - dp2) / (48.0 * h * h)
-    ddg[..., pa, pb, :, :] = cross
-    ddg[..., pb, pa, :, :] = cross
-    return g, dg, ddg
-
-
 @dataclass(frozen=True)
 class CurvatureBundle:  # at points (..., d); every field keeps those leading axes
     gamma: np.ndarray     # Gamma^c_ab, shape (..., d, d, d)
@@ -86,31 +43,8 @@ class CurvatureBundle:  # at points (..., d); every field keeps those leading ax
     point: np.ndarray
 
 
-def _rotate(t: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_ijk q_ci q_aj q_bk t_ijk for 3-tensors t (m, d, d, d)."""
-    m, d = q.shape[:2]
-    return (q @ (q[:, None] @ t @ q.swapaxes(1, 2)[:, None]).reshape(m, d, d * d)).reshape(t.shape)
-
-
-def _stencil_jet(field: MetricField, points: np.ndarray, h: float) -> FrameJet:
-    """metric_jet's ddg contracted with g^-1 = Q diag(1 / lam) Q^T from one
-    eigh of g, and turned with dg into the eigenframe theta = Q theta'."""
-    (g, dg, ddg), (m, d) = metric_jet(field, points, h), points.shape
-    lam, q = np.linalg.eigh(g)
-    qt = q.swapaxes(1, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):  # singular g: the guard reports it
-        ginv = (q / lam[:, None]) @ qt
-        gvec = ginv.reshape(m, 1, d * d)
-        # g^cd d_x d_c g_dy (partials commute), g^cd d_c d_d g_xy, g^cd d_x d_y g_cd
-        mixed = (gvec[:, None] @ ddg.reshape(m, d, d * d, d)).reshape(m, d, d)
-        outer = (gvec @ ddg.reshape(m, d * d, d * d)).reshape(m, d, d)
-        inner = (ddg.reshape(m, d * d, d * d) @ gvec.reshape(m, d * d, 1)).reshape(m, d, d)
-        return FrameJet(g=g, g_inv=ginv, q=q, lam=lam, dg=_rotate(dg, qt), inner=qt @ inner @ q,
-                        outer=qt @ outer @ q, mixed=qt @ mixed @ q)
-
-
-def _frame_ricci(field: MetricField, points: np.ndarray,
-                 h: float) -> tuple[FrameJet, np.ndarray, np.ndarray, np.ndarray]:
+def _frame_ricci(field: MetricField,
+                 points: np.ndarray) -> tuple[FrameJet, np.ndarray, np.ndarray, np.ndarray]:
     """The jet at points (m, d), and Gamma, Ricci and R in its frame, where
     g^-1 = diag(w), w = 1 / lam.  With A_y = g^-1 d_y g, Ricci is
     d_c Gamma^c_xy - d_y Gamma^c_xc + Gamma^c_cq Gamma^q_xy - Gamma^c_yq Gamma^q_cx,
@@ -118,11 +52,8 @@ def _frame_ricci(field: MetricField, points: np.ndarray,
     d_y Gamma^c_xc = (g^cd d_x d_y g_cd - tr(A_y A_x)) / 2, Gamma^c_cq = tr(A_q) / 2.
     Raises SingularityError, naming the first point, where the chart g has
     ||g||_1 ||g^-1||_1 > CURVATURE_CONDITION_LIMIT."""
-    if field.jet is None:
-        jet = _stencil_jet(field, points, h)
-    else:
-        _require_inside(field, points, "{0} is outside the safe domain of {1}")
-        jet = field.jet(points)
+    _require_inside(field, points, "{0} is outside the safe domain of {1}")
+    jet = field.jet(points)
     condition = np.abs(jet.g).sum(1).max(1) * np.abs(jet.g_inv).sum(1).max(1)
     if not (condition <= CURVATURE_CONDITION_LIMIT).all():
         i = np.argmin(condition <= CURVATURE_CONDITION_LIMIT)
@@ -144,25 +75,18 @@ def _frame_ricci(field: MetricField, points: np.ndarray,
     return jet, gam, ric, (ric.diagonal(0, 1, 2) * w).sum(1)
 
 
-def riemann_ricci(field: MetricField, points: np.ndarray,
-                  h: float = BASE_STEP) -> CurvatureBundle:
+def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
     """Gamma, Ricci and R in chart coordinates at points (..., d) from one
-    call of the field's jet (the stencil when it has none).  Raises
-    DomainError for a point outside a jet field's domain (a stencil checks
-    its own rows) and SingularityError as ``_frame_ricci`` does."""
+    call of the field's jet.  Raises DomainError for a point outside the
+    field's domain and SingularityError as ``_frame_ricci`` does."""
     points = np.asarray(points, dtype=float)
     lead, flat = points.shape[:-1], points.reshape(-1, points.shape[-1])
-    jet, gam, ric, scalar = _frame_ricci(field, flat, h)
+    jet, gam, ric, scalar = _frame_ricci(field, flat)
     d, q, scalar = flat.shape[1], jet.q, scalar.reshape(lead)
     return CurvatureBundle(gamma=_rotate(gam, q).reshape(lead + (d, d, d)),
                            ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
                            scalar=scalar if lead else float(scalar),
                            metric=jet.g.reshape(lead + (d, d)), point=points)
-
-
-def christoffel(field: MetricField, point: np.ndarray, h: float = BASE_STEP) -> np.ndarray:
-    """Gamma^c_ab at one point, from riemann_ricci and under its condition guard."""
-    return riemann_ricci(field, point, h).gamma
 
 
 @dataclass(frozen=True)
@@ -206,8 +130,7 @@ def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
     )
 
 
-def einstein_check(field: MetricField, points: np.ndarray, tol: float,
-                   h: float = BASE_STEP) -> EinsteinVerdict:
+def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> EinsteinVerdict:
     """Test R_ab = 2 Lambda g_ab over a sample of points, in the frames of their
     jets, in chunks of CHUNK_BYTES; a failing chunk is rerun point by point to
     name its first failing sample.  Lambda is estimated per sample as
@@ -224,11 +147,11 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float,
     step = max(1, CHUNK_BYTES // (8 * d ** 3))
     for chunk in (points[i:i + step] for i in range(0, len(points), step)):
         try:
-            jet, _, ric, scalar = _frame_ricci(field, chunk, h)
+            jet, _, ric, scalar = _frame_ricci(field, chunk)
         except (SingularityError, DomainError):
             for p in chunk:
                 try:
-                    _frame_ricci(field, p[None], h)
+                    _frame_ricci(field, p[None])
                 except (SingularityError, DomainError) as exc:
                     return EinsteinVerdict.failed(len(points), tol, f"sample {p} failed: {exc}")
             raise

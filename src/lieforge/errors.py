@@ -31,8 +31,7 @@ class NumericRangeError(LieForgeError):
 
 
 class DomainError(LieForgeError):
-    """A point (or a finite-difference stencil around it) leaves the chart's
-    safe domain."""
+    """A point leaves the chart's safe domain."""
 
 
 def check_alloc(nbytes: int, what: str) -> None:

@@ -136,7 +136,3 @@ def expm_dual(a: np.ndarray) -> np.ndarray:
     out[..., 1:, :, :] = q @ ((qh @ a[..., 1:, :, :] @ q) * e[..., None, :, :]) @ qh
     return out
 
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Plain (non-dual) matrix exponential via the same kernel."""
-    return expm_dual(np.asarray(a, dtype=complex)[..., None, :, :])[..., 0, :, :]

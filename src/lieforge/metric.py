@@ -6,14 +6,18 @@ A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
 orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
 psi(x) = (cosh(sqrt x) - 1) / x, and the metric is psi of ad_A^2 in real
 d x d arithmetic on the adjoint representation.  The metric and, for
-curvature, its exact jet in the eigenframe of ad^2 (``exp_metric_jet``)
+curvature, its exact jet in the eigenframe of ad^2 (``exp_frame_jet``)
 come from one batched eigendecomposition of ad^2.  The Euler chart goes
-through U^dag dU, as U^dag = U^{-1} on SU(2).  The module also carries the
-closed-form SU(2) Euler-chart metric and the Euler-chart isometry residuals.
+through U^dag dU, as U^dag = U^{-1} on SU(2); its exact jet
+(``euler_full_jet``) is a Gram of the chart's derivatives up to third
+order, contracted into the eigenframe of g by ``contract_jet``.  The
+module also carries the closed-form SU(2) Euler-chart metric, an oracle for
+both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
@@ -21,14 +25,12 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .catalog import GRAM_CONSTANT, GroupSpec, make_group
-from .charts import (  # exp_chart_batch stays importable from here for callers
-    ChartPoint,
-    FrameEvaluation,
-    SafeDomain,
-    euler_chart_batch,
-    exp_chart_batch,
-    safe_domain,
-)
+# No production path needs kernel.expm_dual, charts.exp_chart_batch (imported
+# here too), kernel.mat_inverse (imported here only), catalog.structure_constants,
+# closed_form_metric_su2_euler or exp_metric_field; they stay because the
+# benchmark in perfbench/ patches or calls them by these names.
+from .charts import (_HALF_I_SIGMA_3, ChartPoint, SafeDomain, euler_chart_batch,
+                     exp_chart_batch, safe_domain)
 from .errors import (InvalidInputError, LieForgeError, NumericRangeError, SingularityError,
                      check_alloc)
 from .kernel import mat_inverse, psi, psi_divided_differences
@@ -38,7 +40,7 @@ _IMAG_TOL = 1e-8
 # d^3 float arrays per point that a curvature jet and the traces read from it
 # hold at once: tracemalloc peaks at 11.2-15.2 of them from su3 up
 JET_PEAK_D3_ARRAYS = 16
-_SIGMA = np.array([-2.0, 2.0])[:, None, None]  # exp_metric_jet's sigma_s, times 2
+_SIGMA = np.array([-2.0, 2.0])[:, None, None]  # exp_frame_jet's sigma_s, times 2
 
 
 @dataclass(frozen=True)
@@ -94,25 +96,18 @@ class MetricField:
     """Batch-evaluable metric over one chart: points (m, d) -> metrics (m, d, d).
 
     ``domain`` is where the field may be evaluated and sampled: its box is the
-    sampling box and its ``contains`` guards every finite-difference stencil
-    and every jet.  ``jet``, when set, gives the exact ``FrameJet`` at points
-    (m, d), and curvature uses it in place of the stencil.
+    sampling box and its ``contains`` guards every jet.  ``jet`` gives the
+    exact ``FrameJet`` at points (m, d), from which curvature is computed.
     """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     domain: SafeDomain
+    jet: Callable[[np.ndarray], FrameJet]
     name: str = "field"
-    jet: Callable[[np.ndarray], FrameJet] | None = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.func(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-
-def maurer_cartan(frame: FrameEvaluation) -> np.ndarray:
-    """w_a = U^{-1} dU_a, one anti-Hermitian matrix per coordinate."""
-    u_inv = mat_inverse(frame.U)
-    return u_inv[None, :, :] @ frame.dU
 
 
 def _gram(omega: np.ndarray, k: float) -> np.ndarray:
@@ -179,7 +174,7 @@ def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarra
     return _exp_metric(spec, np.asarray(thetas, dtype=float), k)[3]
 
 
-def exp_metric_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
+def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
     """The exact ``FrameJet`` at points (..., d), flattened, in the frame Q of
     X = ad^2 = Q diag(mu) Q^T: lam = 2 kappa psi(mu), kappa = k GRAM_CONSTANT.
 
@@ -226,6 +221,67 @@ def exp_metric_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
                     dg=(c2 * d1)[:, None] * u[:, 1], inner=inner, outer=outer, mixed=mixed)
 
 
+def _rotate(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_ijk q_ci q_aj q_bk t_ijk for 3-tensors t (m, d, d, d)."""
+    m, d = q.shape[:2]
+    return (q @ (q[:, None] @ t @ q.swapaxes(1, 2)[:, None]).reshape(m, d, d * d)).reshape(t.shape)
+
+
+def contract_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> FrameJet:
+    """The ``FrameJet`` of a full jet at m points: g (m, d, d), dg[m, e, a, b] =
+    d_e g_ab and ddg[m, e, f, a, b] = d_e d_f g_ab.  ddg is contracted with
+    g^-1 = Q diag(1 / lam) Q^T from one eigh of g, and turned with dg into the
+    eigenframe theta = Q theta'."""
+    (m, d), (lam, q) = g.shape[:2], np.linalg.eigh(g)
+    qt = q.swapaxes(1, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular g: the guard reports it
+        ginv = (q / lam[:, None]) @ qt
+        gvec = ginv.reshape(m, 1, d * d)
+        # g^cd d_x d_c g_dy (partials commute), g^cd d_c d_d g_xy, g^cd d_x d_y g_cd
+        mixed = (gvec[:, None] @ ddg.reshape(m, d, d * d, d)).reshape(m, d, d)
+        outer = (gvec @ ddg.reshape(m, d * d, d * d)).reshape(m, d, d)
+        inner = (ddg.reshape(m, d * d, d * d) @ gvec.reshape(m, d * d, 1)).reshape(m, d, d)
+        return FrameJet(g=g, g_inv=ginv, q=q, lam=lam, dg=_rotate(dg, qt), inner=qt @ inner @ q,
+                        outer=qt @ outer @ q, mixed=qt @ mixed @ q)
+
+
+def _euler_leibniz(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slots i, j and weights w, each (2^order, 3, ..., 3) over [e, f, ..., a, b],
+    such that d_e d_f ... g_ab = sum_terms w G_ij for ``euler_full_jet``'s
+    Gram G: the Leibniz rule sends each derivative to one side of
+    Tr((d^alpha U)^dag d^beta U).  With alpha counting the (theta, phi, psi)
+    derivatives, d^alpha U = (-1/4)^(sum alpha // 2) V_i, where slot i =
+    4 (alpha_phi % 2) + 2 (alpha_theta % 2) + alpha_psi % 2."""
+    idx, eye, terms = np.indices((3,) * (order + 2)), np.eye(3, dtype=int), []
+    for sides in itertools.product((0, 1), repeat=order):
+        alpha = [eye[idx[-2]], eye[idx[-1]]]
+        for axis, side in zip(idx, sides):
+            alpha[side] = alpha[side] + eye[axis]
+        terms.append(alpha)
+    n = np.array(terms)  # [term, side, e, f, ..., a, b, coordinate]
+    slot = 4 * (n[..., 1] % 2) + 2 * (n[..., 0] % 2) + n[..., 2] % 2
+    return slot[:, 0], slot[:, 1], ((-0.25) ** (n // 2).sum(-1)).prod(1)
+
+
+_EULER_TERMS = tuple(_euler_leibniz(order) for order in range(3))
+
+
+def euler_full_jet(angles: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g, dg[m, e, a, b] = d_e g_ab and ddg[m, e, f, a, b] = d_e d_f g_ab of the
+    SU(2) z-x-z chart metric at points (m, 3), exact, from
+    ``euler_chart_batch``'s U and d_theta U.  With A = (i/2) sigma_3 and
+    B = (i/2) sigma_1, d^alpha U = A^alpha_phi U_z U_x B^alpha_theta U_z A^alpha_psi
+    and A^2 = B^2 = -I/4, so each derivative is a power of -1/4 times one of
+    the eight V_pts = A^p U_z U_x B^t U_z A^s, and g and its first two
+    derivatives are sums of the Gram G_ij = k Re Tr(V_i^dag V_j)."""
+    u, du = euler_chart_batch(angles)
+    v = np.stack([u, du[:, 0]], 1)                       # [m, t]
+    v = np.stack([v, _HALF_I_SIGMA_3 @ v], 1)            # [m, p, t]
+    v = np.stack([v, v @ _HALF_I_SIGMA_3], 3).reshape(len(u), 8, 4)
+    gram = k * (v.conj() @ v.swapaxes(1, 2)).real
+    return tuple((w * gram[:, i, j]).sum(1) for i, j, w in _EULER_TERMS)
+
+
 def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.ndarray:
     """Metric of ``spec`` on ``chart`` at a batch of points (m, d) -> (m, d, d)."""
     if chart == "exp":
@@ -237,9 +293,10 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.n
 
 
 def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
-    """``metric_batch`` on ``chart``, carrying the chart's safe domain; on the
-    exponential chart also the exact jet ``exp_metric_jet``."""
-    jet = (lambda p: exp_metric_jet(spec, p, k)) if chart == "exp" else None
+    """``metric_batch`` on ``chart``, carrying the chart's safe domain and its
+    exact jet: ``exp_frame_jet``, or ``euler_full_jet`` contracted."""
+    jet = (lambda p: exp_frame_jet(spec, p, k)) if chart == "exp" else (
+        lambda p: contract_jet(*euler_full_jet(p, k)))
     return MetricField(dim=spec.dim, func=lambda pts: metric_batch(spec, chart, pts, k),
                        domain=safe_domain(spec, chart), name=f"{spec.name}-{chart}", jet=jet)
 
@@ -284,19 +341,3 @@ def closed_form_metric_su2_euler(theta: float, phi: float, psi: float) -> Metric
     point = ChartPoint("euler", np.array([theta, phi, psi]), make_group("su", 2))
     return MetricTensor(g=g, g_inv=g_inv, point=point,
                         condition=float(np.linalg.cond(g)))
-
-
-_SHIFTS = {"phi_shift": 1, "psi_shift": 2}
-
-
-def isometry_residual(cfg: MetricConfig, point: ChartPoint, which: str, xi: float) -> float:
-    """Frobenius change of the pipeline metric under a printed global shift."""
-    if point.chart != "euler":
-        raise InvalidInputError("isometry shifts are defined on the euler chart")
-    if which not in _SHIFTS:
-        raise InvalidInputError(f"unknown isometry {which!r}")
-    shifted = np.array(point.coords, dtype=float)
-    shifted[_SHIFTS[which]] += xi
-    g0 = metric(cfg, point).g
-    g1 = metric(cfg, ChartPoint("euler", shifted, point.group)).g
-    return float(np.linalg.norm(g1 - g0))

@@ -74,14 +74,6 @@ def _check_polar(n_ambient: int, theta: np.ndarray):
         )
 
 
-def hyperspherical_embedding(n_ambient: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Point x(theta) on the sphere and its Jacobian frame B_{i,a}."""
-    theta = np.asarray(theta, dtype=float)
-    _check_polar(n_ambient, theta)
-    pts, jac = hyperspherical_batch(n_ambient, theta[None, :])
-    return pts[0], jac[0]
-
-
 def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     """Induced metric g_ab = sum_i B_{i,a} B_{i,b} at one point."""
     theta = np.asarray(theta, dtype=float)
@@ -89,7 +81,7 @@ def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     return _finish(sphere_metric_field(n_ambient)(theta)[0], None)
 
 
-def sphere_metric_jet(theta: np.ndarray) -> FrameJet:
+def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
     """Exact ``FrameJet`` of the pullback at points (m, d) in the chart's own
     frame: g = diag(lam), lam_a = prod_{b<a} sin^2 t_b, d_c log lam_a =
     2 cot t_c [c < a] and hess_cea = d_c d_e lam_a / lam_a = d_c log lam_a
@@ -130,7 +122,7 @@ def sphere_metric_field(n_ambient: int) -> MetricField:
     hi = np.array([np.pi - 0.3] * npolar + [np.pi])
     domain = SafeDomain(lo=lo, hi=hi, contains=lambda pts: _off_pole(n_ambient, pts).all(axis=1))
     return MetricField(dim=n_ambient - 1, func=func, domain=domain,
-                       name=f"s{n_ambient - 1}-pullback", jet=sphere_metric_jet)
+                       name=f"s{n_ambient - 1}-pullback", jet=sphere_frame_jet)
 
 
 def sphere_einstein_check(n_ambient: int, samples: int, tol: float, seed: int = 0):

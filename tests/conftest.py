@@ -5,9 +5,9 @@ import pytest
 
 from lieforge.catalog import make_group
 from lieforge.charts import safe_domain
-from lieforge.curvature import metric_jet
 from lieforge.errors import InvalidInputError, NumericRangeError
 from lieforge.kernel import PAULI
+from oracles import metric_jet
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
-"""Small hand-written metric fields used as curvature test fixtures."""
+"""Small hand-written metric fields used as curvature test fixtures; each
+takes its jet from the finite-difference stencil oracle."""
 
 import numpy as np
 
 from conftest import phim
 from lieforge.charts import SafeDomain, safe_domain
-from lieforge.metric import MetricField
+from oracles import stencil_field
 
 
 def everywhere(d):
@@ -18,7 +19,7 @@ def flat_field(d):
         pts = np.atleast_2d(pts)
         return np.broadcast_to(np.eye(d), (len(pts), d, d)).copy()
 
-    return MetricField(dim=d, func=func, domain=everywhere(d), name="flat")
+    return stencil_field(dim=d, func=func, domain=everywhere(d), name="flat")
 
 
 def s2_field():
@@ -36,7 +37,7 @@ def s2_field():
 
     domain = SafeDomain(lo=np.array([0.3, -np.pi]), hi=np.array([np.pi - 0.3, np.pi]),
                         contains=contains)
-    return MetricField(dim=2, func=func, domain=domain, name="s2-hand")
+    return stencil_field(dim=2, func=func, domain=domain, name="s2-hand")
 
 
 def left_invariant_field(spec, q):
@@ -50,5 +51,5 @@ def left_invariant_field(spec, q):
         j = phim(np.einsum("mc,cbe->meb", np.atleast_2d(pts), spec.structure))
         return np.swapaxes(j, -1, -2) @ q @ j
 
-    return MetricField(dim=spec.dim, func=func, domain=safe_domain(spec, "exp"),
-                       name=f"{spec.name}-left-invariant")
+    return stencil_field(dim=spec.dim, func=func, domain=safe_domain(spec, "exp"),
+                         name=f"{spec.name}-left-invariant")

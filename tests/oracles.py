@@ -1,21 +1,181 @@
-"""Test oracles: full second-derivative jets and chart-coordinate Ricci for
-the contracted frame jets that curvature reads in production, and the
-printed closed-form SU(2) exponential-chart metric with its derivative.
+"""Test oracles: code the production pipeline no longer runs, kept to check
+what it does run.
 
-``exp_full_jet`` and ``sphere_full_jet`` give (g, dg, ddg) with the whole
-d^4 ``ddg``; ``frame_contractions`` contracts that ``ddg`` with g^-1 and
-turns the result into a frame jet's eigenframe, and ``chart_view`` turns a
-frame jet back into chart coordinates; ``chart_ricci`` is Ricci by traces
-in chart coordinates, with ``np.linalg.inv``.
+- Full second-derivative jets: ``exp_full_jet`` and ``sphere_full_jet`` give
+  (g, dg, ddg) with the whole d^4 ``ddg``; ``frame_contractions`` contracts
+  that ``ddg`` with g^-1 and turns the result into a frame jet's eigenframe,
+  ``chart_view`` turns a frame jet back into chart coordinates, and
+  ``chart_ricci`` is Ricci by traces in chart coordinates, with
+  ``np.linalg.inv``.
+- The finite-difference (FD) stencil ``metric_jet``, and ``stencil_field``
+  and ``with_stencil``, which give a field the stencil on its own values as
+  its jet: hand-written test fields have no closed-form jet.
+- Chart frames: ``exp_chart`` and ``euler_chart`` (U and dU at one point),
+  ``maurer_cartan`` (the literal U^-1 dU), ``su2_log``, the chart transition
+  and the Euler-chart isometry residuals, ``expm``, ``symplectic_form``,
+  ``hyperspherical_embedding`` and ``christoffel``.
+- The printed closed-form SU(2) metrics and their derivatives.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from lieforge.catalog import GRAM_CONSTANT, make_group
-from lieforge.charts import EXP_SU2_NORM_MAX, ChartPoint
+from lieforge.charts import EXP_SU2_NORM_MAX, ChartPoint, euler_chart_batch, exp_chart_batch
+from lieforge.curvature import _require_inside, riemann_ricci
 from lieforge.errors import InvalidInputError, SingularityError
-from lieforge.kernel import psi_divided_differences
-from lieforge.metric import MetricTensor, _exp_metric
+from lieforge.kernel import expm_dual, mat_inverse, psi_divided_differences
+from lieforge.metric import MetricField, MetricTensor, _exp_metric, contract_jet, metric
+from lieforge.sphere import _check_polar, hyperspherical_batch
+
+BASE_STEP = 1e-3
+# offsets along each stencil line, in units of the step
+_LINE = np.array([-2.0, -1.0, 1.0, 2.0])
+
+
+def metric_jet(field, points, h=BASE_STEP):
+    """g, dg[..., e, a, b] = d_e g_ab and ddg[..., e, f, a, b] = d_e d_f g_ab
+    at points (..., d), from one guarded field call on 1 + 4 d^2 distinct rows
+    per point: the centre and the offsets {-2, -1, 1, 2} h along the d axes
+    e_a and the d (d - 1) diagonals e_a +- e_b.  On the axes dg is the
+    4th-order central difference (f(-2) - 8 f(-1) + 8 f(1) - f(2)) / (12 h)
+    and the diagonal of ddg is (-f(-2) + 16 f(-1) - 30 f(0) + 16 f(1) - f(2))
+    / (12 h^2).  Each mixed d_a d_b g is that second difference of
+    q(s) = D(s) / 4, where D(s) = f(s (e_a + e_b)) - f(s (e_a - e_b)) and
+    q(0) = 0: (-D(-2) + 16 D(-1) + 16 D(1) - D(2)) / (48 h^2), with the
+    diagonals subtracted first because that order sets the round-off.
+    Raises DomainError when a row leaves the field's domain.
+    """
+    points = np.asarray(points, dtype=float)
+    lead, d = points.shape[:-1], points.shape[-1]
+    eye, (pa, pb) = np.eye(d), np.triu_indices(d, 1)
+    lines = np.concatenate([eye, eye[pa] + eye[pb], eye[pa] - eye[pb]])  # (d + 2p, d)
+    offsets = (_LINE * h)[None, :, None] * lines[:, None, :]
+    stencil = np.concatenate([np.zeros((1, d)), offsets.reshape(-1, d)])
+    rows = (points[..., None, :] + stencil).reshape(-1, d)
+    _require_inside(field, rows, "finite-difference stencil leaves the safe domain of {1} near {0}")
+    vals = field(rows).reshape(lead + (len(stencil), d, d))
+    g = vals[..., 0, :, :]
+    on_line = np.moveaxis(vals[..., 1:, :, :].reshape(lead + (len(lines), len(_LINE), d, d)), -3, 0)
+    fm2, fm1, fp1, fp2 = on_line[..., :d, :, :]
+    dg = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    ddg, ar = np.empty(lead + (d, d, d, d)), np.arange(d)
+    ddg[..., ar, ar, :, :] = (-fm2 + 16.0 * fm1 - 30.0 * g[..., None, :, :]
+                              + 16.0 * fp1 - fp2) / (12.0 * h * h)
+    dm2, dm1, dp1, dp2 = on_line[..., d:d + len(pa), :, :] - on_line[..., d + len(pa):, :, :]
+    cross = (-dm2 + 16.0 * dm1 + 16.0 * dp1 - dp2) / (48.0 * h * h)
+    ddg[..., pa, pb, :, :] = cross
+    ddg[..., pb, pa, :, :] = cross
+    return g, dg, ddg
+
+
+def stencil_field(dim, func, domain, name="field", h=BASE_STEP):
+    """A MetricField whose jet is the stencil on its own values at step h,
+    contracted by ``contract_jet``."""
+    def jet(points):
+        return contract_jet(*metric_jet(field, points, h))
+
+    field = MetricField(dim=dim, func=func, domain=domain, jet=jet, name=name)
+    return field
+
+
+def with_stencil(field, h=BASE_STEP):
+    """``field``'s values, domain and name, with the stencil jet in place of its own."""
+    return stencil_field(field.dim, field.func, field.domain, field.name, h)
+
+
+def christoffel(field, point):
+    """Gamma^c_ab at one point, from riemann_ricci and under its condition guard."""
+    return riemann_ricci(field, point).gamma
+
+
+def expm(a):
+    """Plain (non-dual) matrix exponential via ``kernel.expm_dual``."""
+    return expm_dual(np.asarray(a, dtype=complex)[..., None, :, :])[..., 0, :, :]
+
+
+def symplectic_form(n):
+    """Standard block-antisymmetric form J preserved by sp(n) generators."""
+    j = np.zeros((2 * n, 2 * n), dtype=complex)
+    j[:n, n:] = np.eye(n)
+    j[n:, :n] = -np.eye(n)
+    return j
+
+
+def hyperspherical_embedding(n_ambient, theta):
+    """Point x(theta) on the sphere and its Jacobian frame B_{i,a}."""
+    theta = np.asarray(theta, dtype=float)
+    _check_polar(n_ambient, theta)
+    pts, jac = hyperspherical_batch(n_ambient, theta[None, :])
+    return pts[0], jac[0]
+
+
+@dataclass(frozen=True)
+class FrameEvaluation:
+    """Group element U and its coordinate derivatives dU_a at one point."""
+
+    U: np.ndarray
+    dU: np.ndarray  # (d, n, n)
+
+
+def exp_chart(spec, theta):
+    u, du = exp_chart_batch(spec, np.asarray(theta, dtype=float)[None, :])
+    return FrameEvaluation(U=u[0], dU=du[0])
+
+
+def euler_chart(theta, phi, psi):
+    u, du = euler_chart_batch(np.array([[theta, phi, psi]]))
+    return FrameEvaluation(U=u[0], dU=du[0])
+
+
+def evaluate(point):
+    if point.chart == "exp":
+        return exp_chart(point.group, point.coords)
+    return euler_chart(*point.coords)
+
+
+def chart_transition_check(p_exp, p_euler):
+    """Frobenius distance between the group elements of two SU(2) points."""
+    if p_exp.group.name != "su2" or p_euler.group.name != "su2":
+        raise InvalidInputError("transition check is defined for SU(2) charts")
+    return float(np.linalg.norm(evaluate(p_exp).U - evaluate(p_euler).U))
+
+
+def su2_log(u):
+    """Exponential-chart coordinates of an SU(2) element (|theta| < 2*pi)."""
+    c = 0.5 * np.real(u[0, 0] + u[1, 1])
+    s = np.array([
+        0.5 * np.imag(u[0, 1] + u[1, 0]),
+        0.5 * np.real(u[0, 1] - u[1, 0]),
+        0.5 * np.imag(u[0, 0] - u[1, 1]),
+    ])
+    sn = np.linalg.norm(s)
+    half = np.arctan2(sn, c)
+    if sn < 1e-14:
+        return np.zeros(3)
+    return 2.0 * half * s / sn
+
+
+def maurer_cartan(frame):
+    """w_a = U^{-1} dU_a, one anti-Hermitian matrix per coordinate."""
+    return mat_inverse(frame.U)[None, :, :] @ frame.dU
+
+
+_SHIFTS = {"phi_shift": 1, "psi_shift": 2}
+
+
+def isometry_residual(cfg, point, which, xi):
+    """Frobenius change of the pipeline metric under a printed global shift."""
+    if point.chart != "euler":
+        raise InvalidInputError("isometry shifts are defined on the euler chart")
+    if which not in _SHIFTS:
+        raise InvalidInputError(f"unknown isometry {which!r}")
+    shifted = np.array(point.coords, dtype=float)
+    shifted[_SHIFTS[which]] += xi
+    g0 = metric(cfg, point).g
+    g1 = metric(cfg, ChartPoint("euler", shifted, point.group)).g
+    return float(np.linalg.norm(g1 - g0))
 
 
 def exp_full_jet(spec, theta, k):
@@ -174,3 +334,17 @@ def closed_form_su2_exp_metric_derivative(theta: np.ndarray) -> np.ndarray:
             + h * (2.0 * theta[c] * eye - dproj)
         )
     return d
+
+
+def closed_form_su2_euler_full_jet(angles, k=2.0):
+    """g, dg[m, e, a, b] and ddg[m, e, f, a, b] of the printed Euler-chart
+    metric (k / 2) [[1, 0, 0], [0, 1, cos t], [0, cos t, 1]] at points
+    (m, 3): only g_phi,psi depends on a coordinate, with d_t = -sin t and
+    d_t d_t = -cos t."""
+    t = np.atleast_2d(np.asarray(angles, dtype=float))[:, 0]
+    g, dg, ddg = (np.zeros((len(t),) + (3,) * n) for n in (2, 3, 4))
+    g[:, 0, 0] = g[:, 1, 1] = g[:, 2, 2] = 1.0
+    g[:, 1, 2] = g[:, 2, 1] = np.cos(t)
+    dg[:, 0, 1, 2] = dg[:, 0, 2, 1] = -np.sin(t)
+    ddg[:, 0, 0, 1, 2] = ddg[:, 0, 0, 2, 1] = -np.cos(t)
+    return tuple(0.5 * k * x for x in (g, dg, ddg))

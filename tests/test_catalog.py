@@ -11,11 +11,10 @@ from lieforge.catalog import (
     make_group,
     parse_group_name,
     structure_constants,
-    symplectic_form,
 )
 import lieforge.errors
 from lieforge.errors import InvalidInputError
-from lieforge.kernel import expm
+from oracles import expm, symplectic_form
 
 CATALOG = [("su", 2), ("su", 3), ("so", 3), ("so", 4), ("so", 5), ("sp", 1), ("sp", 2)]
 

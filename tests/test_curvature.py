@@ -7,23 +7,16 @@ from dataclasses import replace
 
 from conftest import fd_derivative, riemann_tensor
 from lie_fields import everywhere, flat_field, left_invariant_field, s2_field  # local helper module
-from oracles import closed_form_su2_exp_metric_derivative, exp_full_jet, sphere_full_jet
+from oracles import (BASE_STEP, christoffel, closed_form_su2_euler_full_jet,
+                     closed_form_su2_exp_metric_derivative, euler_chart, exp_full_jet, metric_jet,
+                     sphere_full_jet, stencil_field, su2_log, with_stencil)
 from lieforge.catalog import parse_group_name
-from lieforge.charts import ChartPoint, euler_chart, safe_domain, su2_log
+from lieforge.charts import safe_domain
 from lieforge import curvature
-from lieforge.curvature import (
-    BASE_STEP,
-    CHUNK_BYTES,
-    christoffel,
-    einstein_check,
-    metric_jet,
-    riemann_ricci,
-    sample_safe_points,
-)
+from lieforge.curvature import CHUNK_BYTES, einstein_check, riemann_ricci, sample_safe_points
 from lieforge.errors import DomainError, InvalidInputError, LieForgeError, SingularityError
 from lieforge.sphere import sphere_metric_field
 from lieforge.metric import (
-    MetricField,
     exp_metric_field,
     metric_field,
     resolve_k,
@@ -63,7 +56,7 @@ class TestChristoffel:
         # inside the domain, but the finite-difference stencil reaches past it
         near_edge = np.array([2 * np.pi - 0.0101, 0.0, 0.0])
         with pytest.raises(DomainError):
-            christoffel(replace(su2_field, jet=None), near_edge)
+            christoffel(with_stencil(su2_field), near_edge)
 
     def test_jet_domain_error(self, su2_field):
         christoffel(su2_field, np.array([2 * np.pi - 0.0101, 0.0, 0.0]))
@@ -151,7 +144,9 @@ def ricci_cases():
         cases[name] = (exp_metric_field(spec, resolve_k("auto")),
                        lambda p, spec=spec: exp_full_jet(spec, p, resolve_k("auto")))
     cases["s7"] = (sphere_metric_field(8), sphere_full_jet)
-    cases["su2-euler-fd"] = (metric_field(parse_group_name("su2"), "euler", 2.0), None)
+    euler = metric_field(parse_group_name("su2"), "euler", 2.0)
+    cases["su2-euler"] = (euler, lambda p: tuple(x[0] for x in closed_form_su2_euler_full_jet(p)))
+    cases["su2-euler-fd"] = (with_stencil(euler), None)
     cases["berger-fd"] = (left_invariant_field(parse_group_name("su2"), np.diag([1.0, 1.0, 0.5])),
                           None)
     cases["flat"] = (flat_field(3), None)
@@ -204,7 +199,7 @@ def counting_field(field):
         calls.append(np.array(pts))
         return field(pts)
 
-    return replace(field, func=func), calls
+    return stencil_field(field.dim, func, field.domain, field.name), calls
 
 
 def polynomial_derivative(x, k, powers, coef):
@@ -239,7 +234,7 @@ class TestSharedStencil:
                 w = 2.0 + np.sin(pts[:, 0]) * np.cos(2.0 * pts[:, 1])
                 return w[:, None, None] * np.eye(2)
 
-            field = MetricField(dim=2, func=func, domain=everywhere(2))
+            field = stencil_field(dim=2, func=func, domain=everywhere(2))
             x, y = 0.4, -0.2
             dxx = -np.sin(x) * np.cos(2 * y)
             dxy = -2.0 * np.cos(x) * np.sin(2 * y)
@@ -256,7 +251,7 @@ class TestSharedStencil:
         powers = np.array([e for e in np.ndindex(*(5,) * d) if sum(e) <= 4])
         coef = rng.normal(size=(len(powers), d, d))
         coef = coef + np.swapaxes(coef, 1, 2)
-        field = MetricField(
+        field = stencil_field(
             dim=d, domain=everywhere(d),
             func=lambda pts: np.stack([polynomial_derivative(x, [0] * d, powers, coef)
                                        for x in pts]) + 10.0 * np.eye(d))
@@ -312,7 +307,7 @@ class TestEinsteinCheck:
 
     def test_failing_sample_recorded(self, su2_field):
         bad = np.array([[2 * np.pi - 0.0101, 0.0, 0.0]])
-        v = einstein_check(replace(su2_field, jet=None), bad, 1e-6)
+        v = einstein_check(with_stencil(su2_field), bad, 1e-6)
         assert not v.passed
         assert v.failure is not None
 
@@ -335,7 +330,7 @@ class TestBatchedVerdict:
     def test_fd_jet_is_bitwise_per_point(self, su2):
         # the stencil rows of every point go through one field call
         for field in (metric_field(su2, "euler", 2.0), s2_field(),
-                      replace(sphere_metric_field(6), jet=None)):
+                      with_stencil(sphere_metric_field(6))):
             pts = sample_safe_points(field, 4, np.random.default_rng(53))
             batch = metric_jet(field, pts)
             for i, p in enumerate(pts):
@@ -374,7 +369,7 @@ class TestBatchedVerdict:
             field, bad = stiff_where(0.25, 1e-9), np.array([0.5, 0.0])
             good, message = np.zeros(2), "failed: metric condition 1.000e+09 exceeds 1e+08"
         else:
-            field = su2_field if case == "jet-domain" else replace(su2_field, jet=None)
+            field = su2_field if case == "jet-domain" else with_stencil(su2_field)
             good = np.array([0.5, 0.0, 0.0])
             bad = np.array([2 * np.pi - (0.0099 if case == "jet-domain" else 0.0101), 0.0, 0.0])
             message = ("is outside the safe domain" if case == "jet-domain"
@@ -413,7 +408,7 @@ def stiff_field(eps):
     def func(pts):
         return np.broadcast_to(np.diag([1.0, eps]), (len(pts), 2, 2)).copy()
 
-    return MetricField(dim=2, func=func, domain=everywhere(2), name="stiff")
+    return stencil_field(dim=2, func=func, domain=everywhere(2), name="stiff")
 
 
 def stiff_where(x0, eps):
@@ -423,7 +418,7 @@ def stiff_where(x0, eps):
         g[:, 1, 1] = np.where(pts[:, 0] > x0, eps, 1.0)
         return g
 
-    return MetricField(dim=2, func=func, domain=everywhere(2), name="stiff-where")
+    return stencil_field(dim=2, func=func, domain=everywhere(2), name="stiff-where")
 
 
 class TestConditionGuard:

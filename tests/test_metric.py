@@ -8,36 +8,26 @@ import pytest
 
 import lieforge.errors
 from conftest import fd_derivative, jet_points, phim
-from oracles import (chart_view, closed_form_metric_su2_exp,
-                     closed_form_su2_exp_metric_derivative, exp_full_jet)
+from oracles import (FrameEvaluation, chart_view, closed_form_metric_su2_exp,
+                     closed_form_su2_exp_metric_derivative, exp_chart, exp_full_jet, expm,
+                     isometry_residual, maurer_cartan, metric_jet, with_stencil)
 from lie_fields import left_invariant_field
 from lieforge.catalog import GRAM_CONSTANT, make_group, parse_group_name
-from lieforge.charts import (
-    ChartPoint,
-    FrameEvaluation,
-    euler_chart,
-    euler_chart_batch,
-    exp_chart,
-    exp_chart_batch,
-    safe_domain,
-)
-from lieforge.curvature import metric_jet, riemann_ricci
+from lieforge.charts import ChartPoint, euler_chart_batch, exp_chart_batch, safe_domain
+from lieforge.curvature import riemann_ricci
 from lieforge.errors import (InvalidInputError, LieForgeError, NumericRangeError,
                             SingularityError)
-from lieforge.kernel import PAULI, expm
+from lieforge.kernel import PAULI
 from lieforge.metric import (
     JET_PEAK_D3_ARRAYS,
     METRIC_CONDITION_LIMIT,
     MetricConfig,
-    MetricField,
     _finish,
     _gram,
     closed_form_metric_su2_euler,
     exp_metric_batch,
     exp_metric_field,
-    exp_metric_jet,
-    isometry_residual,
-    maurer_cartan,
+    exp_frame_jet,
     metric,
     metric_field,
 )
@@ -330,7 +320,7 @@ def stencil_rows(spec, points):
         return field.func(pts)
 
     for point in points:
-        metric_jet(MetricField(spec.dim, record, field.domain), point)
+        metric_jet(replace(field, func=record), point)
     return np.concatenate(rows)
 
 
@@ -400,7 +390,7 @@ class TestAdjointMetric:
         if name == "berger":
             field = left_invariant_field(parse_group_name("su2"), np.diag([1.0, 1.0, 0.5]))
         else:
-            field = replace(metric_field(parse_group_name(name), "exp", 2.0), jet=None)
+            field = with_stencil(metric_field(parse_group_name(name), "exp", 2.0))
         p = np.random.default_rng(37).uniform(field.domain.lo, field.domain.hi, field.dim)
         pair = metric_jet(field, np.stack([p, 0.01 * p]))
         for at, point in enumerate((p, 0.01 * p)):
@@ -409,7 +399,7 @@ class TestAdjointMetric:
 
 
 class TestExactJet:
-    """exp_metric_jet: psi(ad^2) and its contracted derivatives from one
+    """exp_frame_jet: psi(ad^2) and its contracted derivatives from one
     eigendecomposition; the full-ddg oracle exp_full_jet against differences."""
 
     @pytest.mark.parametrize("family,n", CATALOG + [("su", 4), ("sp", 3)])
@@ -431,7 +421,7 @@ class TestExactJet:
             assert np.array_equal(dg, np.swapaxes(dg, 1, 2))
             assert np.array_equal(ddg, np.swapaxes(ddg, 2, 3))
             assert np.abs(ddg - np.swapaxes(ddg, 0, 1)).max() <= 1e-14
-            jet = exp_metric_jet(spec, p, 3.0)
+            jet = exp_frame_jet(spec, p, 3.0)
             assert np.array_equal(jet.g[0], g)
             assert np.abs(chart_view(jet)[0][0] - dg).max() <= 1e-14
         oracle = [fd_derivative(lambda x: phi_metric(spec, x[None], 3.0)[0], p, e)
@@ -442,17 +432,17 @@ class TestExactJet:
         rng = np.random.default_rng(36)
         for theta in rng.uniform(-1.5, 1.5, (8, 3)):
             exact = closed_form_su2_exp_metric_derivative(theta)
-            assert np.abs(chart_view(exp_metric_jet(su2, theta, 2.0))[0][0] - exact).max() <= 1e-13
+            assert np.abs(chart_view(exp_frame_jet(su2, theta, 2.0))[0][0] - exact).max() <= 1e-13
 
     @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("so", 5), ("sp", 2)])
     def test_batch_matches_per_point(self, family, n):
         # one batched eigh and batched Hankel forms: only round-off moves
         spec = make_group(family, n)
         pts = jet_points(spec)
-        jet = exp_metric_jet(spec, pts, 2.0)
+        jet = exp_frame_jet(spec, pts, 2.0)
         batch = (jet.g, jet.lam) + chart_view(jet)
         for i, p in enumerate(pts):
-            one = exp_metric_jet(spec, p, 2.0)
+            one = exp_frame_jet(spec, p, 2.0)
             for b, x in zip(batch, (one.g, one.lam) + chart_view(one)):
                 assert b[i].shape == x[0].shape
                 assert np.abs(b[i] - x[0]).max() <= 1e-13
@@ -462,7 +452,7 @@ class TestExactJet:
         su3 = make_group("su", 3)
         monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", 8 * 8 * su3.dim ** 3)
         with pytest.raises(InvalidInputError, match="allocation budget"):
-            exp_metric_jet(su3, np.full(su3.dim, 0.1), 2.0)
+            exp_frame_jet(su3, np.full(su3.dim, 0.1), 2.0)
 
     @pytest.mark.parametrize("name,m", [("su4", 1), ("su5", 1), ("sp3", 3)])
     def test_peak_stays_within_the_budgeted_count(self, name, m, monkeypatch):
@@ -485,17 +475,17 @@ class TestExactJet:
 
     def test_rejects_wrong_coordinate_count(self, su2):
         with pytest.raises(InvalidInputError):
-            exp_metric_jet(su2, np.zeros(4), 2.0)
+            exp_frame_jet(su2, np.zeros(4), 2.0)
         with pytest.raises(InvalidInputError):
-            exp_metric_jet(su2, np.zeros((5, 4)), 2.0)
+            exp_frame_jet(su2, np.zeros((5, 4)), 2.0)
 
     @pytest.mark.parametrize("family,n", CATALOG)
     def test_value_is_the_batch_metric(self, family, n):
         spec = make_group(family, n)
         pts = jet_points(spec)
-        assert np.array_equal(exp_metric_jet(spec, pts, 2.0).g, exp_metric_batch(spec, pts, 2.0))
+        assert np.array_equal(exp_frame_jet(spec, pts, 2.0).g, exp_metric_batch(spec, pts, 2.0))
 
     def test_rejects_spectrum_past_the_series_range(self, su2):
         # |theta| = 6.5 puts an eigenvalue of ad^2 at -42.25 < -(2 pi)^2
         with pytest.raises(NumericRangeError):
-            exp_metric_jet(su2, np.array([6.5, 0.0, 0.0]), 2.0)
+            exp_frame_jet(su2, np.array([6.5, 0.0, 0.0]), 2.0)

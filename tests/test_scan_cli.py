@@ -240,9 +240,16 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    def test_euler_einstein_at_round_off(self, capsys):
+        code = cli.main(["einstein", "--group", "su2", "--chart", "euler",
+                         "--samples", "20", "--tol", "1e-12"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["pass"] is True
+        assert abs(out["lambda_hat"] - 0.25) <= 1e-12
+
     @pytest.mark.parametrize("theta", ["1e-4", "3e-4", repr(np.pi - 3e-4)])
     def test_euler_stencil_across_pole_exit_2(self, theta, capsys):
-        # the curvature stencil (+-2e-3) would reach across theta = 0 or pi
+        # within EULER_POLE_MARGIN of theta = 0 or pi, outside the safe domain
         code = cli.main(["curvature", "--group", "su2", "--chart", "euler",
                          "--point", f"{theta},0.2,0.3"])
         assert code == 2

@@ -1,19 +1,16 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from lieforge import sphere
-from oracles import sphere_full_jet
-from lieforge.curvature import einstein_check, metric_jet, sample_safe_points
+from oracles import hyperspherical_embedding, metric_jet, sphere_full_jet, with_stencil
+from lieforge.curvature import einstein_check, sample_safe_points
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.metric import closed_form_metric_su2_euler
 from lieforge.sphere import (
-    hyperspherical_embedding,
     pullback_metric,
     sphere_einstein_check,
     sphere_metric_field,
-    sphere_metric_jet,
+    sphere_frame_jet,
 )
 
 
@@ -133,7 +130,7 @@ def test_exact_jet_matches_pullback_and_fd(n):
     for p in sample_safe_points(field, 4, np.random.default_rng(n)):
         g, dg, ddg = sphere_full_jet(p)
         assert np.abs(g - field(p)[0]).max() <= 1e-14
-        assert np.array_equal(sphere_metric_jet(p).g[0], g)
+        assert np.array_equal(sphere_frame_jet(p).g[0], g)
         for exact, fd, bound in zip((g, dg, ddg), metric_jet(field, p), (1e-12, 1e-11, 1e-8)):
             assert np.abs(exact - fd).max() <= bound
 
@@ -142,9 +139,9 @@ def test_exact_jet_matches_pullback_and_fd(n):
 def test_exact_jet_batch_matches_per_point(n):
     field = sphere_metric_field(n)
     pts = sample_safe_points(field, 6, np.random.default_rng(n))
-    jets = sphere_metric_jet(pts)
+    jets = sphere_frame_jet(pts)
     for i, p in enumerate(pts):
-        for b, one in zip(jets, sphere_metric_jet(p)):
+        for b, one in zip(jets, sphere_frame_jet(p)):
             assert b[i].shape == one[0].shape
             assert np.abs(b[i] - one[0]).max() <= 1e-13
 
@@ -153,7 +150,7 @@ def test_jet_budget_is_checked_before_any_array():
     # S^2999 would need d^3-float arrays of about 200 GiB: an input error, not
     # numpy's allocation failure
     with pytest.raises(InvalidInputError, match="allocation budget"):
-        sphere_metric_jet(np.full(2999, 1.0))
+        sphere_frame_jet(np.full(2999, 1.0))
 
 
 @pytest.mark.parametrize("n", range(3, 14))
@@ -165,7 +162,7 @@ def test_spheres_pass_with_exact_jet(n):
 
 
 def test_tolerance_tighter_than_method_noise_fails():
-    field = replace(sphere_metric_field(3), jet=None)  # the finite-difference path
+    field = with_stencil(sphere_metric_field(3))  # the finite-difference path
     v = einstein_check(field, sample_safe_points(field, 4, np.random.default_rng(0)), 1e-12)
     assert not v.passed
 
