@@ -38,9 +38,10 @@ class GroupSpec:
         as f = Re(T_abc - T_bac) / (1/2) with T_abc = Tr(X_c^dag X_a X_b): one
         batched product X_a X_b and one (d^2 x n^2)(n^2 x d) product.  The
         build peaks at those products and conj(X), 16 d n^2 (d + 1) + 16 d^3
-        bytes, less than the budget check asks for."""
+        bytes, plus array headers: about 1 KB, for which the budget check
+        asks 2 KiB."""
         d, n2 = self.dim, self.matrix_size ** 2
-        check_alloc(16 * d * d * max(3 * n2, n2 + 2 * d) + 8 * d ** 3,
+        check_alloc(16 * d * n2 * (d + 1) + 16 * d ** 3 + 2048,
                     f"the {self.name} structure constants")
         x = self.generators
         t = ((x[:, None] @ x).reshape(d * d, n2) @ x.conj().reshape(d, n2).T).real

@@ -5,10 +5,13 @@ chart the frames have the closed form w_a = phi(ad_A) X_a with
 A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
 orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
 psi(x) = (cosh(sqrt x) - 1) / x, and the metric is psi of ad_A^2 in real
-d x d arithmetic on the adjoint representation.  The metric and, for
-curvature, its exact jet in the eigenframe of ad^2 (``exp_frame_jet``)
-come from one batched eigendecomposition of ad^2.  The Euler chart goes
-through U^dag dU, as U^dag = U^{-1} on SU(2); its exact jet
+d x d arithmetic on the adjoint representation.  The metric, its
+eigenvalues k psi(mu) (mu those of ad^2) and, for curvature, its exact jet
+in the eigenframe of ad^2 (``exp_frame_jet``) come from one batched
+eigendecomposition of ad^2, so a point query on the exp chart reads its
+condition number and inverse from that eigenframe; on the Euler chart and
+the sphere they come from one eigh of g.  The Euler chart goes through
+U^dag dU, as U^dag = U^{-1} on SU(2); its exact jet
 (``euler_full_jet``) is a Gram of the chart's derivatives up to third
 order, contracted into the eigenframe of g by ``contract_jet``.  The
 module also carries the closed-form SU(2) Euler-chart metric, an oracle for
@@ -125,13 +128,18 @@ def _where(point: ChartPoint | None) -> str:
     return "" if point is None else f" at {point.chart} point {point.coords}"
 
 
-def _finish(g: np.ndarray, point: ChartPoint | None) -> MetricTensor:
-    """Condition number and inverse of a symmetric g from one eigh: |w| are
-    g's singular values, so max|w| / min|w| is the 2-norm condition number."""
+def _finish(g: np.ndarray, point: ChartPoint | None,
+            frame: tuple[np.ndarray, np.ndarray] | None = None) -> MetricTensor:
+    """Condition number and inverse of a symmetric g = Q diag(lam) Q^T from its
+    eigenframe (lam, Q): on the exp chart the frame of ad^2 that
+    ``metric_batch`` gives with g; on the Euler chart and the sphere
+    (``frame`` None) one eigh of g.  |lam| are g's singular values, so
+    max|lam| / min|lam| is the 2-norm condition number, and
+    g^-1 = Q diag(1 / lam) Q^T."""
     if not np.isfinite(g).all():
         raise NumericRangeError(f"metric has non-finite entries{_where(point)}")
-    w, v = np.linalg.eigh(g)
-    size = np.abs(w)
+    lam, q = np.linalg.eigh(g) if frame is None else frame
+    size = np.abs(lam)
     lo, hi = float(size.min()), float(size.max())
     cond = hi / lo if lo > 0 else np.inf
     if cond > METRIC_CONDITION_LIMIT:
@@ -140,13 +148,14 @@ def _finish(g: np.ndarray, point: ChartPoint | None) -> MetricTensor:
             condition=cond,
             point=point,
         )
-    return MetricTensor(g=g, g_inv=(v / w) @ v.T, point=point, condition=cond)
+    return MetricTensor(g=g, g_inv=(q / lam) @ q.T, point=point, condition=cond)
 
 
-def _exp_metric(spec: GroupSpec, thetas: np.ndarray,
-                k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """ad, the eigenvalues mu and vectors Q of X = ad^2 (one eigh) and the
-    metric g at points (..., dim) of the exponential chart, flattened to (m, ...).
+def _exp_metric(spec: GroupSpec, thetas: np.ndarray, k: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """ad, the eigenvalues mu and vectors Q of X = ad^2 (one eigh), psi(mu)
+    and the metric g at points (..., dim) of the exponential chart, flattened
+    to (m, ...).
 
     With M_eb = theta^c f_cbe the matrix of ad_A, w_a = J_ea X_e for
     J = phi(M), and Tr(X_e^dag X_f) = delta_ef / 2 gives g = k J^T J / 2.
@@ -164,14 +173,15 @@ def _exp_metric(spec: GroupSpec, thetas: np.ndarray,
     if not np.isfinite(x).all():
         raise NumericRangeError(f"non-finite entries in ad^2 on the {spec.name} exp chart")
     mu, q = np.linalg.eigh(x)
-    p = (q * (psi(mu) - 0.5)[:, None]) @ q.swapaxes(1, 2)
+    ps = psi(mu)
+    p = (q * (ps - 0.5)[:, None]) @ q.swapaxes(1, 2)
     p.reshape(len(p), d * d)[:, ::d + 1] += 0.5
-    return ad, mu, q, (k * GRAM_CONSTANT) * (p + p.swapaxes(1, 2))
+    return ad, mu, q, ps, (k * GRAM_CONSTANT) * (p + p.swapaxes(1, 2))
 
 
 def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarray:
     """Exponential-chart metric at a batch of points (m, dim) -> (m, dim, dim)."""
-    return _exp_metric(spec, np.asarray(thetas, dtype=float), k)[3]
+    return _exp_metric(spec, np.asarray(thetas, dtype=float), k)[4]
 
 
 def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
@@ -193,10 +203,9 @@ def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
     theta, d = np.asarray(theta, dtype=float), spec.dim
     check_alloc(8 * JET_PEAK_D3_ARRAYS * math.prod(theta.shape[:-1]) * d ** 3,
                 f"the {spec.name} curvature jet")
-    ad, mu, q, g = _exp_metric(spec, theta, k)
+    ad, mu, q, p, g = _exp_metric(spec, theta, k)
     d1, d2 = psi_divided_differences(mu)
     m, c2, qt = len(q), 2.0 * k * GRAM_CONSTANT, q.swapaxes(1, 2)
-    p = psi(mu)
     wp = 1.0 / p                                  # 2 kappa w
     u = np.empty((m, 2, d, d, d))                 # [m, s, e, i, j]
     fe = (qt @ spec.structure.reshape(d, d * d)).reshape(m, d, d, d)
@@ -282,13 +291,19 @@ def euler_full_jet(angles: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray
     return tuple((w * gram[:, i, j]).sum(1) for i, j, w in _EULER_TERMS)
 
 
-def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray, k: float) -> np.ndarray:
-    """Metric of ``spec`` on ``chart`` at a batch of points (m, d) -> (m, d, d)."""
+def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
+                 k: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Metric of ``spec`` on ``chart`` at a batch of points (m, d) -> g (m, d, d),
+    with the eigenframe g = Q diag(lam) Q^T as (lam (m, d), Q (m, d, d)) where
+    the chart gives it: on the exp chart lam = 2 kappa psi(mu), kappa =
+    k GRAM_CONSTANT, in the frame Q of ad^2, the same lam as
+    ``exp_frame_jet``'s; None on the Euler chart."""
     if chart == "exp":
-        return exp_metric_batch(spec, pts, k)
+        q, p, g = _exp_metric(spec, np.asarray(pts, dtype=float), k)[2:]
+        return g, ((2.0 * k * GRAM_CONSTANT) * p, q)
     if chart == "euler":
         u, du = euler_chart_batch(pts)  # U in SU(2), so U^{-1} = U^dag
-        return _gram(u.conj().swapaxes(1, 2)[:, None] @ du, k)
+        return _gram(u.conj().swapaxes(1, 2)[:, None] @ du, k), None
     raise InvalidInputError(f"unknown chart {chart!r}")
 
 
@@ -297,7 +312,7 @@ def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
     exact jet: ``exp_frame_jet``, or ``euler_full_jet`` contracted."""
     jet = (lambda p: exp_frame_jet(spec, p, k)) if chart == "exp" else (
         lambda p: contract_jet(*euler_full_jet(p, k)))
-    return MetricField(dim=spec.dim, func=lambda pts: metric_batch(spec, chart, pts, k),
+    return MetricField(dim=spec.dim, func=lambda pts: metric_batch(spec, chart, pts, k)[0],
                        domain=safe_domain(spec, chart), name=f"{spec.name}-{chart}", jet=jet)
 
 
@@ -312,7 +327,8 @@ def metric(cfg: MetricConfig, point: ChartPoint) -> MetricTensor:
             f"{point.group.name} {point.chart}-chart point given to the "
             f"{cfg.group.name} {cfg.chart}-chart metric"
         )
-    return _finish(metric_batch(cfg.group, cfg.chart, point.coords, cfg.resolve_k())[0], point)
+    g, frame = metric_batch(cfg.group, cfg.chart, point.coords, cfg.resolve_k())
+    return _finish(g[0], point, None if frame is None else (frame[0][0], frame[1][0]))
 
 
 # ---------------------------------------------------------------------------

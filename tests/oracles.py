@@ -194,7 +194,7 @@ def exp_full_jet(spec, theta, k):
     at a time, which keeps the temporaries near d^3.
     """
     theta, d = np.asarray(theta, dtype=float), spec.dim
-    ad, mu, q, g = (x[0] for x in _exp_metric(spec, theta, k))
+    ad, mu, q, _, g = (x[0] for x in _exp_metric(spec, theta, k))
     d1, d2 = psi_divided_differences(mu)
     fq = q.T @ spec.structure @ q               # [c] = F'_c
     adq = q.T @ ad @ q

@@ -194,6 +194,48 @@ class TestFinish:
                 _finish(g, None)
         assert exc.value.condition > METRIC_CONDITION_LIMIT
 
+    @pytest.mark.parametrize("t", [6.0, 6.27, 6.2831])
+    def test_exp_inverse_near_the_chart_edge(self, su2, t):
+        # g = diag(1, s, s) with s = (sin(t/2) / (t/2))^2: 1 / s is relative-exact
+        # from psi(mu), where an eigh of g loses eps |g| / s
+        mt = metric(cfg_exp(su2), ChartPoint("exp", np.array([t, 0.0, 0.0]), su2))
+        exact = ((t / 2) / np.sin(t / 2)) ** 2
+        for got in (mt.g_inv[1, 1], mt.g_inv[2, 2], mt.condition):
+            assert abs(got - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("chart,point", [("exp", [0.3, -1.2, 2.0]),
+                                             ("euler", [1.0, 0.2, -0.4])])
+    def test_one_eigh_per_query(self, su2, monkeypatch, chart, point):
+        # the exp chart reads g's eigenframe from the eigh of ad^2; Euler has one eigh of g
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        cfg = MetricConfig(group=su2, chart=chart)
+        mt = metric(cfg, ChartPoint(chart, np.array(point), su2))
+        assert len(calls) == 1
+        assert np.abs(mt.g @ mt.g_inv - np.eye(3)).max() <= 1e-14
+
+    def test_exp_jet_evaluates_psi_once(self, monkeypatch):
+        spec = make_group("so", 5)
+        module = importlib.import_module("lieforge.metric")
+        calls = []
+        psi = module.psi
+        monkeypatch.setattr(module, "psi", lambda mu: calls.append(mu.shape) or psi(mu))
+        exp_frame_jet(spec, jet_points(spec), 2.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [2.0, 3.0])
+    def test_query_reads_the_jet_lambda(self, monkeypatch, k):
+        spec = make_group("su", 3)
+        module = importlib.import_module("lieforge.metric")
+        frames = []
+        finish = module._finish
+        monkeypatch.setattr(module, "_finish", lambda g, point, frame=None:
+                            frames.append(frame) or finish(g, point, frame))
+        for p in jet_points(spec):
+            metric(MetricConfig(group=spec, k=k), ChartPoint("exp", p, spec))
+            assert np.array_equal(frames[-1][0], exp_frame_jet(spec, p, k).lam[0])
+
 
 class TestClosedFormOracles:
     def test_inverse_axis_formula(self):
