@@ -19,8 +19,8 @@ from .errors import InvalidInputError, check_alloc
 GRAM_CONSTANT = 0.5
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+@dataclass(frozen=True, eq=False)
+class GroupSpec:  # hashed by identity: make_group hands out one spec per (family, n)
     family: str  # "SU" | "SO" | "Sp"
     n: int
     matrix_size: int

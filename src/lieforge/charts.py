@@ -40,6 +40,10 @@ class SafeDomain:
     hi: np.ndarray
     contains: Callable[[np.ndarray], np.ndarray]  # (m, d) -> bool (m,)
 
+    def __post_init__(self):  # fields are cached and shared, so the box is read-only
+        self.lo.setflags(write=False)
+        self.hi.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -135,6 +139,7 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
         nmax = np.pi / 2
 
     def contains(pts, _nmax=nmax):
-        return np.linalg.norm(np.atleast_2d(pts), axis=1) < _nmax
+        p = np.asarray(pts).reshape(-1, d)  # np.linalg.norm(p, axis=1), without its wrapper
+        return np.sqrt((p * p).sum(1)) < _nmax
 
     return SafeDomain(lo=np.full(d, -r), hi=np.full(d, r), contains=contains)

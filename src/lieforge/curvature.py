@@ -111,17 +111,22 @@ class EinsteinVerdict:
 def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
     """``count`` uniform draws from the field's domain box that it contains.
 
-    Each attempt draws ``count`` rows and keeps those ``field.domain.contains``
-    accepts; the field itself is never evaluated.
+    Each attempt draws ``count`` rows as lo + (hi - lo) * rng.random(...),
+    bitwise ``rng.uniform(lo, hi, ...)``, and keeps those ``field.domain.contains``
+    accepts; while none are kept, a batch accepted whole is returned as drawn.
+    The field itself is never evaluated.
     """
     if not count >= 1:
         raise InvalidInputError(f"need at least one sample point, got {count}")
-    dom = field.domain
-    check_alloc(8 * count * len(dom.lo), f"{count} sample points")
-    kept = np.empty((0, len(dom.lo)))
+    dom, d = field.domain, len(field.domain.lo)
+    check_alloc(8 * count * d, f"{count} sample points")
+    kept = np.empty((0, d))
     for _ in range(SAMPLE_ATTEMPTS):
-        batch = rng.uniform(dom.lo, dom.hi, (count, len(dom.lo)))
-        kept = np.concatenate([kept, batch[np.asarray(dom.contains(batch), bool)]])
+        batch = dom.lo + (dom.hi - dom.lo) * rng.random((count, d))
+        inside = np.asarray(dom.contains(batch), bool)
+        if inside.all() and not len(kept):
+            return batch
+        kept = np.concatenate([kept, batch[inside]])
         if len(kept) >= count:
             return kept[:count]
     raise LieForgeError(
@@ -160,12 +165,12 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
     lambdas = scalar / (2.0 * d)
     lam = float(lambdas.sum()) / len(lambdas)
     # ||Ric - s g||_F / ||g||_F per sample in the jet's frame, g = diag(g_eig),
-    # s = 2 Lambda and R / 2 - Lambda (d - 2); an expanded square loses digits
-    shift = np.empty((2, len(lambdas), 1, 1))
-    shift[0], shift[1, :, 0, 0] = 2.0 * lam, 0.5 * scalar - lam * (d - 2)
-    g = np.zeros(ric.shape)
-    g.reshape(len(g), d * d)[:, ::d + 1] = g_eig
-    r = ric - shift * g
+    # s = 2 Lambda and R / 2 - Lambda (d - 2), subtracted on the diagonals of
+    # two copies of Ric; an expanded square loses digits
+    r = ric[None].repeat(2, axis=0)
+    diag = r.reshape(2, len(ric), d * d)[..., ::d + 1]
+    diag[0] -= (2.0 * lam) * g_eig
+    diag[1] -= (0.5 * scalar - lam * (d - 2))[:, None] * g_eig
     ratio = np.einsum("kmab,kmab->km", r, r) / np.einsum("ma,ma->m", g_eig, g_eig)
     residual, field_residual = np.sqrt(ratio.max(axis=1)).tolist()
     failure = None

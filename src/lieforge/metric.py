@@ -20,6 +20,7 @@ both.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -307,9 +308,12 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
     raise InvalidInputError(f"unknown chart {chart!r}")
 
 
+@functools.lru_cache(maxsize=64)
 def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
     """``metric_batch`` on ``chart``, carrying the chart's safe domain and its
-    exact jet: ``exp_frame_jet``, or ``euler_full_jet`` contracted."""
+    exact jet: ``exp_frame_jet``, or ``euler_full_jet`` contracted.  Built
+    once per (spec, chart, k) and shared; its functions look ``metric_batch``
+    and the jets up in this module when called."""
     jet = (lambda p: exp_frame_jet(spec, p, k)) if chart == "exp" else (
         lambda p: contract_jet(*euler_full_jet(p, k)))
     return MetricField(dim=spec.dim, func=lambda pts: metric_batch(spec, chart, pts, k)[0],

@@ -11,6 +11,8 @@ embedding stays its value oracle.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .charts import SafeDomain
@@ -81,37 +83,53 @@ def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     return _finish(sphere_metric_field(n_ambient)(theta)[0], None)
 
 
+@functools.lru_cache(maxsize=64)
+def _below(d: int) -> np.ndarray:
+    """[c, a] = [c < a] for the d - 1 polar angles c, read-only."""
+    below = np.triu(np.ones((d, d)), 1)[:-1]
+    below.setflags(write=False)
+    return below
+
+
 def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
     """Exact ``FrameJet`` of the pullback at points (m, d) in the chart's own
     frame: g = diag(lam), lam_a = prod_{b<a} sin^2 t_b, d_c log lam_a =
     2 cot t_c [c < a] and hess_cea = d_c d_e lam_a / lam_a = d_c log lam_a
     d_e log lam_a - 2 csc^2 t_c [c = e < a] give inner_xy = sum_a hess_xya,
     outer_xx = lam_x sum_c hess_ccx / lam_c and mixed = 0, as d_y lam_y = 0.
+    g, g_inv, outer, q and mixed are slices of one zeroed block, and every
+    diagonal is written through a strided view of its array.
     """
-    t = np.atleast_2d(np.asarray(theta, dtype=float))
-    (m, d), ar = t.shape, np.arange(t.shape[-1])
+    t = np.asarray(theta, dtype=float)
+    t = t.reshape(-1, t.shape[-1])
+    m, d = t.shape
     check_alloc(8 * JET_PEAK_D3_ARRAYS * m * d ** 3, f"the S^{d} curvature jet")
     sin = np.sin(t[:, :-1])
-    lam = np.concatenate([np.ones((m, 1)), np.cumprod(sin * sin, axis=-1)], axis=-1)
-    below = np.triu(np.ones((d, d)), 1)[:-1]                  # [c, a] = [c < a], c polar
+    lam = np.empty((m, d))
+    lam[:, 0] = 1.0
+    np.cumprod(sin * sin, axis=-1, out=lam[:, 1:])
+    below = _below(d)
     dlog = np.zeros((m, d, d))
     dlog[:, :-1] = (2.0 * np.cos(t[:, :-1]) / sin)[..., None] * below
     csc2 = np.zeros((m, d, d))                                # [c, a] = 2 csc^2 t_c [c < a]
     csc2[:, :-1] = (2.0 / (sin * sin))[..., None] * below
     w = 1.0 / lam
-    g, g_inv, outer = np.zeros((3, m, d, d))
-    g[:, ar, ar], g_inv[:, ar, ar] = lam, w
-    outer[:, ar, ar] = lam * (w[:, None] @ (dlog * dlog - csc2))[:, 0]
+    block = np.zeros((5, m, d, d))
+    diag = block.reshape(5, m, d * d)[..., ::d + 1]
+    diag[0], diag[1], diag[3] = lam, w, 1.0
+    diag[2] = lam * (w[:, None] @ (dlog * dlog - csc2))[:, 0]
     inner = dlog @ dlog.swapaxes(1, 2)
-    inner[:, ar, ar] -= csc2.sum(2)
+    inner.reshape(m, d * d)[:, ::d + 1] -= csc2.sum(2)
     dg = np.zeros((m, d, d, d))
-    dg[:, :, ar, ar] = lam[:, None] * dlog
-    return FrameJet(g=g, g_inv=g_inv, q=np.broadcast_to(np.eye(d), (m, d, d)), lam=lam, dg=dg,
-                    inner=inner, outer=outer, mixed=np.zeros((m, d, d)))
+    dg.reshape(m, d, d * d)[..., ::d + 1] = lam[:, None] * dlog
+    g, g_inv, outer, q, mixed = block
+    return FrameJet(g=g, g_inv=g_inv, q=q, lam=lam, dg=dg, inner=inner, outer=outer, mixed=mixed)
 
 
+@functools.lru_cache(maxsize=64)
 def sphere_metric_field(n_ambient: int) -> MetricField:
-    """Pullback field on S^{N-1}, sampled in [0.3, pi - 0.3]^{N-2} x [-pi, pi]."""
+    """Pullback field on S^{N-1}, sampled in [0.3, pi - 0.3]^{N-2} x [-pi, pi];
+    built once per N and shared, with a read-only box."""
     def func(pts):
         _, jac = hyperspherical_batch(n_ambient, pts)
         return np.einsum("mia,mib->mab", jac, jac)

@@ -15,6 +15,11 @@ what it does run.
   and the Euler-chart isometry residuals, ``expm``, ``symplectic_form``,
   ``hyperspherical_embedding`` and ``christoffel``.
 - The printed closed-form SU(2) metrics and their derivatives.
+- Earlier forms of production code that must give bitwise the same
+  results: ``uniform_sample_points`` (``rng.uniform`` draws gathered by
+  concatenation), ``indexed_sphere_frame_jet`` (diagonals written by fancy
+  indexing) and ``unclipped_psi_divided_differences`` (every power of mu
+  kept, subnormal ones too).
 """
 
 from dataclasses import dataclass
@@ -23,10 +28,12 @@ import numpy as np
 
 from lieforge.catalog import GRAM_CONSTANT, make_group
 from lieforge.charts import EXP_SU2_NORM_MAX, ChartPoint, euler_chart_batch, exp_chart_batch
-from lieforge.curvature import _require_inside, riemann_ricci
-from lieforge.errors import InvalidInputError, SingularityError
-from lieforge.kernel import expm_dual, mat_inverse, psi_divided_differences
-from lieforge.metric import MetricField, MetricTensor, _exp_metric, contract_jet, metric
+from lieforge.curvature import SAMPLE_ATTEMPTS, _require_inside, riemann_ricci
+from lieforge.errors import InvalidInputError, LieForgeError, SingularityError
+from lieforge.kernel import (_PSI_H1, _PSI_H2, _PSI_TERMS, expm_dual, mat_inverse,
+                             psi_divided_differences)
+from lieforge.metric import (FrameJet, MetricField, MetricTensor, _exp_metric, contract_jet,
+                             metric)
 from lieforge.sphere import _check_polar, hyperspherical_batch
 
 BASE_STEP = 1e-3
@@ -348,3 +355,53 @@ def closed_form_su2_euler_full_jet(angles, k=2.0):
     dg[:, 0, 1, 2] = dg[:, 0, 2, 1] = -np.sin(t)
     ddg[:, 0, 0, 1, 2] = ddg[:, 0, 0, 2, 1] = -np.cos(t)
     return tuple(0.5 * k * x for x in (g, dg, ddg))
+
+
+def uniform_sample_points(field, count, rng):
+    """``sample_safe_points`` as ``rng.uniform`` draws, every attempt's
+    accepted rows concatenated."""
+    dom = field.domain
+    kept = np.empty((0, len(dom.lo)))
+    for _ in range(SAMPLE_ATTEMPTS):
+        batch = rng.uniform(dom.lo, dom.hi, (count, len(dom.lo)))
+        kept = np.concatenate([kept, batch[np.asarray(dom.contains(batch), bool)]])
+        if len(kept) >= count:
+            return kept[:count]
+    raise LieForgeError(f"could not draw {count} points in {SAMPLE_ATTEMPTS} attempts")
+
+
+def indexed_sphere_frame_jet(theta):
+    """``sphere.sphere_frame_jet`` with its diagonals written by fancy
+    indexing, each array allocated on its own."""
+    t = np.atleast_2d(np.asarray(theta, dtype=float))
+    (m, d), ar = t.shape, np.arange(t.shape[-1])
+    sin = np.sin(t[:, :-1])
+    lam = np.concatenate([np.ones((m, 1)), np.cumprod(sin * sin, axis=-1)], axis=-1)
+    below = np.triu(np.ones((d, d)), 1)[:-1]
+    dlog = np.zeros((m, d, d))
+    dlog[:, :-1] = (2.0 * np.cos(t[:, :-1]) / sin)[..., None] * below
+    csc2 = np.zeros((m, d, d))
+    csc2[:, :-1] = (2.0 / (sin * sin))[..., None] * below
+    w = 1.0 / lam
+    g, g_inv, outer = np.zeros((3, m, d, d))
+    g[:, ar, ar], g_inv[:, ar, ar] = lam, w
+    outer[:, ar, ar] = lam * (w[:, None] @ (dlog * dlog - csc2))[:, 0]
+    inner = dlog @ dlog.swapaxes(1, 2)
+    inner[:, ar, ar] -= csc2.sum(2)
+    dg = np.zeros((m, d, d, d))
+    dg[:, :, ar, ar] = lam[:, None] * dlog
+    return FrameJet(g=g, g_inv=g_inv, q=np.broadcast_to(np.eye(d), (m, d, d)), lam=lam, dg=dg,
+                    inner=inner, outer=outer, mixed=np.zeros((m, d, d)))
+
+
+def unclipped_psi_divided_differences(mu):
+    """``kernel.psi_divided_differences`` with every power mu^p kept."""
+    mu = np.asarray(mu, dtype=float)
+    n, d = _PSI_TERMS, mu.shape[-1]
+    v = np.empty(mu.shape + (n,))
+    v[..., 0], v[..., 1:] = 1.0, mu[..., None]
+    np.cumprod(v, axis=-1, out=v)
+    vt = np.swapaxes(v, -1, -2)
+    d1 = v @ _PSI_H1 @ vt
+    t = ((v @ _PSI_H2).reshape(mu.shape[:-1] + (d * n, n)) @ vt).reshape(v.shape + (d,))
+    return 0.5 * (d1 + np.swapaxes(d1, -1, -2)), v[..., None, :, :] @ t

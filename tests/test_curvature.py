@@ -9,9 +9,10 @@ from conftest import fd_derivative, riemann_tensor
 from lie_fields import everywhere, flat_field, left_invariant_field, s2_field  # local helper module
 from oracles import (BASE_STEP, christoffel, closed_form_su2_euler_full_jet,
                      closed_form_su2_exp_metric_derivative, euler_chart, exp_full_jet, metric_jet,
-                     sphere_full_jet, stencil_field, su2_log, with_stencil)
+                     sphere_full_jet, stencil_field, su2_log, uniform_sample_points,
+                     with_stencil)
 from lieforge.catalog import parse_group_name
-from lieforge.charts import safe_domain
+from lieforge.charts import EXP_SU2_NORM_MAX, safe_domain
 from lieforge import curvature
 from lieforge.curvature import CHUNK_BYTES, einstein_check, riemann_ricci, sample_safe_points
 from lieforge.errors import DomainError, InvalidInputError, LieForgeError, SingularityError
@@ -465,6 +466,49 @@ class TestSampleSafePoints:
         rng = np.random.default_rng(6)
         first, second = (rng.uniform(-1.0, 1.0, (5, 3))[::2] for _ in range(2))
         assert np.array_equal(pts, np.concatenate([first, second])[:5])
+
+    @pytest.mark.parametrize("count", [1, 20])
+    @pytest.mark.parametrize("make", [
+        *(lambda name=name: metric_field(parse_group_name(name), "exp", 2.0)
+          for name in ("su2", "su3", "so5", "sp2")),
+        lambda: metric_field(parse_group_name("su2"), "euler", 2.0),
+        lambda: sphere_metric_field(3), lambda: sphere_metric_field(8),
+    ], ids=["su2-exp", "su3-exp", "so5-exp", "sp2-exp", "su2-euler", "S2", "S7"])
+    def test_draw_is_bitwise_the_uniform_sampler(self, make, count):
+        field = make()
+        for seed in range(5):
+            pts = sample_safe_points(field, count, np.random.default_rng(seed))
+            expected = uniform_sample_points(field, count, np.random.default_rng(seed))
+            assert pts.shape == expected.shape and np.array_equal(pts, expected)
+
+    def test_half_rejected_batches_match_the_uniform_sampler(self):
+        calls = []
+
+        def upper_half(x):
+            calls.append(len(x))
+            return x[:, 0] > 0.0
+
+        field = replace(flat_field(3), domain=replace(everywhere(3), contains=upper_half))
+        for seed in range(10):
+            pts = sample_safe_points(field, 20, np.random.default_rng(seed))
+            assert np.array_equal(pts, uniform_sample_points(field, 20, np.random.default_rng(seed)))
+        assert len(calls) > 40  # several attempts per draw, in both samplers
+
+    @pytest.mark.parametrize("name", ["su2", "su3", "so5"])
+    def test_exp_contains_is_the_norm_test(self, name):
+        spec = parse_group_name(name)
+        contains, d = safe_domain(spec, "exp").contains, spec.dim
+        nmax = EXP_SU2_NORM_MAX if name == "su2" else np.pi / 2
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(200, d))
+        rows *= (nmax / np.linalg.norm(rows, axis=1))[:, None]  # on the boundary, to rounding
+        axis = np.zeros((3, d))
+        axis[:, 0] = np.nextafter(nmax, 0.0), nmax, np.nextafter(nmax, np.inf)
+        pts = np.concatenate([rows, np.nextafter(rows, 0.0), np.nextafter(rows, 2 * rows),
+                              axis, rng.uniform(-2.0, 2.0, (50, d))])
+        got, expected = contains(pts), np.linalg.norm(pts, axis=1) < nmax
+        assert got.dtype == bool and np.array_equal(got, expected)
+        assert 0 < expected[:200].sum() < 200 and expected[-53] and not expected[-52:-50].any()
 
     def test_gives_up_after_200_attempts(self):
         calls = []

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_derivative, phim, su2_closed_form_u
-from oracles import expm
-from lieforge.catalog import make_group
+from oracles import expm, unclipped_psi_divided_differences
+from lieforge import kernel
+from lieforge.catalog import make_group, parse_group_name
 from lieforge.charts import exp_chart_batch, safe_domain
+from lieforge.curvature import sample_safe_points
 from lieforge.errors import InvalidInputError, NumericRangeError, SingularityError
 from lieforge.kernel import (
     PAULI,
@@ -20,6 +22,8 @@ from lieforge.kernel import (
     psi,
     psi_divided_differences,
 )
+from lieforge.metric import _exp_metric, metric_field, resolve_k
+from lieforge.scan import CHART
 
 
 # the catalog groups plus one larger group per family
@@ -277,3 +281,61 @@ class TestPsiDividedDifferences:
         for bad in (np.nextafter(PSI_SERIES_MIN, -np.inf), -np.inf, np.nan):
             with pytest.raises(NumericRangeError):
                 psi_divided_differences(np.array([bad, 0.0]))
+
+
+def default_scan_spectra():
+    """The spectra of ad^2 at the points of the default seven-group scan
+    (20 samples, seed 0), one array (20, d) per group."""
+    k, out = resolve_k("auto"), []
+    for i, name in enumerate(("su2", "su3", "so3", "so4", "so5", "sp1", "sp2")):
+        spec = parse_group_name(name)
+        pts = sample_safe_points(metric_field(spec, CHART, k), 20, np.random.default_rng([0, i]))
+        out.append(_exp_metric(spec, pts, k)[1])
+    return out
+
+
+def injected_spectra():
+    """Random spectra in [-(2 pi)^2, 0] with round-off zeros injected: 0,
+    +-1e-17 and 1e-30."""
+    rng = np.random.default_rng(11)
+    out = []
+    for d in (3, 8, 10, 15):
+        mu = rng.uniform(PSI_SERIES_MIN, 0.0, (20, d))
+        mu[:, :3] = rng.choice([0.0, 1e-17, -1e-17, 1e-30], (20, 3))
+        out.append(mu)
+    return out
+
+
+class TestSubnormalFreeDividedDifferences:
+    @pytest.mark.parametrize("spectra", [default_scan_spectra, injected_spectra],
+                             ids=["default-scan", "injected"])
+    def test_bitwise_equal_to_unclipped(self, spectra):
+        for mu in spectra():
+            for got, ref in zip(psi_divided_differences(mu), unclipped_psi_divided_differences(mu)):
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    def test_unclipped_powers_are_subnormal(self):
+        # the case the floor exists for: mu = 1e-17 reaches 1e-17^19 = 1e-323
+        mu = np.concatenate(injected_spectra()[:1] + default_scan_spectra()[:1], axis=1)
+        powers = mu[..., None] ** np.arange(20)
+        assert ((powers != 0) & (np.abs(powers) < np.finfo(float).tiny)).any()
+
+    @pytest.mark.parametrize("spectra", [default_scan_spectra, injected_spectra],
+                             ids=["default-scan", "injected"])
+    def test_no_subnormal_reaches_the_hankel_products(self, spectra, monkeypatch):
+        seen = []
+
+        class Recording(np.ndarray):  # records the Vandermonde rows multiplied into H1, H2
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                seen.extend(x for x in inputs if not isinstance(x, Recording))
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        monkeypatch.setattr(kernel, "_PSI_H1", kernel._PSI_H1.view(Recording))
+        monkeypatch.setattr(kernel, "_PSI_H2", kernel._PSI_H2.view(Recording))
+        smallest = min(kernel._PSI_H1.min(), kernel._PSI_H2.min())
+        for mu in spectra():
+            psi_divided_differences(mu)
+        assert len(seen) == 2 * len(spectra())
+        for v in seen:
+            nonzero = np.abs(v[v != 0])
+            assert nonzero.min() * smallest >= np.finfo(float).tiny

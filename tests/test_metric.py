@@ -31,6 +31,7 @@ from lieforge.metric import (
     metric,
     metric_field,
 )
+from lieforge import sphere
 from lieforge.sphere import pullback_metric, sphere_metric_field
 
 CATALOG = [("su", 2), ("su", 3), ("so", 3), ("so", 4), ("so", 5), ("sp", 1), ("sp", 2)]
@@ -531,3 +532,40 @@ class TestExactJet:
         # |theta| = 6.5 puts an eigenvalue of ad^2 at -42.25 < -(2 pi)^2
         with pytest.raises(NumericRangeError):
             exp_frame_jet(su2, np.array([6.5, 0.0, 0.0]), 2.0)
+
+
+class TestFieldCache:
+    def test_one_field_per_spec_chart_and_k(self, su2):
+        field = metric_field(su2, "exp", 2.0)
+        assert metric_field(su2, "exp", 2.0) is field
+        assert metric_field(su2, "exp", 3.0) is not field
+        assert metric_field(su2, "euler", 2.0) is not field
+        assert metric_field(parse_group_name("su3"), "exp", 2.0) is not field
+        assert sphere_metric_field(5) is sphere_metric_field(5)
+        assert sphere_metric_field(6) is not sphere_metric_field(5)
+
+    @pytest.mark.parametrize("make", [
+        lambda: metric_field(make_group("su", 2), "exp", 2.0),
+        lambda: metric_field(make_group("so", 5), "exp", 2.0),
+        lambda: metric_field(make_group("su", 2), "euler", 2.0),
+        lambda: sphere_metric_field(5),
+    ], ids=["su2-exp", "so5-exp", "su2-euler", "S4"])
+    def test_shared_state_is_read_only(self, make):
+        dom = make().domain
+        for box in (dom.lo, dom.hi):
+            assert not box.flags.writeable
+            with pytest.raises(ValueError):
+                box[0] = 0.0
+
+    def test_sphere_mask_is_read_only(self):
+        below = sphere._below(6)
+        assert below is sphere._below(6) and not below.flags.writeable
+        assert np.array_equal(below, np.triu(np.ones((6, 6)), 1)[:-1])
+
+    def test_cached_field_looks_the_jet_up_when_called(self, su2, monkeypatch):
+        field, calls = metric_field(su2, "exp", 2.0), []
+        original = exp_frame_jet
+        monkeypatch.setattr(importlib.import_module("lieforge.metric"), "exp_frame_jet",
+                            lambda *args: calls.append(args[1].shape) or original(*args))
+        field.jet(np.array([[0.1, 0.2, 0.3]]))
+        assert calls == [(1, 3)]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lieforge import sphere
-from oracles import hyperspherical_embedding, metric_jet, sphere_full_jet, with_stencil
+from oracles import (hyperspherical_embedding, indexed_sphere_frame_jet, metric_jet,
+                     sphere_full_jet, with_stencil)
 from lieforge.curvature import einstein_check, sample_safe_points
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.metric import closed_form_metric_su2_euler
@@ -144,6 +145,16 @@ def test_exact_jet_batch_matches_per_point(n):
         for b, one in zip(jets, sphere_frame_jet(p)):
             assert b[i].shape == one[0].shape
             assert np.abs(b[i] - one[0]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 20])
+@pytest.mark.parametrize("n", range(3, 15))
+def test_jet_through_views_matches_indexed_oracle(n, m):
+    # S^2 .. S^13: every field bitwise equal to the fancy-indexed jet
+    field = sphere_metric_field(n)
+    pts = sample_safe_points(field, m, np.random.default_rng(100 + n))
+    for got, ref in zip(sphere_frame_jet(pts), indexed_sphere_frame_jet(pts)):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_jet_budget_is_checked_before_any_array():
