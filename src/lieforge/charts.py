@@ -34,7 +34,9 @@ _HALF_I_SIGMA_3 = 0.5j * SIGMA_3
 
 @dataclass(frozen=True)
 class SafeDomain:
-    """Sampling box plus the membership predicate for one chart."""
+    """Sampling box plus the membership predicate for one chart.  The box
+    lies inside the region that ``contains`` accepts, so every uniform draw
+    from it is a valid sample."""
 
     lo: np.ndarray
     hi: np.ndarray

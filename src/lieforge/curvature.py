@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, LieForgeError,
-                     SingularityError, check_alloc)
+from .errors import (ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, SingularityError,
+                     check_alloc)
 from .metric import FrameJet, MetricField, _rotate
 
 # riemann_ricci rejects ||g||_1 ||g^-1||_1 above this; for symmetric g the
 # product bounds the 2-norm condition number from above
 CURVATURE_CONDITION_LIMIT = 1e8
-SAMPLE_ATTEMPTS = 200
 # samples per curvature call in einstein_check: as many d^3 floats (one per
 # sample) as fit, at least one; larger chunks ran slower from d = 28 up
 CHUNK_BYTES = ALLOC_BUDGET_BYTES >> 13
@@ -109,30 +108,18 @@ class EinsteinVerdict:
 
 
 def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
-    """``count`` uniform draws from the field's domain box that it contains.
+    """``count`` uniform draws from the field's domain box, one draw
+    lo + (hi - lo) * rng.random((count, d)), bitwise ``rng.uniform(lo, hi, ...)``.
 
-    Each attempt draws ``count`` rows as lo + (hi - lo) * rng.random(...),
-    bitwise ``rng.uniform(lo, hi, ...)``, and keeps those ``field.domain.contains``
-    accepts; while none are kept, a batch accepted whole is returned as drawn.
-    The field itself is never evaluated.
+    Every chart's box lies inside the region its ``contains`` accepts, so no
+    draw is refused; a point outside it would still fail the jet's domain
+    guard.  The field itself is never evaluated.
     """
     if not count >= 1:
         raise InvalidInputError(f"need at least one sample point, got {count}")
     dom, d = field.domain, len(field.domain.lo)
     check_alloc(8 * count * d, f"{count} sample points")
-    kept = np.empty((0, d))
-    for _ in range(SAMPLE_ATTEMPTS):
-        batch = dom.lo + (dom.hi - dom.lo) * rng.random((count, d))
-        inside = np.asarray(dom.contains(batch), bool)
-        if inside.all() and not len(kept):
-            return batch
-        kept = np.concatenate([kept, batch[inside]])
-        if len(kept) >= count:
-            return kept[:count]
-    raise LieForgeError(
-        f"could not draw {count} points inside the safe domain of {field.name} "
-        f"in {SAMPLE_ATTEMPTS} attempts"
-    )
+    return dom.lo + (dom.hi - dom.lo) * rng.random((count, d))
 
 
 def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> EinsteinVerdict:

@@ -28,9 +28,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericRangeError, SingularityError
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (SIGMA_1, SIGMA_2, SIGMA_3)
 
 _SKEW_TOL = 1e-12  # expm_dual rejects max|A_0 + A_0^H| > _SKEW_TOL max|A_0|
 

@@ -10,12 +10,13 @@ eigenvalues k psi(mu) (mu those of ad^2) and, for curvature, its exact jet
 in the eigenframe of ad^2 (``exp_frame_jet``) come from one batched
 eigendecomposition of ad^2, so a point query on the exp chart reads its
 condition number and inverse from that eigenframe; on the Euler chart and
-the sphere they come from one eigh of g.  The Euler chart goes through
-U^dag dU, as U^dag = U^{-1} on SU(2); its exact jet
-(``euler_full_jet``) is a Gram of the chart's derivatives up to third
-order, contracted into the eigenframe of g by ``contract_jet``.  The
-module also carries the closed-form SU(2) Euler-chart metric, an oracle for
-both.
+the sphere they come from one eigh of g.  Every Euler-chart Gram goes
+through ``_gram``, which guards against imaginary parts: the metric is the
+Gram of dU, as U is unitary and so Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b),
+and the exact jet (``euler_full_jet``) is a Gram of the chart's derivatives
+up to third order, contracted into the eigenframe of g by ``contract_jet``.
+The module also carries the closed-form SU(2) Euler-chart metric, an oracle
+for both.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ class MetricField:
         return self.func(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
-def _gram(omega: np.ndarray, k: float) -> np.ndarray:
-    # the guard reads the k-free Gram, so it does not scale with k
-    raw = np.einsum("...aji,...bji->...ab", omega.conj(), omega)
+def _gram(rows: np.ndarray, k: float) -> np.ndarray:
+    """k Re Tr(V_a^dag V_b) for matrices flattened to rows (m, n, 4).  The
+    guard reads the k-free Gram, so it does not scale with k."""
+    raw = rows.conj() @ rows.swapaxes(1, 2)
     imag = float(np.max(np.abs(raw.imag)))
     if imag > _IMAG_TOL:
         raise LieForgeError(
@@ -178,11 +180,6 @@ def _exp_metric(spec: GroupSpec, thetas: np.ndarray, k: float
     p = (q * (ps - 0.5)[:, None]) @ q.swapaxes(1, 2)
     p.reshape(len(p), d * d)[:, ::d + 1] += 0.5
     return ad, mu, q, ps, (k * GRAM_CONSTANT) * (p + p.swapaxes(1, 2))
-
-
-def exp_metric_batch(spec: GroupSpec, thetas: np.ndarray, k: float) -> np.ndarray:
-    """Exponential-chart metric at a batch of points (m, dim) -> (m, dim, dim)."""
-    return _exp_metric(spec, np.asarray(thetas, dtype=float), k)[4]
 
 
 def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
@@ -288,7 +285,7 @@ def euler_full_jet(angles: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray
     v = np.stack([u, du[:, 0]], 1)                       # [m, t]
     v = np.stack([v, _HALF_I_SIGMA_3 @ v], 1)            # [m, p, t]
     v = np.stack([v, v @ _HALF_I_SIGMA_3], 3).reshape(len(u), 8, 4)
-    gram = k * (v.conj() @ v.swapaxes(1, 2)).real
+    gram = _gram(v, k)
     return tuple((w * gram[:, i, j]).sum(1) for i, j, w in _EULER_TERMS)
 
 
@@ -303,8 +300,8 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
         q, p, g = _exp_metric(spec, np.asarray(pts, dtype=float), k)[2:]
         return g, ((2.0 * k * GRAM_CONSTANT) * p, q)
     if chart == "euler":
-        u, du = euler_chart_batch(pts)  # U in SU(2), so U^{-1} = U^dag
-        return _gram(u.conj().swapaxes(1, 2)[:, None] @ du, k), None
+        du = euler_chart_batch(pts)[1]  # U is unitary: Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b)
+        return _gram(du.reshape(len(du), 3, 4), k), None
     raise InvalidInputError(f"unknown chart {chart!r}")
 
 

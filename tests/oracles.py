@@ -16,10 +16,10 @@ what it does run.
   ``hyperspherical_embedding`` and ``christoffel``.
 - The printed closed-form SU(2) metrics and their derivatives.
 - Earlier forms of production code that must give bitwise the same
-  results: ``uniform_sample_points`` (``rng.uniform`` draws gathered by
-  concatenation), ``indexed_sphere_frame_jet`` (diagonals written by fancy
-  indexing) and ``unclipped_psi_divided_differences`` (every power of mu
-  kept, subnormal ones too).
+  results: ``uniform_sample_points`` (one ``rng.uniform`` draw),
+  ``indexed_sphere_frame_jet`` (diagonals written by fancy indexing) and
+  ``unclipped_psi_divided_differences`` (every power of mu kept, subnormal
+  ones too).
 """
 
 from dataclasses import dataclass
@@ -28,8 +28,8 @@ import numpy as np
 
 from lieforge.catalog import GRAM_CONSTANT, make_group
 from lieforge.charts import EXP_SU2_NORM_MAX, ChartPoint, euler_chart_batch, exp_chart_batch
-from lieforge.curvature import SAMPLE_ATTEMPTS, _require_inside, riemann_ricci
-from lieforge.errors import InvalidInputError, LieForgeError, SingularityError
+from lieforge.curvature import _require_inside, riemann_ricci
+from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.kernel import (_PSI_H1, _PSI_H2, _PSI_TERMS, expm_dual, mat_inverse,
                              psi_divided_differences)
 from lieforge.metric import (FrameJet, MetricField, MetricTensor, _exp_metric, contract_jet,
@@ -358,16 +358,9 @@ def closed_form_su2_euler_full_jet(angles, k=2.0):
 
 
 def uniform_sample_points(field, count, rng):
-    """``sample_safe_points`` as ``rng.uniform`` draws, every attempt's
-    accepted rows concatenated."""
+    """``sample_safe_points`` as one ``rng.uniform`` draw from the domain box."""
     dom = field.domain
-    kept = np.empty((0, len(dom.lo)))
-    for _ in range(SAMPLE_ATTEMPTS):
-        batch = rng.uniform(dom.lo, dom.hi, (count, len(dom.lo)))
-        kept = np.concatenate([kept, batch[np.asarray(dom.contains(batch), bool)]])
-        if len(kept) >= count:
-            return kept[:count]
-    raise LieForgeError(f"could not draw {count} points in {SAMPLE_ATTEMPTS} attempts")
+    return rng.uniform(dom.lo, dom.hi, (count, len(dom.lo)))
 
 
 def indexed_sphere_frame_jet(theta):

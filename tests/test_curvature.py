@@ -11,13 +11,14 @@ from oracles import (BASE_STEP, christoffel, closed_form_su2_euler_full_jet,
                      closed_form_su2_exp_metric_derivative, euler_chart, exp_full_jet, metric_jet,
                      sphere_full_jet, stencil_field, su2_log, uniform_sample_points,
                      with_stencil)
-from lieforge.catalog import parse_group_name
+from lieforge.catalog import make_group, parse_group_name
 from lieforge.charts import EXP_SU2_NORM_MAX, safe_domain
 from lieforge import curvature
 from lieforge.curvature import CHUNK_BYTES, einstein_check, riemann_ricci, sample_safe_points
-from lieforge.errors import DomainError, InvalidInputError, LieForgeError, SingularityError
+from lieforge.errors import ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, SingularityError
 from lieforge.sphere import sphere_metric_field
 from lieforge.metric import (
+    JET_PEAK_D3_ARRAYS,
     exp_metric_field,
     metric_field,
     resolve_k,
@@ -459,14 +460,6 @@ class TestSampleSafePoints:
         expected = np.random.default_rng(5).uniform(dom.lo, dom.hi, (7, spec.dim))
         assert np.array_equal(pts, expected)
 
-    def test_rows_accumulate_across_attempts(self):
-        every_other = replace(everywhere(3), contains=lambda x: np.arange(len(x)) % 2 == 0)
-        field = replace(flat_field(3), domain=every_other)
-        pts = sample_safe_points(field, 5, np.random.default_rng(6))
-        rng = np.random.default_rng(6)
-        first, second = (rng.uniform(-1.0, 1.0, (5, 3))[::2] for _ in range(2))
-        assert np.array_equal(pts, np.concatenate([first, second])[:5])
-
     @pytest.mark.parametrize("count", [1, 20])
     @pytest.mark.parametrize("make", [
         *(lambda name=name: metric_field(parse_group_name(name), "exp", 2.0)
@@ -481,18 +474,20 @@ class TestSampleSafePoints:
             expected = uniform_sample_points(field, count, np.random.default_rng(seed))
             assert pts.shape == expected.shape and np.array_equal(pts, expected)
 
-    def test_half_rejected_batches_match_the_uniform_sampler(self):
-        calls = []
-
-        def upper_half(x):
-            calls.append(len(x))
-            return x[:, 0] > 0.0
-
-        field = replace(flat_field(3), domain=replace(everywhere(3), contains=upper_half))
-        for seed in range(10):
-            pts = sample_safe_points(field, 20, np.random.default_rng(seed))
-            assert np.array_equal(pts, uniform_sample_points(field, 20, np.random.default_rng(seed)))
-        assert len(calls) > 40  # several attempts per draw, in both samplers
+    def test_every_box_lies_inside_its_domain(self):
+        # the one draw keeps every row, so each production box must lie in
+        # the region its contains accepts: the exp chart of every group whose
+        # one-sample jet fits the allocation budget, the Euler chart, S^1..S^199
+        domains = [safe_domain(parse_group_name("su2"), "euler")]
+        for family, n in (("su", 2), ("so", 3), ("sp", 1)):
+            while 8 * JET_PEAK_D3_ARRAYS * make_group(family, n).dim ** 3 <= ALLOC_BUDGET_BYTES:
+                domains.append(safe_domain(make_group(family, n), "exp"))
+                n += 1
+        assert len(domains) == 1 + 13 + 18 + 9  # su2..su14, so3..so20, sp1..sp9
+        domains += [sphere_metric_field(n).domain for n in range(2, 201)]
+        for i, dom in enumerate(domains):
+            draws = np.random.default_rng(i).uniform(dom.lo, dom.hi, (1000, len(dom.lo)))
+            assert np.asarray(dom.contains(np.vstack([dom.lo, dom.hi, draws])), bool).all()
 
     @pytest.mark.parametrize("name", ["su2", "su3", "so5"])
     def test_exp_contains_is_the_norm_test(self, name):
@@ -509,18 +504,6 @@ class TestSampleSafePoints:
         got, expected = contains(pts), np.linalg.norm(pts, axis=1) < nmax
         assert got.dtype == bool and np.array_equal(got, expected)
         assert 0 < expected[:200].sum() < 200 and expected[-53] and not expected[-52:-50].any()
-
-    def test_gives_up_after_200_attempts(self):
-        calls = []
-
-        def nowhere(x):
-            calls.append(len(x))
-            return np.zeros(len(x), bool)
-
-        field = replace(flat_field(2), domain=replace(everywhere(2), contains=nowhere))
-        with pytest.raises(LieForgeError, match="200 attempts"):
-            sample_safe_points(field, 3, np.random.default_rng(7))
-        assert calls == [3] * 200
 
 
 def jet_dg_error(field, point):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lieforge.errors
-from conftest import fd_derivative, jet_points, phim
+from conftest import PAULI, fd_derivative, jet_points, phim
 from oracles import (FrameEvaluation, chart_view, closed_form_metric_su2_exp,
                      closed_form_su2_exp_metric_derivative, exp_chart, exp_full_jet, expm,
                      isometry_residual, maurer_cartan, metric_jet, with_stencil)
@@ -17,7 +17,6 @@ from lieforge.charts import ChartPoint, euler_chart_batch, exp_chart_batch, safe
 from lieforge.curvature import riemann_ricci
 from lieforge.errors import (InvalidInputError, LieForgeError, NumericRangeError,
                             SingularityError)
-from lieforge.kernel import PAULI
 from lieforge.metric import (
     JET_PEAK_D3_ARRAYS,
     METRIC_CONDITION_LIMIT,
@@ -25,10 +24,11 @@ from lieforge.metric import (
     _finish,
     _gram,
     closed_form_metric_su2_euler,
-    exp_metric_batch,
+    euler_full_jet,
     exp_metric_field,
     exp_frame_jet,
     metric,
+    metric_batch,
     metric_field,
 )
 from lieforge import sphere
@@ -308,12 +308,39 @@ class TestEulerGram:
     def test_imaginary_guard_fires_off_anti_hermitian(self, k):
         # a frame that is not anti-Hermitian gives a complex Gram at any k
         u, du = euler_chart_batch(np.array([[1.0, 0.2, -0.4]]))
-        omega = np.linalg.inv(u)[:, None, :, :] @ du
+        rows = (np.linalg.inv(u)[:, None, :, :] @ du).reshape(1, 3, 4)
         ref = k / 2.0 * closed_form_metric_su2_euler(1.0, 0.2, -0.4).g
-        assert np.abs(_gram(omega, k)[0] - ref).max() <= 1e-12 * k
-        omega[0, 0, 0, 1] *= np.exp(1j * np.pi / 4)
+        assert np.abs(_gram(rows, k)[0] - ref).max() <= 1e-12 * k
+        rows[0, 0, 1] *= np.exp(1j * np.pi / 4)
         with pytest.raises(LieForgeError, match="imaginary parts"):
-            _gram(omega, k)
+            _gram(rows, k)
+
+    def test_guard_fires_through_the_jet(self, monkeypatch):
+        # the jet's Gram is guarded too, so an Euler verdict cannot read a
+        # complex Gram's real part
+        module = importlib.import_module("lieforge.metric")
+
+        def rotated(angles):
+            u, du = euler_chart_batch(angles)
+            du[:, 0, 0, 1] *= np.exp(1j * np.pi / 4)
+            return u, du
+
+        pts = np.array([[1.0, 0.2, -0.4]])
+        assert np.isfinite(euler_full_jet(pts, 2.0)[0]).all()
+        monkeypatch.setattr(module, "euler_chart_batch", rotated)
+        with pytest.raises(LieForgeError, match="imaginary parts"):
+            euler_full_jet(pts, 2.0)
+        with pytest.raises(LieForgeError, match="imaginary parts"):
+            metric_field(make_group("su", 2), "euler", 2.0).jet(pts)
+
+    @pytest.mark.parametrize("k", [2.0, 3.0, 1e-3])
+    def test_value_matches_the_jet(self, k):
+        # two Grams of the same dU rows, one 3x3 and one 8x8: round-off apart
+        field = metric_field(make_group("su", 2), "euler", k)
+        dom = field.domain
+        pts = np.random.default_rng(36).uniform(dom.lo, dom.hi, (50, 3))
+        g, jet_g = field(pts), field.jet(pts).g
+        assert np.abs(g - jet_g).max() <= 4 * np.spacing(np.abs(g).max())
 
 
 class TestIsometries:
@@ -376,7 +403,7 @@ class TestAdjointMetric:
         dom = safe_domain(spec, "exp")
         rng = np.random.default_rng(30)
         pts = np.vstack([np.zeros(spec.dim), rng.uniform(dom.lo, dom.hi, (8, spec.dim))])
-        g = exp_metric_batch(spec, pts, 2.0)
+        g = metric_batch(spec, "exp", pts, 2.0)[0]
         assert np.abs(g - frame_metric(spec, pts)).max() <= 1e-13
         for theta, gi in zip(pts[:4], g):
             assert np.abs(gi - frechet_metric(spec, theta)).max() <= 1e-13
@@ -391,7 +418,7 @@ class TestAdjointMetric:
         rng = np.random.default_rng(33)
         pts = stencil_rows(spec, [np.zeros(spec.dim), rng.uniform(dom.lo, dom.hi, spec.dim)])
         assert len(pts) == 2 * (1 + 4 * spec.dim * spec.dim)
-        g = exp_metric_batch(spec, pts, 3.0)
+        g = metric_batch(spec, "exp", pts, 3.0)[0]
         ref = phi_metric(spec, pts, 3.0)
         err = np.abs(g - ref).max(axis=(1, 2))
         assert np.all(err <= 1e-14 * np.abs(ref).max(axis=(1, 2)))
@@ -400,7 +427,7 @@ class TestAdjointMetric:
         rng = np.random.default_rng(31)
         v = rng.normal(size=(12, 3))
         pts = v / np.linalg.norm(v, axis=1)[:, None] * (2 * np.pi - 0.011)
-        g = exp_metric_batch(su2, pts, 2.0)
+        g = metric_batch(su2, "exp", pts, 2.0)[0]
         assert np.abs(g - frame_metric(su2, pts)).max() <= 1e-13
         for theta, gi in zip(pts, g):
             assert np.abs(gi - frechet_metric(su2, theta)).max() <= 1e-13
@@ -418,11 +445,11 @@ class TestAdjointMetric:
 
     def test_rejects_wrong_coordinate_count(self, su2):
         with pytest.raises(InvalidInputError):
-            exp_metric_batch(su2, np.zeros((2, 4)), 2.0)
+            metric_batch(su2, "exp", np.zeros((2, 4)), 2.0)
 
     def test_rejects_overflowing_coordinates(self, su2):
         with np.errstate(over="ignore"), pytest.raises(NumericRangeError):  # ad^2 overflows
-            exp_metric_batch(su2, np.array([1e300, 0.0, 0.0]), 2.0)
+            metric_batch(su2, "exp", np.array([1e300, 0.0, 0.0]), 2.0)
 
     @pytest.mark.parametrize("name", ["su2", "su3", "berger"])
     def test_stencil_jet_does_not_see_its_batch(self, name):
@@ -526,7 +553,8 @@ class TestExactJet:
     def test_value_is_the_batch_metric(self, family, n):
         spec = make_group(family, n)
         pts = jet_points(spec)
-        assert np.array_equal(exp_frame_jet(spec, pts, 2.0).g, exp_metric_batch(spec, pts, 2.0))
+        assert np.array_equal(exp_frame_jet(spec, pts, 2.0).g,
+                              metric_batch(spec, "exp", pts, 2.0)[0])
 
     def test_rejects_spectrum_past_the_series_range(self, su2):
         # |theta| = 6.5 puts an eigenvalue of ad^2 at -42.25 < -(2 pi)^2
