@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,18 +19,22 @@ from .errors import InvalidInputError, check_alloc
 GRAM_CONSTANT = 0.5
 
 
-@dataclass(frozen=True, eq=False)
-class GroupSpec:  # hashed by identity: make_group hands out one spec per (family, n)
+class _GroupFields(NamedTuple):
     family: str  # "SU" | "SO" | "Sp"
     n: int
     matrix_size: int
     dim: int
     generators: np.ndarray  # (dim, matrix_size, matrix_size), complex
-    name: str = field(default="")
+    name: str = ""
 
-    def __post_init__(self):
-        if not self.name:
-            object.__setattr__(self, "name", f"{self.family.lower()}{self.n}")
+
+class GroupSpec(_GroupFields):
+    """Hashed by identity (one spec per (family, n)), with a __dict__ to cache ``structure``."""
+    __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
+
+    def __new__(cls, family, n, matrix_size, dim, generators, name=""):
+        return super().__new__(cls, family, n, matrix_size, dim, generators,
+                               name or f"{family.lower()}{n}")
 
     @functools.cached_property
     def structure(self) -> np.ndarray:
@@ -51,8 +55,7 @@ class GroupSpec:  # hashed by identity: make_group hands out one spec per (famil
         return f
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """f[a, b, c] defined by [X_a, X_b] = sum_c f_abc X_c."""
 
     f: np.ndarray

@@ -13,8 +13,7 @@ exact jet in ``metric.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,40 +31,38 @@ _HALF_I_SIGMA_1 = 0.5j * SIGMA_1
 _HALF_I_SIGMA_3 = 0.5j * SIGMA_3
 
 
-@dataclass(frozen=True)
-class SafeDomain:
+class SafeDomain(NamedTuple):
     """Sampling box plus the membership predicate for one chart.  The box
     lies inside the region that ``contains`` accepts, so every uniform draw
-    from it is a valid sample."""
+    from it is a valid sample.  Fields are cached and shared, so every
+    producer makes the box read-only."""
 
     lo: np.ndarray
     hi: np.ndarray
     contains: Callable[[np.ndarray], np.ndarray]  # (m, d) -> bool (m,)
 
-    def __post_init__(self):  # fields are cached and shared, so the box is read-only
-        self.lo.setflags(write=False)
-        self.hi.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class ChartPoint:
+class _ChartFields(NamedTuple):
     chart: str  # "exp" | "euler"
     coords: np.ndarray
     group: GroupSpec
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-        if self.chart == "exp":
-            if len(self.coords) != self.group.dim:
-                raise InvalidInputError(
-                    f"exp chart for {self.group.name} needs {self.group.dim} "
-                    f"coordinates, got {len(self.coords)}"
-                )
-        elif self.chart == "euler":
-            if self.group.name != "su2" or len(self.coords) != 3:
+
+class ChartPoint(_ChartFields):
+    __slots__ = ()
+
+    def __new__(cls, chart, coords, group):
+        coords = np.asarray(coords, dtype=float)
+        if chart == "exp":
+            if len(coords) != group.dim:
+                raise InvalidInputError(f"exp chart for {group.name} needs {group.dim} "
+                                        f"coordinates, got {len(coords)}")
+        elif chart == "euler":
+            if group.name != "su2" or len(coords) != 3:
                 raise InvalidInputError("euler chart is the 3-coordinate SU(2) chart")
         else:
-            raise InvalidInputError(f"unknown chart {self.chart!r}")
+            raise InvalidInputError(f"unknown chart {chart!r}")
+        return super().__new__(cls, chart, coords, group)
 
 
 def exp_chart_batch(spec: GroupSpec, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,14 +117,14 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
     if chart == "euler":
         if spec.name != "su2":
             raise InvalidInputError("euler chart exists only for su2")
-        lo = np.array([0.25, -np.pi, -np.pi])
-        hi = np.array([np.pi - 0.25, np.pi, np.pi])
+        box = np.array([[0.25, -np.pi, -np.pi], [np.pi - 0.25, np.pi, np.pi]])
+        box.setflags(write=False)
 
         def contains(pts):
             theta = np.atleast_2d(pts)[:, 0]
             return (theta > EULER_POLE_MARGIN) & (theta < np.pi - EULER_POLE_MARGIN)
 
-        return SafeDomain(lo=lo, hi=hi, contains=contains)
+        return SafeDomain(lo=box[0], hi=box[1], contains=contains)
 
     if chart != "exp":
         raise InvalidInputError(f"unknown chart {chart!r}")
@@ -144,4 +141,6 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
         p = np.asarray(pts).reshape(-1, d)  # np.linalg.norm(p, axis=1), without its wrapper
         return np.sqrt((p * p).sum(1)) < _nmax
 
-    return SafeDomain(lo=np.full(d, -r), hi=np.full(d, r), contains=contains)
+    box = np.outer([-r, r], np.ones(d))
+    box.setflags(write=False)
+    return SafeDomain(lo=box[0], hi=box[1], contains=contains)

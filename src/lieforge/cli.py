@@ -34,15 +34,14 @@ def _csv_floats(text: str) -> np.ndarray:
 def _k_value(text: str):
     try:
         resolve_k(text)
-    except LieForgeError:
-        raise argparse.ArgumentTypeError(
-            f"k must be a positive finite number or 'auto', got {text!r}")
+    except LieForgeError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return text if text == "auto" else float(text)
 
 
 def _positive(kind, zero_ok=False):
-    """argparse type: a number of ``kind`` that is > 0, or >= 0 when
-    ``zero_ok`` (so never nan)."""
+    """argparse type: a finite number of ``kind`` that is > 0, or >= 0 when
+    ``zero_ok`` (so never nan or inf)."""
     what = "non-negative" if zero_ok else "positive"
 
     def parse(text: str):
@@ -50,7 +49,7 @@ def _positive(kind, zero_ok=False):
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not (value >= 0 if zero_ok else value > 0):
+        if value is None or not (0 <= value if zero_ok else 0 < value) or value == float("inf"):
             raise argparse.ArgumentTypeError(f"expected a {what} {kind.__name__}, got {text!r}")
         return value
 

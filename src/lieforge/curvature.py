@@ -10,7 +10,7 @@ and sends its samples in budget-sized chunks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def _require_inside(field: MetricField, pts: np.ndarray, message: str) -> None:
         raise DomainError(message.format(pts[np.argmin(inside)], field.name))
 
 
-@dataclass(frozen=True)
-class CurvatureBundle:  # at points (..., d); every field keeps those leading axes
+class CurvatureBundle(NamedTuple):  # at points (..., d); every field keeps those leading axes
     gamma: np.ndarray     # Gamma^c_ab, shape (..., d, d, d)
     ricci: np.ndarray     # Ric_ab, shape (..., d, d)
     scalar: float | np.ndarray
@@ -88,8 +87,7 @@ def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
                            metric=jet.g.reshape(lead + (d, d)), point=points)
 
 
-@dataclass(frozen=True)
-class EinsteinVerdict:
+class EinsteinVerdict(NamedTuple):
     lambda_hat: float
     lambda_spread: float
     residual: float

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -46,10 +45,11 @@ _IMAG_TOL = 1e-8
 # hold at once: tracemalloc peaks at 11.2-15.2 of them from su3 up
 JET_PEAK_D3_ARRAYS = 16
 _SIGMA = np.array([-2.0, 2.0])[:, None, None]  # exp_frame_jet's sigma_s, times 2
+# lam^2 and 1 / lam^2 in the curvature stay normal floats for k here, not at 1e+-154
+K_MIN, K_MAX = 1e-100, 1e100
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(NamedTuple):
     group: GroupSpec
     chart: str = "exp"
     k: Union[float, str] = "auto"
@@ -59,7 +59,7 @@ class MetricConfig:
 
 
 def resolve_k(k: Union[float, str]) -> float:
-    """The metric constant: 'auto' or a positive finite number."""
+    """The metric constant: 'auto' or a number in [K_MIN, K_MAX]."""
     if k == "auto":
         # unique k with g(0) = identity under the catalog normalization
         return 1.0 / GRAM_CONSTANT
@@ -67,13 +67,12 @@ def resolve_k(k: Union[float, str]) -> float:
         value = float(k)
     except (TypeError, ValueError):
         value = float("nan")
-    if not (np.isfinite(value) and value > 0):
-        raise InvalidInputError(f"metric constant k must be positive and finite, got {k!r}")
+    if not K_MIN <= value <= K_MAX:  # nan fails too
+        raise InvalidInputError(f"k must be 'auto' or in [{K_MIN:g}, {K_MAX:g}], got {k!r}")
     return value
 
 
-@dataclass(frozen=True)
-class MetricTensor:
+class MetricTensor(NamedTuple):
     g: np.ndarray
     g_inv: np.ndarray
     point: ChartPoint | None
@@ -96,8 +95,7 @@ class FrameJet(NamedTuple):
     mixed: np.ndarray
 
 
-@dataclass(frozen=True)
-class MetricField:
+class MetricField(NamedTuple):
     """Batch-evaluable metric over one chart: points (m, d) -> metrics (m, d, d).
 
     ``domain`` is where the field may be evaluated and sampled: its box is the
@@ -145,7 +143,7 @@ def _finish(g: np.ndarray, point: ChartPoint | None,
     size = np.abs(lam)
     lo, hi = float(size.min()), float(size.max())
     cond = hi / lo if lo > 0 else np.inf
-    if cond > METRIC_CONDITION_LIMIT:
+    if not cond <= METRIC_CONDITION_LIMIT:  # nan too
         raise SingularityError(
             f"metric is degenerate (condition {cond:.3e}){_where(point)}",
             condition=cond,

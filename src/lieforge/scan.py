@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,26 +23,29 @@ from .metric import metric_field, resolve_k
 CHART = "exp"  # every group has an exponential chart
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class _ScanFields(NamedTuple):
     groups: tuple[str, ...]
     samples: int = 20
     tolerance: float = 1e-6
     seed: int = 0
     k: float | str = "auto"
 
-    def __post_init__(self):
-        if not self.samples >= 1:
+
+class ScanConfig(_ScanFields):
+    __slots__ = ()
+
+    def __new__(cls, groups, samples=20, tolerance=1e-6, seed=0, k="auto"):
+        if not samples >= 1:
             raise InvalidInputError("samples must be >= 1")
-        if not self.tolerance > 0:  # also rejects nan
-            raise InvalidInputError("tolerance must be positive")
-        if not self.seed >= 0:
+        if not 0 < tolerance < float("inf"):  # also rejects nan
+            raise InvalidInputError("tolerance must be positive and finite")
+        if not seed >= 0:
             raise InvalidInputError("seed must be >= 0")
-        resolve_k(self.k)
+        resolve_k(k)
+        return super().__new__(cls, groups, samples, tolerance, seed, k)
 
 
-@dataclass(frozen=True)
-class GroupResult:
+class GroupResult(NamedTuple):
     name: str
     dim: int
     lambda_hat: float
@@ -53,10 +56,9 @@ class GroupResult:
     failure: str | None = None
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     config: ScanConfig
-    rows: tuple[GroupResult, ...] = field(default_factory=tuple)
+    rows: tuple[GroupResult, ...] = ()
 
     @property
     def passed(self) -> bool:

@@ -136,9 +136,10 @@ def sphere_metric_field(n_ambient: int) -> MetricField:
 
     npolar = max(n_ambient - 2, 0)
     check_alloc(16 * (npolar + 1), f"the S^{n_ambient - 1} sampling box")
-    lo = np.array([0.3] * npolar + [-np.pi])
-    hi = np.array([np.pi - 0.3] * npolar + [np.pi])
-    domain = SafeDomain(lo=lo, hi=hi, contains=lambda pts: _off_pole(n_ambient, pts).all(axis=1))
+    box = np.array([[0.3] * npolar + [-np.pi], [np.pi - 0.3] * npolar + [np.pi]])
+    box.setflags(write=False)
+    domain = SafeDomain(lo=box[0], hi=box[1],
+                        contains=lambda pts: _off_pole(n_ambient, pts).all(axis=1))
     return MetricField(dim=n_ambient - 1, func=func, domain=domain,
                        name=f"s{n_ambient - 1}-pullback", jet=sphere_frame_jet)
 

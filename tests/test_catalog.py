@@ -1,6 +1,5 @@
 import itertools
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from conftest import killing_lambda
 from lieforge.catalog import (
     GRAM_CONSTANT,
+    GroupSpec,
     make_group,
     parse_group_name,
     structure_constants,
@@ -179,9 +179,9 @@ def test_structure_build_is_budgeted(monkeypatch):
         spec = make_group(family, n)
         monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", asked - 1)
         with pytest.raises(InvalidInputError, match=f"{spec.name} structure constants"):
-            replace(spec).structure
+            GroupSpec(*spec).structure
         monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", asked)
-        fresh = replace(spec)
+        fresh = GroupSpec(*spec)
         tracemalloc.start()
         try:
             f = fresh.structure

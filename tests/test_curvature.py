@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from dataclasses import replace
-
 from conftest import fd_derivative, riemann_tensor
 from lie_fields import everywhere, flat_field, left_invariant_field, s2_field  # local helper module
 from oracles import (BASE_STEP, christoffel, closed_form_su2_euler_full_jet,
@@ -19,6 +17,8 @@ from lieforge.errors import ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, 
 from lieforge.sphere import sphere_metric_field
 from lieforge.metric import (
     JET_PEAK_D3_ARRAYS,
+    K_MAX,
+    K_MIN,
     exp_metric_field,
     metric_field,
     resolve_k,
@@ -318,6 +318,34 @@ class TestEinsteinCheck:
             einstein_check(su2_field, np.empty((0, 3)), 1e-6)
 
 
+class TestMetricConstantRange:
+    """Ricci does not depend on k and Lambda scales as 1 / k: both hold to
+    round-off across [K_MIN, K_MAX], and k outside it is an input error."""
+
+    @pytest.mark.parametrize("name,chart", [("su2", "exp"), ("su3", "exp"), ("so5", "exp"),
+                                            ("sp2", "exp"), ("su2", "euler")])
+    @pytest.mark.parametrize("k", [K_MIN, K_MAX])
+    def test_ricci_and_lambda_k_at_the_ends(self, name, chart, k):
+        spec = parse_group_name(name)
+        ref = metric_field(spec, chart, 2.0)
+        pts = sample_safe_points(ref, 3, np.random.default_rng(61))
+        field = metric_field(spec, chart, resolve_k(k))
+        want, got = riemann_ricci(ref, pts), riemann_ricci(field, pts)
+        for a, b in zip(got.ricci, want.ricci):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        assert got.scalar * k == pytest.approx(want.scalar * 2.0, rel=1e-12)
+        lam_k = einstein_check(field, pts, 1.0).lambda_hat * k
+        assert lam_k == pytest.approx(2.0 * einstein_check(ref, pts, 1.0).lambda_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [K_MIN / 2, K_MAX * 2, 1e-160, 1e200, 1e308, "1e-300"])
+    def test_outside_the_range_is_rejected(self, k):
+        with pytest.raises(InvalidInputError, match=r"1e-100, 1e\+100"):
+            resolve_k(k)
+
+    def test_the_ends_are_accepted(self):
+        assert resolve_k(K_MIN) == K_MIN and resolve_k(str(K_MAX)) == K_MAX
+
+
 class TestBatchedVerdict:
     @pytest.mark.parametrize("name", ["su2", "so5", "s7"])
     def test_lambda_is_per_sample_mean(self, name):
@@ -348,7 +376,7 @@ class TestBatchedVerdict:
             sizes.append(len(pts))
             return field.jet(pts)
 
-        v = einstein_check(replace(field, jet=recording),
+        v = einstein_check(field._replace(jet=recording),
                            sample_safe_points(field, 20, np.random.default_rng(54)), 1e-6)
         assert v.passed and sum(sizes) == 20
         assert max(sizes) == 1 or max(sizes) * 8 * spec.dim ** 3 <= CHUNK_BYTES
@@ -359,7 +387,7 @@ class TestBatchedVerdict:
         whole = einstein_check(field, pts, 1e-6)
         sizes = []
         monkeypatch.setattr(curvature, "CHUNK_BYTES", 3 * 8 * 3 ** 3)
-        recording = replace(field, jet=lambda p: sizes.append(len(p)) or field.jet(p))
+        recording = field._replace(jet=lambda p: sizes.append(len(p)) or field.jet(p))
         split = einstein_check(recording, pts, 1e-6)
         assert sizes == [3] * 6 + [2]
         assert split.lambda_hat == pytest.approx(whole.lambda_hat, abs=1e-13)
@@ -453,7 +481,7 @@ class TestSampleSafePoints:
             raise AssertionError("the sampler evaluated the metric")
 
         spec = parse_group_name(name)
-        field = replace(metric_field(spec, chart, 2.0), func=boom)
+        field = metric_field(spec, chart, 2.0)._replace(func=boom)
         monkeypatch.setattr(np.linalg, "cond", boom)
         pts = sample_safe_points(field, 7, np.random.default_rng(5))
         dom = safe_domain(spec, chart)

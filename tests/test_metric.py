@@ -1,7 +1,6 @@
 import importlib
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +193,11 @@ class TestFinish:
             with pytest.raises(SingularityError) as exc:
                 _finish(g, None)
         assert exc.value.condition > METRIC_CONDITION_LIMIT
+
+    def test_nan_condition_is_degenerate(self):
+        # an eigenframe whose lam overflowed to inf gives cond = inf / inf = nan
+        with pytest.raises(SingularityError, match="condition nan"):
+            _finish(np.eye(2), None, (np.full(2, np.inf), np.eye(2)))
 
     @pytest.mark.parametrize("t", [6.0, 6.27, 6.2831])
     def test_exp_inverse_near_the_chart_edge(self, su2, t):
@@ -390,7 +394,7 @@ def stencil_rows(spec, points):
         return field.func(pts)
 
     for point in points:
-        metric_jet(replace(field, func=record), point)
+        metric_jet(field._replace(func=record), point)
     return np.concatenate(rows)
 
 

@@ -58,6 +58,11 @@ class TestRunScan:
     def test_bad_config(self):
         with pytest.raises(InvalidInputError):
             ScanConfig(groups=("su2",), samples=0)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-6])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(InvalidInputError, match="tolerance"):
+            ScanConfig(groups=("su2",), tolerance=tol)
         with pytest.raises(InvalidInputError):
             ScanConfig(groups=("su2",), tolerance=-1.0)
         with pytest.raises(InvalidInputError):
@@ -287,7 +292,7 @@ class TestInputValidation:
         assert exit_code(argv) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize("argv", [
         ["einstein", "--group", "su2", "--samples", "2"],
         ["scan", "--groups", "su2", "--samples", "2"],
@@ -339,7 +344,7 @@ class TestInputValidation:
         assert cli.main(["metric", "--group", "su2", "--point=-0.3,0.4,0.5"]) == 0
         assert spaced == capsys.readouterr().out
 
-    @pytest.mark.parametrize("k", ["nan", "inf", "-inf", "0", "-2"])
+    @pytest.mark.parametrize("k", ["nan", "inf", "-inf", "0", "-2", "1e-160", "1e200", "1e308"])
     @pytest.mark.parametrize("argv", [
         ["metric", "--group", "su2", "--point", "0.3,0,0"],
         ["curvature", "--group", "su2", "--point", "0.3,0,0"],
@@ -350,7 +355,7 @@ class TestInputValidation:
         assert exit_code(argv + ["--k", k]) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("k", [float("nan"), float("inf"), 0.0, -1.0, "two"])
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), 0.0, -1.0, "two", 1e-101, 1e101])
     def test_bad_k_rejected_by_configs(self, k):
         with pytest.raises(InvalidInputError):
             MetricConfig(group=parse_group_name("su2"), k=k).resolve_k()
