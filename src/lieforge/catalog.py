@@ -6,8 +6,6 @@ the group metric equal the identity at the origin of the exponential chart
 for every family, so Einstein constants are comparable across a scan.
 """
 
-from __future__ import annotations
-
 import functools
 import re
 from typing import NamedTuple

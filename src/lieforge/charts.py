@@ -7,11 +7,9 @@ one generator seeded per partial slot; the production metric on this chart
 uses the adjoint form in ``metric.py``, so these frames serve the tests and
 the benchmark as an oracle) and the z-x-z Euler-angle chart for SU(2) (one
 stack of closed 2x2 factors from one phase exponential, derivatives by
-constant Pauli products), whose U and d_theta U also give the Euler metric's
-exact jet in ``metric.py``.
+constant Pauli products), whose U and d_theta U, with the place of each
+factor (``EULER_FACTOR_ORDER``), give the Euler jet in ``metric.py``.
 """
-
-from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
@@ -27,6 +25,8 @@ EXP_SU2_NORM_MAX = 2.0 * np.pi - 1e-2
 # 1e-15 / delta^4 to round-off there: |R - 3/2| reached 1.1e-3 over 100
 # points at this margin
 EULER_POLE_MARGIN = 1e-3
+# the place of (theta, phi, psi)'s factor in the product U_z(phi) U_x(theta) U_z(psi)
+EULER_FACTOR_ORDER = (1, 0, 2)
 _HALF_I_SIGMA_1 = 0.5j * SIGMA_1
 _HALF_I_SIGMA_3 = 0.5j * SIGMA_3
 

@@ -5,8 +5,6 @@ Exit codes: 0 all checks passed, 1 an Einstein check failed, 2 invalid
 input or I/O failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

@@ -8,8 +8,6 @@ in that frame, with no Riemann tensor and the sign fixed so the unit
 and sends its samples in budget-sized chunks.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

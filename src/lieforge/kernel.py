@@ -19,8 +19,6 @@ against.  Scalar stacks give the sphere embedding's Jacobian.  All kernel
 operations broadcast over leading batch axes.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

@@ -10,21 +10,19 @@ eigenvalues k psi(mu) (mu those of ad^2) and, for curvature, its exact jet
 in the eigenframe of ad^2 (``exp_frame_jet``) come from one batched
 eigendecomposition of ad^2, so a point query on the exp chart reads its
 condition number and inverse from that eigenframe; on the Euler chart and
-the sphere they come from one eigh of g.  Every Euler-chart Gram goes
-through ``_gram``, which guards against imaginary parts: the metric is the
-Gram of dU, as U is unitary and so Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b),
-and the exact jet (``euler_full_jet``) is a Gram of the chart's derivatives
-up to third order, contracted into the eigenframe of g by ``contract_jet``.
-The module also carries the closed-form SU(2) Euler-chart metric, an oracle
-for both.
+the sphere they come from one eigh of g.  On the Euler chart the metric is
+the Gram of dU (``_gram``), as U is unitary and so Tr(d_a U^dag d_b U) =
+Tr(w_a^dag w_b), and the exact jet is ``product_jet``'s, which serves any
+chart U = prod_j exp(t_j Y_j): it projects w_a on the basis and takes its
+derivatives as brackets, and ``contract_jet`` turns it into the eigenframe
+of g.  Both read traces through ``_real``, which guards against imaginary
+parts.  The module also carries the closed-form SU(2) Euler-chart metric,
+an oracle for both.
 """
 
-from __future__ import annotations
-
 import functools
-import itertools
 import math
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from .catalog import GRAM_CONSTANT, GroupSpec, make_group
 # here too), kernel.mat_inverse (imported here only), catalog.structure_constants,
 # closed_form_metric_su2_euler or exp_metric_field; they stay because the
 # benchmark in perfbench/ patches or calls them by these names.
-from .charts import (_HALF_I_SIGMA_3, ChartPoint, SafeDomain, euler_chart_batch,
+from .charts import (EULER_FACTOR_ORDER, ChartPoint, SafeDomain, euler_chart_batch,
                      exp_chart_batch, safe_domain)
 from .errors import (InvalidInputError, LieForgeError, NumericRangeError, SingularityError,
                      check_alloc)
@@ -113,16 +111,20 @@ class MetricField(NamedTuple):
         return self.func(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
-def _gram(rows: np.ndarray, k: float) -> np.ndarray:
-    """k Re Tr(V_a^dag V_b) for matrices flattened to rows (m, n, 4).  The
-    guard reads the k-free Gram, so it does not scale with k."""
-    raw = rows.conj() @ rows.swapaxes(1, 2)
+def _real(raw: np.ndarray) -> np.ndarray:
+    """The real part of k-free traces of anti-Hermitian products, which must
+    be real: a guard against imaginary parts past _IMAG_TOL."""
     imag = float(np.max(np.abs(raw.imag)))
     if imag > _IMAG_TOL:
         raise LieForgeError(
             f"metric entries acquired imaginary parts up to {imag:.3e}"
         )
-    return k * raw.real
+    return raw.real
+
+
+def _gram(rows: np.ndarray, k: float) -> np.ndarray:
+    """k Re Tr(V_a^dag V_b) for matrices flattened to rows (m, n, s^2)."""
+    return k * _real(rows.conj() @ rows.swapaxes(1, 2))
 
 
 def _where(point: ChartPoint | None) -> str:
@@ -250,41 +252,32 @@ def contract_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> FrameJet:
                         outer=qt @ outer @ q, mixed=qt @ mixed @ q)
 
 
-def _euler_leibniz(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slots i, j and weights w, each (2^order, 3, ..., 3) over [e, f, ..., a, b],
-    such that d_e d_f ... g_ab = sum_terms w G_ij for ``euler_full_jet``'s
-    Gram G: the Leibniz rule sends each derivative to one side of
-    Tr((d^alpha U)^dag d^beta U).  With alpha counting the (theta, phi, psi)
-    derivatives, d^alpha U = (-1/4)^(sum alpha // 2) V_i, where slot i =
-    4 (alpha_phi % 2) + 2 (alpha_theta % 2) + alpha_psi % 2."""
-    idx, eye, terms = np.indices((3,) * (order + 2)), np.eye(3, dtype=int), []
-    for sides in itertools.product((0, 1), repeat=order):
-        alpha = [eye[idx[-2]], eye[idx[-1]]]
-        for axis, side in zip(idx, sides):
-            alpha[side] = alpha[side] + eye[axis]
-        terms.append(alpha)
-    n = np.array(terms)  # [term, side, e, f, ..., a, b, coordinate]
-    slot = 4 * (n[..., 1] % 2) + 2 * (n[..., 0] % 2) + n[..., 2] % 2
-    return slot[:, 0], slot[:, 1], ((-0.25) ** (n // 2).sum(-1)).prod(1)
-
-
-_EULER_TERMS = tuple(_euler_leibniz(order) for order in range(3))
-
-
-def euler_full_jet(angles: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g, dg[m, e, a, b] = d_e g_ab and ddg[m, e, f, a, b] = d_e d_f g_ab of the
-    SU(2) z-x-z chart metric at points (m, 3), exact, from
-    ``euler_chart_batch``'s U and d_theta U.  With A = (i/2) sigma_3 and
-    B = (i/2) sigma_1, d^alpha U = A^alpha_phi U_z U_x B^alpha_theta U_z A^alpha_psi
-    and A^2 = B^2 = -I/4, so each derivative is a power of -1/4 times one of
-    the eight V_pts = A^p U_z U_x B^t U_z A^s, and g and its first two
-    derivatives are sums of the Gram G_ij = k Re Tr(V_i^dag V_j)."""
-    u, du = euler_chart_batch(angles)
-    v = np.stack([u, du[:, 0]], 1)                       # [m, t]
-    v = np.stack([v, _HALF_I_SIGMA_3 @ v], 1)            # [m, p, t]
-    v = np.stack([v, v @ _HALF_I_SIGMA_3], 3).reshape(len(u), 8, 4)
-    gram = _gram(v, k)
-    return tuple((w * gram[:, i, j]).sum(1) for i, j, w in _EULER_TERMS)
+def product_jet(spec: GroupSpec, u: np.ndarray, du: np.ndarray, order: Sequence[int],
+                k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g, dg[m, e, a, b] = d_e g_ab and ddg[m, e, f, a, b] = d_e d_f g_ab, exact,
+    of a chart U = prod_j exp(t_j Y_j) of ``spec``'s group, from U and dU
+    (m, n, s, s) at m points; coordinate a's factor stands at place order[a]
+    of the product.  w_a = U^-1 d_a U is projected on the basis, w_a = c_a^i X_i;
+    then d_b w_a = [w_a, w_b] when factor b stands right of factor a and 0
+    otherwise, so d_e d_b w_a = [d_e w_a, w_b] + [w_a, d_e w_b], and with
+    kappa = k GRAM_CONSTANT, g = kappa c c^T and its derivatives are Leibniz
+    sums of dot products of c and its derivatives."""
+    d, m, n = spec.dim, len(u), len(order)
+    w = np.einsum("mri,marj,nij->man", u.conj(), du, spec.generators.conj())
+    c = _real(w) / GRAM_CONSTANT                   # [m, a, i] = c_a^i
+    # ad[m, j, (a, l)] = f_ijl c_a^i, so that y @ ad = [c_a, y] for every a
+    ad = (c.reshape(m * n, d) @ spec.structure.reshape(d, d * d)).reshape(m, n, d, d)
+    ad = ad.transpose(0, 2, 1, 3).reshape(m, d, n * d)
+    right = np.less.outer(order, order)            # [a, b]: factor b right of factor a
+    dc = (c @ ad).reshape(m, n, n, d) * right.T[..., None]  # [m, e, a] = d_e c_a
+    dc = dc.reshape(m, n * n, d)
+    t = (dc @ ad).reshape((m,) + (n,) * 3 + (d,))  # [m, f, a, e] = [c_e, d_f c_a]
+    ddc = (t.swapaxes(1, 2) - t.transpose(0, 3, 1, 2, 4)) * right.T[:, None, :, None]
+    ct, kappa = c.swapaxes(1, 2), k * GRAM_CONSTANT  # ddc[m, e, f, a] = d_f d_e c_a
+    p = (dc @ ct).reshape((m,) + (n,) * 3)         # [m, e, a, b] = d_e c_a . c_b
+    s = (ddc.reshape(m, n ** 3, d) @ ct).reshape((m,) + (n,) * 4)
+    s += (dc @ dc.swapaxes(1, 2)).reshape(s.shape).swapaxes(2, 3)  # + d_e c_a . d_f c_b
+    return (kappa * (c @ ct), kappa * (p + p.swapaxes(2, 3)), kappa * (s + s.swapaxes(3, 4)))
 
 
 def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
@@ -306,11 +299,11 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
 @functools.lru_cache(maxsize=64)
 def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
     """``metric_batch`` on ``chart``, carrying the chart's safe domain and its
-    exact jet: ``exp_frame_jet``, or ``euler_full_jet`` contracted.  Built
+    exact jet: ``exp_frame_jet``, or ``product_jet`` contracted.  Built
     once per (spec, chart, k) and shared; its functions look ``metric_batch``
     and the jets up in this module when called."""
     jet = (lambda p: exp_frame_jet(spec, p, k)) if chart == "exp" else (
-        lambda p: contract_jet(*euler_full_jet(p, k)))
+        lambda p: contract_jet(*product_jet(spec, *euler_chart_batch(p), EULER_FACTOR_ORDER, k)))
     return MetricField(dim=spec.dim, func=lambda pts: metric_batch(spec, chart, pts, k)[0],
                        domain=safe_domain(spec, chart), name=f"{spec.name}-{chart}", jet=jet)
 

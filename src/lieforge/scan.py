@@ -6,8 +6,6 @@ JSON is the canonical lossless report form; floats are written with 17
 significant digits so reports round-trip byte-identically.
 """
 
-from __future__ import annotations
-
 import json
 import time
 from typing import NamedTuple

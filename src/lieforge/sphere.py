@@ -9,8 +9,6 @@ this closed form in the chart's own frame, batched over points; the
 embedding stays its value oracle.
 """
 
-from __future__ import annotations
-
 import functools
 
 import numpy as np

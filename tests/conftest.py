@@ -61,6 +61,21 @@ def killing_lambda(f):
     return -b[0, 0] / 8.0
 
 
+def besse_ricci(spec, q):
+    """Ricci of the left-invariant metric with inner product Q (d, d) on the
+    algebra, in the basis X_a: Besse 1987, Cor. 7.38, for a unimodular group.
+    In the Q-orthonormal basis E_i = L_ai X_a, L = C^-T for Q = C C^T, with
+    [E_i, E_j] = F_ijk E_k: Ric_xy = -F_xij F_yij / 2 - B_xy / 2 +
+    F_ijx F_ijy / 4 and B_xy = F_xij F_yji; then X_a = C_ai E_i gives
+    Ric = C Ric_E C^T."""
+    c = np.linalg.cholesky(q)
+    inv = np.linalg.inv(c).T
+    f = np.einsum("ai,bj,abc,ck->ijk", inv, inv, spec.structure, c)
+    ric = (-0.5 * np.einsum("xij,yij->xy", f, f) - 0.5 * np.einsum("xij,yji->xy", f, f)
+           + 0.25 * np.einsum("ijx,ijy->xy", f, f))
+    return c @ ric @ c.T
+
+
 _PHI_TAYLOR = tuple((-1.0) ** k / math.factorial(k + 1) for k in range(15))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_derivative, riemann_tensor
+from conftest import besse_ricci, fd_derivative, phim, riemann_tensor
 from lie_fields import everywhere, flat_field, left_invariant_field, s2_field  # local helper module
 from oracles import (BASE_STEP, christoffel, closed_form_su2_euler_full_jet,
                      closed_form_su2_exp_metric_derivative, euler_chart, exp_full_jet, metric_jet,
@@ -432,6 +432,56 @@ class TestNonEinsteinControl:
         # a left-invariant metric has constant scalar curvature, here R = 7/4
         assert v.lambda_hat == pytest.approx(7.0 / 24.0, abs=1e-6)
 
+
+
+def jensen_q():
+    """Jensen's Einstein metric on su3: 1/11 on so(3) (catalog indices 1, 3, 5), 1 elsewhere."""
+    q = np.ones(8)
+    q[[1, 3, 5]] = 1.0 / 11.0
+    return np.diag(q)
+
+
+def random_q(d):
+    a = np.random.default_rng(7).normal(size=(d, d))
+    return a @ a.T / d + np.eye(d)
+
+
+class TestBesseRicci:
+    """Left-invariant metrics against Besse's closed-form Ricci (``conftest.besse_ricci``)."""
+
+    def test_milnor_berger_ricci(self, su2):
+        ric = besse_ricci(su2, np.diag([1.0, 1.0, 0.5]))
+        assert np.abs(ric - np.diag([0.75, 0.75, 0.125])).max() <= 1e-15
+
+    def test_jensen_metric_is_einstein(self):
+        q = jensen_q()
+        assert np.abs(besse_ricci(parse_group_name("su3"), q) - 63.0 / 44.0 * q).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["su2", "su3"])
+    def test_pipeline_ricci_matches(self, name):
+        # the chart frame d_a = J_ea X_e at theta, J = phi(M), carries the
+        # algebra's Ricci to chart coordinates: Ric = J^T Ric_X J
+        spec = parse_group_name(name)
+        q = random_q(spec.dim)
+        field, want = left_invariant_field(spec, q), besse_ricci(spec, q)
+        pts = np.vstack([np.zeros(spec.dim),
+                         sample_safe_points(field, 3, np.random.default_rng(1))])
+        for p in pts:
+            j = phim(np.einsum("c,cbe->eb", p, spec.structure))
+            got = riemann_ricci(field, p).ricci
+            assert np.abs(got - j.T @ want @ j).max() <= 1e-8 * np.abs(want).max()
+
+    def test_jensen_verdict_passes(self):
+        field = left_invariant_field(parse_group_name("su3"), jensen_q())
+        v = einstein_check(field, sample_safe_points(field, 5, np.random.default_rng(0)), 1e-6)
+        assert v.passed
+        assert v.lambda_hat == pytest.approx(63.0 / 88.0, abs=1e-8)
+
+    def test_random_q_verdict_fails_on_residual(self):
+        field = left_invariant_field(parse_group_name("su3"), random_q(8))
+        v = einstein_check(field, sample_safe_points(field, 5, np.random.default_rng(0)), 1e-6)
+        assert not v.passed
+        assert v.failure.startswith("residual")
 
 def stiff_field(eps):
     """The constant metric diag(1, eps): ||g||_1 ||g^-1||_1 = 1 / eps."""

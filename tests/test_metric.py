@@ -12,7 +12,8 @@ from oracles import (FrameEvaluation, chart_view, closed_form_metric_su2_exp,
                      isometry_residual, maurer_cartan, metric_jet, with_stencil)
 from lie_fields import left_invariant_field
 from lieforge.catalog import GRAM_CONSTANT, make_group, parse_group_name
-from lieforge.charts import ChartPoint, euler_chart_batch, exp_chart_batch, safe_domain
+from lieforge.charts import (EULER_FACTOR_ORDER, ChartPoint, euler_chart_batch, exp_chart_batch,
+                            safe_domain)
 from lieforge.curvature import riemann_ricci
 from lieforge.errors import (InvalidInputError, LieForgeError, NumericRangeError,
                             SingularityError)
@@ -23,12 +24,12 @@ from lieforge.metric import (
     _finish,
     _gram,
     closed_form_metric_su2_euler,
-    euler_full_jet,
     exp_metric_field,
     exp_frame_jet,
     metric,
     metric_batch,
     metric_field,
+    product_jet,
 )
 from lieforge import sphere
 from lieforge.sphere import pullback_metric, sphere_metric_field
@@ -329,17 +330,22 @@ class TestEulerGram:
             du[:, 0, 0, 1] *= np.exp(1j * np.pi / 4)
             return u, du
 
+        def jet(pts):
+            u, du = module.euler_chart_batch(pts)
+            return product_jet(make_group("su", 2), u, du, EULER_FACTOR_ORDER, 2.0)
+
         pts = np.array([[1.0, 0.2, -0.4]])
-        assert np.isfinite(euler_full_jet(pts, 2.0)[0]).all()
+        assert np.isfinite(jet(pts)[0]).all()
         monkeypatch.setattr(module, "euler_chart_batch", rotated)
         with pytest.raises(LieForgeError, match="imaginary parts"):
-            euler_full_jet(pts, 2.0)
+            jet(pts)
         with pytest.raises(LieForgeError, match="imaginary parts"):
             metric_field(make_group("su", 2), "euler", 2.0).jet(pts)
 
     @pytest.mark.parametrize("k", [2.0, 3.0, 1e-3])
     def test_value_matches_the_jet(self, k):
-        # two Grams of the same dU rows, one 3x3 and one 8x8: round-off apart
+        # the Gram of dU and the jet's g from the basis projection of U^-1 dU:
+        # round-off apart
         field = metric_field(make_group("su", 2), "euler", k)
         dom = field.domain
         pts = np.random.default_rng(36).uniform(dom.lo, dom.hi, (50, 3))

@@ -2,9 +2,12 @@
 arguments and checks them at construction; group specs are shared and
 compared by identity, and importing the package stays cheap."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +93,10 @@ def test_one_spec_per_family_and_size():
 
 
 def test_structure_is_built_lazily_once(monkeypatch):
-    asks = []
+    asks, spec = [], make_group("so", 5)  # built before the count: its generators ask too
     check_alloc = catalog.check_alloc
     monkeypatch.setattr(catalog, "check_alloc", lambda *a: asks.append(a) or check_alloc(*a))
-    fresh = GroupSpec(*make_group("so", 5))
+    fresh = GroupSpec(*spec)
     assert asks == [] and "structure" not in vars(fresh)
     f = fresh.structure
     assert fresh.structure is f and structure_constants(fresh).f is f
@@ -128,3 +131,15 @@ def test_import_does_not_load_dataclasses():
                           "import lieforge, sys; print('dataclasses' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_record_annotations_are_types():
+    # under `from __future__ import annotations` NamedTuple turns every field
+    # annotation into a typing.ForwardRef, which costs time at each import
+    classes = {cls for info in pkgutil.iter_modules(lieforge.__path__)
+               for cls in vars(importlib.import_module(f"lieforge.{info.name}")).values()
+               if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")}
+    assert len(classes) >= 12
+    for cls in classes:
+        for name, kind in vars(cls).get("__annotations__", {}).items():
+            assert not isinstance(kind, (str, typing.ForwardRef)), (cls.__name__, name)
