@@ -5,10 +5,10 @@ Two charts are provided: the exponential chart for any cataloged group
 (U and its derivatives from one eigendecomposition in ``kernel.expm_dual``,
 one generator seeded per partial slot; the production metric on this chart
 uses the adjoint form in ``metric.py``, so these frames serve the tests and
-the benchmark as an oracle) and the z-x-z Euler-angle chart for SU(2) (one
-stack of closed 2x2 factors from one phase exponential, derivatives by
-constant Pauli products), whose U and d_theta U, with the place of each
-factor (``EULER_FACTOR_ORDER``), give the Euler jet in ``metric.py``.
+the benchmark as an oracle) and the z-x-z Euler-angle chart for SU(2) (every
+entry of U and its partials a phase times a constant combination of
+(cos, sin)(theta / 2)), whose U and d_theta U, with the place of each factor
+(``EULER_FACTOR_ORDER``), give the Euler jet in ``metric.py``.
 """
 
 from typing import Callable, NamedTuple
@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import GroupSpec
 from .errors import InvalidInputError
-from .kernel import SIGMA_1, SIGMA_3, expm_dual
+from .kernel import expm_dual
 
 EXP_SU2_NORM_MAX = 2.0 * np.pi - 1e-2
 # g's smallest eigenvalue is about delta^2 / 2 at a distance delta from a
@@ -27,8 +27,13 @@ EXP_SU2_NORM_MAX = 2.0 * np.pi - 1e-2
 EULER_POLE_MARGIN = 1e-3
 # the place of (theta, phi, psi)'s factor in the product U_z(phi) U_x(theta) U_z(psi)
 EULER_FACTOR_ORDER = (1, 0, 2)
-_HALF_I_SIGMA_1 = 0.5j * SIGMA_1
-_HALF_I_SIGMA_3 = 0.5j * SIGMA_3
+# angles @ _EULER_PHASE: theta / 2, then the phases of U's entries 00, 01, 10, 11:
+# (phi + psi) / 2, (phi - psi) / 2, (psi - phi) / 2 and -(phi + psi) / 2
+_EULER_PHASE = 0.5 * np.array([[1, 0, 0, 0, 0], [0, 1, 1, -1, -1], [0, 1, -1, 1, -1]])
+# (cos, sin)(theta / 2) @ _EULER_TRIG: what multiplies those phases in U, d_theta U,
+# d_phi U = (i/2) sigma_3 U and d_psi U = U (i/2) sigma_3, entry by entry
+_EULER_TRIG = 0.5 * np.array([[2, 0, 0, 2, 0, 1j, 1j, 0, 1j, 0, 0, -1j, 1j, 0, 0, -1j],
+                              [0, 2j, 2j, 0, -1, 0, 0, -1, 0, -1, 1, 0, 0, 1, -1, 0]])
 
 
 class SafeDomain(NamedTuple):
@@ -53,6 +58,9 @@ class ChartPoint(_ChartFields):
 
     def __new__(cls, chart, coords, group):
         coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 1:
+            raise InvalidInputError(f"a chart point takes one coordinate vector, "
+                                    f"got shape {coords.shape}")
         if chart == "exp":
             if len(coords) != group.dim:
                 raise InvalidInputError(f"exp chart for {group.name} needs {group.dim} "
@@ -83,28 +91,20 @@ def exp_chart_batch(spec: GroupSpec, thetas: np.ndarray) -> tuple[np.ndarray, np
 
 
 def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SU(2) z-x-z chart U = U_z(phi) U_x(theta) U_z(psi) for a batch of
-    (theta, phi, psi) rows, U_z(a) = exp(i a sigma_3 / 2) and
-    U_x(t) = exp(i t sigma_1 / 2).  Each derivative is a constant product:
-    d_phi U = (i/2) sigma_3 U, d_psi U = U (i/2) sigma_3 and
-    d_theta U = U_z(phi) U_x(theta) (i/2) sigma_1 U_z(psi)."""
+    """SU(2) z-x-z chart U = U_z(phi) U_x(theta) U_z(psi) and its partials for a
+    batch of (theta, phi, psi) rows, U_z(a) = exp(i a sigma_3 / 2) and
+    U_x(t) = exp(i t sigma_1 / 2).  With (c, s) = (cos, sin)(theta / 2) and the
+    phases p, q = e^{i (phi +- psi) / 2}, U = [[p c, i q s], [i q* s, p* c]], so
+    every entry of U, d_theta U, d_phi U = (i/2) sigma_3 U and d_psi U =
+    U (i/2) sigma_3 is a phase times a constant combination of (c, s), the real
+    view of e^{i theta / 2}: one complex exponential and one matmul."""
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     if angles.shape[1] != 3:
         raise InvalidInputError("euler chart takes (theta, phi, psi)")
-    half = np.exp(0.5j * angles)  # e^{i theta/2}, e^{i phi/2}, e^{i psi/2}
-    # the factors U_z(phi), U_x(theta), U_z(psi), stacked in product order
-    f = np.zeros((3,) + angles.shape[:1] + (2, 2), dtype=complex)
-    f[1, :, 0, 0] = f[1, :, 1, 1] = half[:, 0].real
-    f[1, :, 0, 1] = f[1, :, 1, 0] = 1j * half[:, 0].imag
-    f[::2, :, 0, 0] = half[:, 1:].T
-    f[::2, :, 1, 1] = half[:, 1:].T.conj()
-    zx = f[0] @ f[1]
-    u = zx @ f[2]
-    du = np.empty(u.shape[:1] + (3, 2, 2), dtype=complex)
-    du[:, 0] = zx @ (_HALF_I_SIGMA_1 @ f[2])
-    du[:, 1] = _HALF_I_SIGMA_3 @ u
-    du[:, 2] = u @ _HALF_I_SIGMA_3
-    return u, du
+    m = len(angles)
+    z = np.exp(1j * (angles @ _EULER_PHASE))
+    out = z[:, None, 1:] * (z[:, :1].view(float) @ _EULER_TRIG).reshape(m, 4, 4)
+    return out[:, 0].reshape(m, 2, 2), out[:, 1:].reshape(m, 3, 2, 2)
 
 
 def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:

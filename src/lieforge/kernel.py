@@ -13,9 +13,9 @@ Dual values are numpy slot stacks.  The slot axis comes just before the
 value's own axes: ``(..., p+1, n, n)`` for matrices, ``(..., p+1)`` for
 scalars.  Slot 0 is the value, slots ``1..p`` are the partial derivatives,
 one per seeded coordinate direction.  ``expm_dual`` gives U(theta) and its
-partials for the charts from one eigendecomposition of the anti-Hermitian
-value slot; its frames are the oracle the psi-based metric is tested
-against.  Scalar stacks give the sphere embedding's Jacobian.  All kernel
+partials on the exponential chart from one eigendecomposition of the
+anti-Hermitian value slot; its frames are the oracle the psi-based metric is
+tested against.  Scalar stacks give the sphere embedding's Jacobian.  All kernel
 operations broadcast over leading batch axes.
 """
 
@@ -24,9 +24,6 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError, NumericRangeError, SingularityError
-
-SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _SKEW_TOL = 1e-12  # expm_dual rejects max|A_0 + A_0^H| > _SKEW_TOL max|A_0|
 

@@ -114,7 +114,7 @@ class MetricField(NamedTuple):
 def _real(raw: np.ndarray) -> np.ndarray:
     """The real part of k-free traces of anti-Hermitian products, which must
     be real: a guard against imaginary parts past _IMAG_TOL."""
-    imag = float(np.max(np.abs(raw.imag)))
+    imag = float(np.abs(raw.imag).max())
     if imag > _IMAG_TOL:
         raise LieForgeError(
             f"metric entries acquired imaginary parts up to {imag:.3e}"

@@ -6,10 +6,11 @@ import pytest
 from lieforge.catalog import make_group
 from lieforge.charts import safe_domain
 from lieforge.errors import InvalidInputError, NumericRangeError
-from lieforge.kernel import SIGMA_1, SIGMA_3
 from oracles import metric_jet
 
+SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_1, SIGMA_2, SIGMA_3)
 
 

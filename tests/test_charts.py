@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from conftest import fd_derivative, su2_closed_form_u
+from conftest import SIGMA_1, SIGMA_3, fd_derivative
 from oracles import chart_transition_check, euler_chart, exp_chart, su2_log, symplectic_form
 from lieforge.catalog import make_group
-from lieforge.charts import ChartPoint, euler_chart_batch, safe_domain
+from lieforge.charts import EULER_POLE_MARGIN, ChartPoint, euler_chart_batch, safe_domain
 from lieforge.errors import InvalidInputError
-from lieforge.kernel import SIGMA_1
+from lieforge.metric import closed_form_metric_su2_euler, metric_batch, resolve_k
 
 
 def test_exp_chart_origin(su2):
@@ -65,29 +66,46 @@ class TestEulerChart:
         assert np.abs(euler_chart(np.pi, 0, 0).U - 1j * SIGMA_1).max() < 1e-14
 
     def test_three_factor_product_oracle(self):
-        # multiply the three printed 2x2 factor matrices, and their derivatives,
-        # directly
+        # U = exp(i phi s3 / 2) exp(i theta s1 / 2) exp(i psi s3 / 2) by scipy's
+        # expm, at random points, at the pole margins, at theta = pi and at
+        # phi, psi = +-pi
         rng = np.random.default_rng(6)
-        angles = rng.uniform(-2 * np.pi, 2 * np.pi, (50, 3))
+        angles = np.concatenate([
+            rng.uniform(-2 * np.pi, 2 * np.pi, (50, 3)),
+            [[EULER_POLE_MARGIN, 0.3, -0.7], [np.pi - EULER_POLE_MARGIN, -1.1, 2.0],
+             [np.pi, 0.4, 0.5], [1.0, np.pi, np.pi], [1.0, -np.pi, np.pi],
+             [1.0, np.pi, -np.pi], [1.0, -np.pi, -np.pi], [np.pi, np.pi, -np.pi]],
+        ])
         u_batch, du_batch = euler_chart_batch(angles)
+        x, z = 0.5j * SIGMA_1, 0.5j * SIGMA_3
         for (th, ph, ps), u, du in zip(angles, u_batch, du_batch):
-            uz_phi = np.diag([np.exp(0.5j * ph), np.exp(-0.5j * ph)])
-            duz_phi = np.diag([0.5j * np.exp(0.5j * ph), -0.5j * np.exp(-0.5j * ph)])
-            ux = np.array([
-                [np.cos(th / 2), 1j * np.sin(th / 2)],
-                [1j * np.sin(th / 2), np.cos(th / 2)],
-            ])
-            dux = np.array([
-                [-0.5 * np.sin(th / 2), 0.5j * np.cos(th / 2)],
-                [0.5j * np.cos(th / 2), -0.5 * np.sin(th / 2)],
-            ])
-            uz_psi = np.diag([np.exp(0.5j * ps), np.exp(-0.5j * ps)])
-            duz_psi = np.diag([0.5j * np.exp(0.5j * ps), -0.5j * np.exp(-0.5j * ps)])
-            assert np.abs(euler_chart(th, ph, ps).U - uz_phi @ ux @ uz_psi).max() < 1e-14
-            assert np.abs(u - uz_phi @ ux @ uz_psi).max() < 1e-14
-            assert np.abs(du[0] - uz_phi @ dux @ uz_psi).max() < 1e-14
-            assert np.abs(du[1] - duz_phi @ ux @ uz_psi).max() < 1e-14
-            assert np.abs(du[2] - uz_phi @ ux @ duz_psi).max() < 1e-14
+            left, mid, right = expm(ph * z), expm(th * x), expm(ps * z)
+            expected = left @ mid @ right
+            assert np.abs(euler_chart(th, ph, ps).U - expected).max() < 1e-15
+            assert np.abs(u - expected).max() < 1e-15
+            assert np.abs(du[0] - left @ mid @ x @ right).max() < 1e-15
+            assert np.abs(du[1] - z @ expected).max() < 1e-15
+            assert np.abs(du[2] - expected @ z).max() < 1e-15
+
+    def test_batch_rows_equal_single_points(self):
+        # each entry of the chart's two matmuls rounds at most once (its
+        # constants are 0, +-1/2, +-1 and +-i/2), so the summation order a BLAS
+        # path picks by batch size does not show
+        rng = np.random.default_rng(12)
+        angles = rng.uniform(-np.pi, np.pi, (200, 3))
+        u_batch, du_batch = euler_chart_batch(angles)
+        for row, u, du in zip(angles, u_batch, du_batch):
+            u1, du1 = euler_chart_batch(row)
+            assert u1.shape == (1, 2, 2) and du1.shape == (1, 3, 2, 2)
+            assert np.array_equal(u1[0], u) and np.array_equal(du1[0], du)
+
+    @pytest.mark.parametrize("theta", [2e-3, np.pi - 2e-3])
+    def test_metric_near_the_poles(self, su2, theta):
+        # g's smallest eigenvalue, 1 - |cos theta| ~ 2e-6, is where round-off
+        # in U and dU shows first
+        g = metric_batch(su2, "euler", np.array([[theta, 0.4, -1.3]]), resolve_k("auto"))[0][0]
+        expected = np.linalg.eigvalsh(closed_form_metric_su2_euler(theta, 0.4, -1.3).g)[0]
+        assert abs(np.linalg.eigvalsh(g)[0] / expected - 1) < 1e-9
 
     def test_maurer_cartan_is_anti_hermitian(self):
         # U^dag dU_a lies in su(2), so the Euler metric may take U^dag for U^{-1}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI, SIGMA_2, fd_derivative, phim, su2_closed_form_u
+from conftest import PAULI, SIGMA_1, SIGMA_2, SIGMA_3, fd_derivative, phim, su2_closed_form_u
 from oracles import expm, unclipped_psi_divided_differences
 from lieforge import kernel
 from lieforge.catalog import make_group, parse_group_name
@@ -12,8 +12,6 @@ from lieforge.curvature import sample_safe_points
 from lieforge.errors import InvalidInputError, NumericRangeError, SingularityError
 from lieforge.kernel import (
     PSI_SERIES_MIN,
-    SIGMA_1,
-    SIGMA_3,
     dual_mul,
     expm_dual,
     mat_inverse,

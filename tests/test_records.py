@@ -107,11 +107,15 @@ def test_structure_is_built_lazily_once(monkeypatch):
     lambda su2: ChartPoint("exp", [0.1, 0.2], su2),
     lambda su2: ChartPoint("euler", [0.1, 0.2, 0.3], make_group("su", 3)),
     lambda su2: ChartPoint("polar", [0.1, 0.2, 0.3], su2),
+    lambda su2: ChartPoint("exp", 0.5, su2),
+    lambda su2: ChartPoint("exp", np.zeros((3, 1)), su2),
+    lambda su2: ChartPoint("euler", np.zeros((3, 1)), su2),
     lambda su2: ScanConfig(groups=("su2",), samples=0),
     lambda su2: ScanConfig(groups=("su2",), tolerance=0.0),
     lambda su2: ScanConfig(groups=("su2",), seed=-1),
     lambda su2: ScanConfig(groups=("su2",), k="two"),
-], ids=["exp-count", "euler-group", "chart", "samples", "tolerance", "seed", "k"])
+], ids=["exp-count", "euler-group", "chart", "exp-scalar", "exp-column", "euler-column",
+        "samples", "tolerance", "seed", "k"])
 def test_construction_checks_its_arguments(su2, build):
     with pytest.raises(InvalidInputError):
         build(su2)
