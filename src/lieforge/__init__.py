@@ -4,7 +4,7 @@ curvature, and Einstein-property verification."""
 # Set before the submodule imports: scan.py reads it for its reports.
 __version__ = "0.1.0"
 
-from .catalog import GroupSpec, StructureConstants, make_group, parse_group_name, structure_constants
+from .catalog import GroupSpec, make_group, parse_group_name
 from .charts import ChartPoint
 from .curvature import CurvatureBundle, EinsteinVerdict, einstein_check, riemann_ricci
 from .errors import (
@@ -14,13 +14,10 @@ from .errors import (
     NumericRangeError,
     SingularityError,
 )
-from .kernel import mat_inverse
 from .metric import (
     MetricConfig,
     MetricField,
     MetricTensor,
-    closed_form_metric_su2_euler,
-    exp_metric_field,
     metric,
     metric_field,
 )

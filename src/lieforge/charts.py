@@ -1,5 +1,5 @@
 """Chart parametrizations U(theta) of group manifolds with first derivatives,
-and the safe domain of each chart.
+and ``safe_domain``, the one table of charts that every chart consumer reads.
 
 Two charts are provided: the exponential chart for any cataloged group
 (U and its derivatives from one eigendecomposition in ``kernel.expm_dual``,
@@ -11,6 +11,7 @@ entry of U and its partials a phase times a constant combination of
 (``EULER_FACTOR_ORDER``), give the Euler jet in ``metric.py``.
 """
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,19 +58,10 @@ class ChartPoint(_ChartFields):
     __slots__ = ()
 
     def __new__(cls, chart, coords, group):
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 1:
-            raise InvalidInputError(f"a chart point takes one coordinate vector, "
-                                    f"got shape {coords.shape}")
-        if chart == "exp":
-            if len(coords) != group.dim:
-                raise InvalidInputError(f"exp chart for {group.name} needs {group.dim} "
-                                        f"coordinates, got {len(coords)}")
-        elif chart == "euler":
-            if group.name != "su2" or len(coords) != 3:
-                raise InvalidInputError("euler chart is the 3-coordinate SU(2) chart")
-        else:
-            raise InvalidInputError(f"unknown chart {chart!r}")
+        coords, width = np.asarray(coords, dtype=float), len(safe_domain(group, chart).lo)
+        if coords.shape != (width,):
+            raise InvalidInputError(f"{chart} chart for {group.name} needs one vector of "
+                                    f"{width} coordinates, got shape {coords.shape}")
         return super().__new__(cls, chart, coords, group)
 
 
@@ -107,8 +99,12 @@ def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[:, 0].reshape(m, 2, 2), out[:, 1:].reshape(m, 3, 2, 2)
 
 
+@functools.lru_cache(maxsize=64)
 def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
-    """Sampling box and membership predicate for a chart.
+    """The one table of charts: sampling box, whose width is the chart's
+    coordinate count, and membership predicate, cached per (spec, chart) with
+    a read-only box.  An unknown chart or the Euler chart off su2 is
+    InvalidInputError.
 
     The exponential chart of SU(2) is nondegenerate for |theta| < 2*pi - 1e-2;
     other groups get a conservative injectivity ball |theta| < pi/2 in the

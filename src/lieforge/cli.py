@@ -154,7 +154,6 @@ def _cmd_metric(args) -> int:
 def _cmd_curvature(args) -> int:
     spec = parse_group_name(args.group)
     k = resolve_k(args.k)
-    ChartPoint(args.chart, args.point, spec)  # validates coordinate count
     bundle = riemann_ricci(metric_field(spec, args.chart, k), args.point)
     d = spec.dim
     _print_matrix("ricci:", bundle.ricci)

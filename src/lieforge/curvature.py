@@ -46,8 +46,12 @@ def _frame_ricci(field: MetricField,
     d_c Gamma^c_xy - d_y Gamma^c_xc + Gamma^c_cq Gamma^q_xy - Gamma^c_yq Gamma^q_cx,
     d_c Gamma^c_xy = g^cd (d_c Gamma_dxy - d_c g_dq Gamma^q_xy),
     d_y Gamma^c_xc = (g^cd d_x d_y g_cd - tr(A_y A_x)) / 2, Gamma^c_cq = tr(A_q) / 2.
-    Raises SingularityError, naming the first point, where the chart g has
-    ||g||_1 ||g^-1||_1 > CURVATURE_CONDITION_LIMIT."""
+    Raises InvalidInputError for points whose width is not ``field.dim``, checked
+    before the domain, and SingularityError, naming the first point, where the
+    chart g has ||g||_1 ||g^-1||_1 > CURVATURE_CONDITION_LIMIT."""
+    if points.shape[1:] != (field.dim,):
+        raise InvalidInputError(f"{field.name} takes points of {field.dim} coordinates, "
+                                f"got {points.shape[1]}")
     _require_inside(field, points, "{0} is outside the safe domain of {1}")
     jet = field.jet(points)
     condition = np.abs(jet.g).sum(1).max(1) * np.abs(jet.g_inv).sum(1).max(1)
@@ -73,9 +77,10 @@ def _frame_ricci(field: MetricField,
 
 def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
     """Gamma, Ricci and R in chart coordinates at points (..., d) from one
-    call of the field's jet.  Raises DomainError for a point outside the
-    field's domain and SingularityError as ``_frame_ricci`` does."""
-    points = np.asarray(points, dtype=float)
+    call of the field's jet; a scalar is one point of one coordinate.  Raises
+    as ``_frame_ricci`` does: InvalidInputError for points of the wrong
+    width, checked before the domain, then DomainError and SingularityError."""
+    points = np.atleast_1d(np.asarray(points, dtype=float))
     lead, flat = points.shape[:-1], points.reshape(-1, points.shape[-1])
     jet, gam, ric, scalar = _frame_ricci(field, flat)
     d, q, scalar = flat.shape[1], jet.q, scalar.reshape(lead)

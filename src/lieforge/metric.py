@@ -286,14 +286,14 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
     with the eigenframe g = Q diag(lam) Q^T as (lam (m, d), Q (m, d, d)) where
     the chart gives it: on the exp chart lam = 2 kappa psi(mu), kappa =
     k GRAM_CONSTANT, in the frame Q of ad^2, the same lam as
-    ``exp_frame_jet``'s; None on the Euler chart."""
+    ``exp_frame_jet``'s; None on the Euler chart.  It keeps no chart list:
+    the table ``safe_domain`` rejects a chart the group does not have."""
+    safe_domain(spec, chart)
     if chart == "exp":
         q, p, g = _exp_metric(spec, np.asarray(pts, dtype=float), k)[2:]
         return g, ((2.0 * k * GRAM_CONSTANT) * p, q)
-    if chart == "euler":
-        du = euler_chart_batch(pts)[1]  # U is unitary: Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b)
-        return _gram(du.reshape(len(du), 3, 4), k), None
-    raise InvalidInputError(f"unknown chart {chart!r}")
+    du = euler_chart_batch(pts)[1]  # U is unitary: Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b)
+    return _gram(du.reshape(len(du), 3, 4), k), None
 
 
 @functools.lru_cache(maxsize=64)

@@ -4,10 +4,12 @@ from scipy.linalg import expm
 
 from conftest import SIGMA_1, SIGMA_3, fd_derivative
 from oracles import chart_transition_check, euler_chart, exp_chart, su2_log, symplectic_form
-from lieforge.catalog import make_group
+from lieforge.catalog import make_group, parse_group_name
 from lieforge.charts import EULER_POLE_MARGIN, ChartPoint, euler_chart_batch, safe_domain
+from lieforge.curvature import einstein_check, riemann_ricci
 from lieforge.errors import InvalidInputError
-from lieforge.metric import closed_form_metric_su2_euler, metric_batch, resolve_k
+from lieforge.metric import closed_form_metric_su2_euler, metric_batch, metric_field, resolve_k
+from lieforge.sphere import sphere_metric_field
 
 
 def test_exp_chart_origin(su2):
@@ -175,3 +177,56 @@ def test_safe_domains(su2):
     so5 = make_group("so", 5)
     dom5 = safe_domain(so5, "exp")
     assert np.all(np.linalg.norm(np.stack([dom5.lo, dom5.hi]), axis=1) < np.pi / 2)
+
+
+_EXP, _EULER = [0.1, 0.2, 0.3], [1.0, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("group, chart, coords, accepted", [
+    ("su2", "exp", _EXP, True),
+    ("su2", "exp", _EXP[:2], False),
+    ("su2", "exp", _EXP + [0.4], False),
+    ("su2", "exp", 0.5, False),
+    ("su2", "exp", np.array(_EXP)[:, None], False),
+    ("su2", "euler", _EULER, True),
+    ("su2", "euler", _EULER[:2], False),
+    ("so3", "euler", _EULER, False),
+    ("su3", "euler", _EULER, False),
+    ("sp1", "euler", _EULER, False),
+    ("su2", "polar", _EXP, False),
+], ids=["exp", "exp-2", "exp-4", "exp-scalar", "exp-column", "euler", "euler-2",
+        "euler-so3", "euler-su3", "euler-sp1", "unknown"])
+def test_one_chart_table(group, chart, coords, accepted):
+    """safe_domain decides: it rejects the chart, or its box's width fixes the
+    coordinates, and every consumer of a chart point agrees with it."""
+    spec = parse_group_name(group)
+    try:
+        width = len(safe_domain(spec, chart).lo)
+    except InvalidInputError:
+        width = None
+    assert accepted == (np.shape(coords) == (width,))
+    calls = (lambda: ChartPoint(chart, coords, spec),
+             lambda: metric_batch(spec, chart, coords, 2.0),
+             lambda: riemann_ricci(metric_field(spec, chart, 2.0), coords))
+    for call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(InvalidInputError):
+                call()
+
+
+@pytest.mark.parametrize("points", [[1.0, 0.5], [1.0, 0.5, 1.2, 0.7, 0.1], 0.5],
+                         ids=["two", "five", "scalar"])
+def test_curvature_rejects_a_point_of_the_wrong_width(points):
+    s3 = sphere_metric_field(4)
+    assert riemann_ricci(s3, [1.0, 0.5, 0.1]).scalar == pytest.approx(6.0)
+    with pytest.raises(InvalidInputError):
+        riemann_ricci(s3, points)
+
+
+@pytest.mark.parametrize("width", [2, 5])
+def test_einstein_check_rejects_points_of_the_wrong_width(width):
+    with pytest.raises(InvalidInputError):
+        einstein_check(sphere_metric_field(4), np.full((2, width), 1.0), 1e-6)
+

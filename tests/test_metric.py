@@ -578,6 +578,9 @@ class TestFieldCache:
         assert metric_field(su2, "exp", 2.0) is field
         assert metric_field(su2, "exp", 3.0) is not field
         assert metric_field(su2, "euler", 2.0) is not field
+        # the chart table is cached too: every k's field shares one domain
+        assert safe_domain(su2, "exp") is field.domain is metric_field(su2, "exp", 3.0).domain
+        assert safe_domain(su2, "euler") is safe_domain(su2, "euler") is not field.domain
         assert metric_field(parse_group_name("su3"), "exp", 2.0) is not field
         assert sphere_metric_field(5) is sphere_metric_field(5)
         assert sphere_metric_field(6) is not sphere_metric_field(5)

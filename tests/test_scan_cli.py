@@ -178,6 +178,17 @@ class TestCli:
     def test_unknown_group_exit_2(self, capsys):
         assert cli.main(["einstein", "--group", "g2"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--group", "su2", "--point", "1,2"],
+        ["curvature", "--group", "sp1", "--chart", "euler", "--point", "1,0.2,0.3"],
+        ["metric", "--group", "su2", "--chart", "euler", "--point", "1,2"],
+        ["metric", "--group", "su3", "--chart", "euler", "--point", "1,0.2,0.3"],
+    ], ids=["curvature-width", "curvature-euler-sp1", "metric-euler-width", "metric-euler-su3"])
+    def test_chart_table_rejections_exit_2(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("lieforge: ") and err.count("\n") == 1
+
     def test_bad_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan", "--groups", "su2", "--frobnicate"])
