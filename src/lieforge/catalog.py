@@ -60,88 +60,54 @@ class StructureConstants(NamedTuple):
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(GRAM_CONSTANT / np.real(np.trace(x.conj().T @ x)))
-    return x * scale
+    """Scale a stack (p, n, n) to Tr(X^dag X) = GRAM_CONSTANT per matrix."""
+    gram = np.real(np.trace(x.conj().swapaxes(1, 2) @ x, axis1=1, axis2=2))
+    return x * np.sqrt(GRAM_CONSTANT / gram)[:, None, None]
 
 
-def _gell_mann(n: int) -> list[np.ndarray]:
-    """Generalized Gell-Mann matrices (Hermitian, Tr(l_a l_b) = 2 delta_ab)."""
-    mats = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            sym = np.zeros((n, n), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0
-            mats.append(sym)
-            asym = np.zeros((n, n), dtype=complex)
-            asym[j, k] = -1j
-            asym[k, j] = 1j
-            mats.append(asym)
-    for l in range(1, n):
-        diag = np.zeros((n, n), dtype=complex)
-        for m in range(l):
-            diag[m, m] = 1.0
-        diag[l, l] = -l
-        mats.append(diag * np.sqrt(2.0 / (l * (l + 1))))
-    return mats
+def _units(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit matrices E_jk with k >= j + offset, row-major, as one complex
+    stack (p, n, n), and their transposes."""
+    j, k = np.triu_indices(n, offset)
+    e = np.zeros((len(j), n, n), dtype=complex)
+    e[np.arange(len(j)), j, k] = 1.0
+    return e, e.swapaxes(1, 2)
 
 
-def _su_generators(n: int) -> list[np.ndarray]:
-    return [0.5j * lam for lam in _gell_mann(n)]
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_0, b_0, a_1, b_1, ...: two stacks interleaved."""
+    return np.stack([a, b], axis=1).reshape((-1,) + a.shape[1:])
 
 
-def _so_generators(n: int) -> list[np.ndarray]:
-    gens = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            x = np.zeros((n, n), dtype=complex)
-            x[j, k] = 0.5
-            x[k, j] = -0.5
-            gens.append(x)
-    return gens
+def _su_generators(n: int) -> np.ndarray:
+    """(i/2) times the generalized Gell-Mann matrices: the symmetric and
+    antisymmetric pair of each j < k, then the n - 1 diagonal ones."""
+    e, et = _units(n, 1)
+    l, m = np.arange(1, n)[:, None], np.arange(n)
+    cartan = np.zeros((n - 1, n, n), dtype=complex)
+    cartan.reshape(n - 1, n * n)[:, ::n + 1] = ((m < l) - l * (m == l)) * np.sqrt(2 / (l * (l + 1)))
+    return 0.5j * np.concatenate([_pairs(e + et, -1j * e + 1j * et), cartan])
 
 
-def _sp_generators(n: int) -> list[np.ndarray]:
+def _so_generators(n: int) -> np.ndarray:
+    return 0.5 * np.subtract(*_units(n, 1))
+
+
+def _sp_generators(n: int) -> np.ndarray:
     """Compact symplectic algebra sp(n) = u(2n) intersect sp(2n, C).
 
     Block form X = [[A, B], [-conj(B), conj(A)]] with A anti-Hermitian and
     B complex symmetric, acting on C^{2n}.
     """
-    def embed_a(a):
-        x = np.zeros((2 * n, 2 * n), dtype=complex)
-        x[:n, :n] = a
-        x[n:, n:] = a.conj()
-        return x
-
-    def embed_b(b):
-        x = np.zeros((2 * n, 2 * n), dtype=complex)
-        x[:n, n:] = b
-        x[n:, :n] = -b.conj()
-        return x
-
-    gens = []
-    for j in range(n):
-        a = np.zeros((n, n), dtype=complex)
-        a[j, j] = 1j
-        gens.append(embed_a(a))
-    for j in range(n):
-        for k in range(j + 1, n):
-            a = np.zeros((n, n), dtype=complex)
-            a[j, k] = 1.0
-            a[k, j] = -1.0
-            gens.append(embed_a(a))
-            a = np.zeros((n, n), dtype=complex)
-            a[j, k] = 1j
-            a[k, j] = 1j
-            gens.append(embed_a(a))
-    for j in range(n):
-        for k in range(j, n):
-            b = np.zeros((n, n), dtype=complex)
-            b[j, k] = b[k, j] = 1.0
-            gens.append(embed_b(b))
-            b = np.zeros((n, n), dtype=complex)
-            b[j, k] = b[k, j] = 1j
-            gens.append(embed_b(b))
-    return gens
+    e, et = _units(n, 1)
+    s = np.add(*_units(n, 0))  # S_jk, j <= k; the normalization takes S_jj = 2 E_jj to one unit
+    diag = np.eye(n)[:, :, None] * np.eye(n)  # [j] = E_jj
+    a = np.concatenate([1j * diag, _pairs(e - et, 1j * (e + et))])
+    b = _pairs(s, 1j * s)
+    x = np.zeros((len(a) + len(b), 2 * n, 2 * n), dtype=complex)
+    x[:len(a), :n, :n], x[:len(a), n:, n:] = a, a.conj()
+    x[len(a):, :n, n:], x[len(a):, n:, :n] = b, -b.conj()
+    return x
 
 
 _FAMILIES = {
@@ -168,10 +134,9 @@ def _build_group(fam: str, n: int) -> GroupSpec:
     if n < info["min_n"]:
         raise InvalidInputError(f"{fam}({n}) not supported: need n >= {info['min_n']}")
     dim = info["dim"](n)
-    check_alloc(16 * dim * info["size"](n) ** 2, f"the {fam}({n}) generators")
-    gens = np.stack([_normalize(x) for x in info["build"](n)])
-    if len(gens) != dim:
-        raise AssertionError(f"generator count {len(gens)} != dim {dim} for {fam}({n})")
+    # the peak: three complex stacks, X, conj(X) and X^dag X, in _normalize
+    check_alloc(48 * dim * info["size"](n) ** 2 + 8192, f"the {fam}({n}) generators")
+    gens = _normalize(info["build"](n))
     gens.setflags(write=False)
     return GroupSpec(family=fam, n=n, matrix_size=info["size"](n), dim=dim, generators=gens)
 

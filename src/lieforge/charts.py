@@ -99,7 +99,18 @@ def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[:, 0].reshape(m, 2, 2), out[:, 1:].reshape(m, 3, 2, 2)
 
 
-@functools.lru_cache(maxsize=64)
+def chart_cache(build: Callable) -> Callable:
+    """lru_cache for (spec, chart, ...) builders; a chart that is not a string is unknown."""
+    cached = functools.lru_cache(maxsize=64)(build)
+
+    def call(spec, chart, *rest):
+        if isinstance(chart, str):
+            return cached(spec, chart, *rest)
+        raise InvalidInputError(f"unknown chart {chart!r}")
+    return functools.update_wrapper(call, build)
+
+
+@chart_cache
 def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
     """The one table of charts: sampling box, whose width is the chart's
     coordinate count, and membership predicate, cached per (spec, chart) with

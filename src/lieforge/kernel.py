@@ -1,6 +1,6 @@
 """Dense matrix kernels: the real psi function and its divided differences,
-the exponential of anti-Hermitian matrices, and first-order forward-mode dual
-arithmetic.
+and the exponential of anti-Hermitian matrices with its first-order
+forward-mode derivatives.
 
 ``psi`` evaluates psi(x) = sum_n x^n / (2n+2)! on a spectrum.  For skew M,
 phi(M)^T phi(M) = 2 psi(M^2) with phi(z) = (1 - e^{-z}) / z, so the
@@ -9,14 +9,13 @@ taken on the eigenvalues of that square.  ``psi_divided_differences`` gives
 the first and second divided differences of psi on a spectrum, from which
 that metric's exact derivatives follow.
 
-Dual values are numpy slot stacks.  The slot axis comes just before the
-value's own axes: ``(..., p+1, n, n)`` for matrices, ``(..., p+1)`` for
-scalars.  Slot 0 is the value, slots ``1..p`` are the partial derivatives,
-one per seeded coordinate direction.  ``expm_dual`` gives U(theta) and its
-partials on the exponential chart from one eigendecomposition of the
-anti-Hermitian value slot; its frames are the oracle the psi-based metric is
-tested against.  Scalar stacks give the sphere embedding's Jacobian.  All kernel
-operations broadcast over leading batch axes.
+Dual values are numpy slot stacks ``(..., p+1, n, n)``: the slot axis comes
+just before the matrix axes, slot 0 is the value and slots ``1..p`` are the
+partial derivatives, one per seeded coordinate direction.  ``expm_dual``
+gives U(theta) and its partials on the exponential chart from one
+eigendecomposition of the anti-Hermitian value slot; its frames are the
+oracle the psi-based metric is tested against.  All kernel operations
+broadcast over leading batch axes.
 """
 
 import math
@@ -57,12 +56,6 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
             condition=worst,
         )
     return np.linalg.inv(a)
-
-
-def dual_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two scalar stacks: first-order Leibniz rule in the partials."""
-    parts = a[..., :1] * b[..., 1:] + a[..., 1:] * b[..., :1]
-    return np.concatenate([a[..., :1] * b[..., :1], parts], axis=-1)
 
 
 def psi(mu: np.ndarray) -> np.ndarray:

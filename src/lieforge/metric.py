@@ -9,18 +9,17 @@ d x d arithmetic on the adjoint representation.  The metric, its
 eigenvalues k psi(mu) (mu those of ad^2) and, for curvature, its exact jet
 in the eigenframe of ad^2 (``exp_frame_jet``) come from one batched
 eigendecomposition of ad^2, so a point query on the exp chart reads its
-condition number and inverse from that eigenframe; on the Euler chart and
-the sphere they come from one eigh of g.  On the Euler chart the metric is
-the Gram of dU (``_gram``), as U is unitary and so Tr(d_a U^dag d_b U) =
-Tr(w_a^dag w_b), and the exact jet is ``product_jet``'s, which serves any
-chart U = prod_j exp(t_j Y_j): it projects w_a on the basis and takes its
-derivatives as brackets, and ``contract_jet`` turns it into the eigenframe
-of g.  Both read traces through ``_real``, which guards against imaginary
-parts.  The module also carries the closed-form SU(2) Euler-chart metric,
-an oracle for both.
+condition number and inverse from that eigenframe; on the Euler chart they
+come from one eigh of g, and the sphere's diagonal g is its own frame.  On
+the Euler chart the metric is the Gram of dU (``_gram``), as U is unitary
+and so Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b), and the exact jet is
+``product_jet``'s, which serves any chart U = prod_j exp(t_j Y_j): it
+projects w_a on the basis and takes its derivatives as brackets, and
+``contract_jet`` turns it into the eigenframe of g.  Both read traces
+through ``_real``, which guards against imaginary parts.  The module also
+carries the closed-form SU(2) Euler-chart metric, an oracle for both.
 """
 
-import functools
 import math
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -29,10 +28,10 @@ import numpy as np
 from .catalog import GRAM_CONSTANT, GroupSpec, make_group
 # No production path needs kernel.expm_dual, charts.exp_chart_batch (imported
 # here too), kernel.mat_inverse (imported here only), catalog.structure_constants,
-# closed_form_metric_su2_euler or exp_metric_field; they stay because the
-# benchmark in perfbench/ patches or calls them by these names.
-from .charts import (EULER_FACTOR_ORDER, ChartPoint, SafeDomain, euler_chart_batch,
-                     exp_chart_batch, safe_domain)
+# closed_form_metric_su2_euler, exp_metric_field or sphere.hyperspherical_batch;
+# they stay because the benchmark in perfbench/ patches or calls them by these names.
+from .charts import (EULER_FACTOR_ORDER, ChartPoint, SafeDomain, chart_cache,
+                     euler_chart_batch, exp_chart_batch, safe_domain)
 from .errors import (InvalidInputError, LieForgeError, NumericRangeError, SingularityError,
                      check_alloc)
 from .kernel import mat_inverse, psi, psi_divided_differences
@@ -135,9 +134,9 @@ def _finish(g: np.ndarray, point: ChartPoint | None,
             frame: tuple[np.ndarray, np.ndarray] | None = None) -> MetricTensor:
     """Condition number and inverse of a symmetric g = Q diag(lam) Q^T from its
     eigenframe (lam, Q): on the exp chart the frame of ad^2 that
-    ``metric_batch`` gives with g; on the Euler chart and the sphere
-    (``frame`` None) one eigh of g.  |lam| are g's singular values, so
-    max|lam| / min|lam| is the 2-norm condition number, and
+    ``metric_batch`` gives with g, on the sphere (diag(g), I), and on the
+    Euler chart (``frame`` None) one eigh of g.  |lam| are g's singular
+    values, so max|lam| / min|lam| is the 2-norm condition number, and
     g^-1 = Q diag(1 / lam) Q^T."""
     if not np.isfinite(g).all():
         raise NumericRangeError(f"metric has non-finite entries{_where(point)}")
@@ -296,7 +295,7 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
     return _gram(du.reshape(len(du), 3, 4), k), None
 
 
-@functools.lru_cache(maxsize=64)
+@chart_cache
 def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
     """``metric_batch`` on ``chart``, carrying the chart's safe domain and its
     exact jet: ``exp_frame_jet``, or ``product_jet`` contracted.  Built

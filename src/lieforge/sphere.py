@@ -1,12 +1,11 @@
 """Pullback metrics on unit spheres S^{N-1} embedded in R^N.
 
 The hyperspherical parametrization is fixed so that for N = 3 it reads
-x = (sin t1 cos t2, sin t1 sin t2, cos t1); the tangent-frame Jacobian
-B_{i,a} = dx_i / dtheta^a comes from the kernel's dual scalar stacks and the
-induced metric is g_ab = sum_i B_{i,a} B_{i,b}.  That pullback is diagonal,
-g_aa = prod_{b<a} sin^2 t_b, and the field's exact curvature jet comes from
-this closed form in the chart's own frame, batched over points; the
-embedding stays its value oracle.
+x = (sin t1 cos t2, sin t1 sin t2, cos t1).  Its pullback is diagonal,
+g_aa = prod_{b<a} sin^2 t_b, and the field's value and exact curvature jet
+both come from this closed form in the chart's own frame, batched over
+points.  The embedding and its Jacobian B_{i,a} = dx_i / dtheta^a stay as
+the value's oracle: g_ab = sum_i B_{i,a} B_{i,b}.
 """
 
 import functools
@@ -16,44 +15,38 @@ import numpy as np
 from .charts import SafeDomain
 from .curvature import einstein_check, sample_safe_points
 from .errors import InvalidInputError, SingularityError, check_alloc
-from .kernel import dual_mul
 from .metric import JET_PEAK_D3_ARRAYS, FrameJet, MetricField, MetricTensor, _finish
 
 POLE_MARGIN = 1e-6
 
 
-def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding points (m, N) and Jacobians (m, N, N-1) for a batch."""
+def _angles(n_ambient: int, thetas: np.ndarray) -> np.ndarray:
+    """A batch (m, N - 1) of S^{N-1} coordinates, or InvalidInputError."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if n_ambient < 2:
         raise InvalidInputError("sphere embedding needs ambient dimension >= 2")
-    d = thetas.shape[1]
-    if d != n_ambient - 1:
-        raise InvalidInputError(f"S^{n_ambient - 1} takes {n_ambient - 1} coordinates, got {d}")
-    # sin t_a and cos t_a as scalar stacks, t_a seeded in slot a+1; angle-major
-    # (d, m, d+1) keeps each angle's stack contiguous for dual_mul
-    t = thetas.T
-    sin_t = np.zeros(t.shape + (d + 1,))
-    cos_t = np.zeros_like(sin_t)
-    sin_t[..., 0], cos_t[..., 0] = np.sin(t), np.cos(t)
-    a = np.arange(d)
-    sin_t[a, :, a + 1] = cos_t[..., 0]
-    cos_t[a, :, a + 1] = -sin_t[..., 0]
-    if n_ambient == 2:
-        x = [sin_t[0], cos_t[0]]
-    else:
-        x = [None] * n_ambient
-        x[n_ambient - 1] = cos_t[0]
-        running = sin_t[0]
-        for m in range(n_ambient - 2, 1, -1):
-            # x[m] uses sines of the first N-m-1 angles and one cosine
-            x[m] = dual_mul(running, cos_t[n_ambient - m - 1])
-            running = dual_mul(running, sin_t[n_ambient - m - 1])
-        x[0] = dual_mul(running, cos_t[d - 1])
-        x[1] = dual_mul(running, sin_t[d - 1])
-    points = np.stack([xi[:, 0] for xi in x], axis=1)
-    jac = np.stack([xi[:, 1:] for xi in x], axis=1)
-    return points, jac
+    if thetas.shape[1] != n_ambient - 1:
+        raise InvalidInputError(
+            f"S^{n_ambient - 1} takes {n_ambient - 1} coordinates, got {thetas.shape[1]}")
+    return thetas
+
+
+def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Embedding points (m, N) and Jacobians (m, N, N-1) for a batch: x_i is
+    a product of one factor per angle, sin t_a before the angle whose cosine
+    it takes (x_1 takes none), that cosine, then 1, and d_a x_i swaps factor
+    a for its derivative between the exclusive prefix and suffix products."""
+    t = _angles(n_ambient, thetas)
+    cos_at = n_ambient - 1 - np.arange(n_ambient)  # [i] = the angle whose cosine x_i takes
+    if n_ambient > 2:
+        cos_at[:2] = cos_at[1::-1]
+    side = np.sign(np.arange(t.shape[1]) - cos_at[:, None]) + 1  # 0, 1, 2: before, at, after it
+    sin, cos = np.sin(t)[:, None], np.cos(t)[:, None]
+    f, df = np.choose(side, [sin, cos, 1.0]), np.choose(side, [cos, -sin, 0.0])  # (m, N, d)
+    prefix, suffix = np.ones_like(f), np.ones_like(f)
+    np.cumprod(f[..., :-1], axis=-1, out=prefix[..., 1:])
+    np.cumprod(f[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
+    return prefix[..., -1] * f[..., -1], prefix * df * suffix
 
 
 def _off_pole(n_ambient: int, pts: np.ndarray) -> np.ndarray:
@@ -75,10 +68,20 @@ def _check_polar(n_ambient: int, theta: np.ndarray):
 
 
 def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
-    """Induced metric g_ab = sum_i B_{i,a} B_{i,b} at one point."""
+    """Induced metric g = diag(lam) at one point, with its own frame
+    (lam, I): the condition is max lam / min lam, with no eigh."""
     theta = np.asarray(theta, dtype=float)
     _check_polar(n_ambient, theta)
-    return _finish(sphere_metric_field(n_ambient)(theta)[0], None)
+    g = sphere_metric_field(n_ambient)(theta)[0]
+    return _finish(g, None, (g.diagonal(), np.eye(len(g))))
+
+
+def _diagonal(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin t_b of the polar angles and lam_a = prod_{b<a} sin^2 t_b at points (m, d)."""
+    sin, lam = np.sin(t[:, :-1]), np.empty(t.shape)
+    lam[:, 0] = 1.0
+    np.cumprod(sin * sin, axis=-1, out=lam[:, 1:])
+    return sin, lam
 
 
 @functools.lru_cache(maxsize=64)
@@ -102,10 +105,7 @@ def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
     t = t.reshape(-1, t.shape[-1])
     m, d = t.shape
     check_alloc(8 * JET_PEAK_D3_ARRAYS * m * d ** 3, f"the S^{d} curvature jet")
-    sin = np.sin(t[:, :-1])
-    lam = np.empty((m, d))
-    lam[:, 0] = 1.0
-    np.cumprod(sin * sin, axis=-1, out=lam[:, 1:])
+    sin, lam = _diagonal(t)
     below = _below(d)
     dlog = np.zeros((m, d, d))
     dlog[:, :-1] = (2.0 * np.cos(t[:, :-1]) / sin)[..., None] * below
@@ -126,11 +126,12 @@ def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
 
 @functools.lru_cache(maxsize=64)
 def sphere_metric_field(n_ambient: int) -> MetricField:
-    """Pullback field on S^{N-1}, sampled in [0.3, pi - 0.3]^{N-2} x [-pi, pi];
-    built once per N and shared, with a read-only box."""
+    """Pullback field g = diag(lam) on S^{N-1}, sampled in
+    [0.3, pi - 0.3]^{N-2} x [-pi, pi]; built once per N and shared, with a
+    read-only box.  At finite points its value is its jet's g, bit for bit."""
     def func(pts):
-        _, jac = hyperspherical_batch(n_ambient, pts)
-        return np.einsum("mia,mib->mab", jac, jac)
+        lam = _diagonal(_angles(n_ambient, pts))[1]
+        return lam[:, :, None] * np.eye(n_ambient - 1)
 
     npolar = max(n_ambient - 2, 0)
     check_alloc(16 * (npolar + 1), f"the S^{n_ambient - 1} sampling box")

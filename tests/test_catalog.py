@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import killing_lambda
+from lieforge import catalog
 from lieforge.catalog import (
     GRAM_CONSTANT,
     GroupSpec,
@@ -190,6 +193,35 @@ def test_structure_build_is_budgeted(monkeypatch):
             tracemalloc.stop()
         assert np.array_equal(f, spec.structure) and peak <= asked
         assert spec.dim < 8 or asked <= 1.1 * peak
+
+
+def test_generators_are_pinned_bitwise():
+    # sha256 of su2..su12, so3..so13 and sp1..sp9, signed zeros included
+    h = hashlib.sha256()
+    for family, ns in (("su", range(2, 13)), ("so", range(3, 14)), ("sp", range(1, 10))):
+        for n in ns:
+            h.update(make_group(family, n).generators.tobytes())
+    assert h.hexdigest() == "24550df134ac2d69cbd9c86e8ec9c2f4aeb31f534cea33ca7a4648f72ef42d73"
+
+
+def test_generator_build_is_budgeted(monkeypatch):
+    # three (dim, n, n) complex stacks, X, conj(X) and X^dag X while
+    # normalizing, and 8 KiB for small arrays and headers: the build fails one
+    # byte under that ask, stays inside it, and from so10 up is within 10% of it
+    for family, n, asked in [("SU", 2, 8768), ("Sp", 3, 44480), ("SO", 10, 224192),
+                             ("SO", 20, 3656192)]:
+        monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", asked - 1)
+        with pytest.raises(InvalidInputError, match=re.escape(f"the {family}({n}) generators")):
+            catalog._build_group.__wrapped__(family, n)
+        monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", asked)
+        tracemalloc.start()
+        try:
+            spec = catalog._build_group.__wrapped__(family, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(spec.generators, make_group(family, n).generators)
+        assert peak <= asked and (n < 10 or asked <= 1.1 * peak)
 
 
 @pytest.mark.parametrize("family,n,expected", [

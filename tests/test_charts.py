@@ -194,8 +194,9 @@ _EXP, _EULER = [0.1, 0.2, 0.3], [1.0, 0.2, 0.3]
     ("su3", "euler", _EULER, False),
     ("sp1", "euler", _EULER, False),
     ("su2", "polar", _EXP, False),
+    ("su2", ["exp"], _EXP, False),
 ], ids=["exp", "exp-2", "exp-4", "exp-scalar", "exp-column", "euler", "euler-2",
-        "euler-so3", "euler-su3", "euler-sp1", "unknown"])
+        "euler-so3", "euler-su3", "euler-sp1", "unknown", "unhashable"])
 def test_one_chart_table(group, chart, coords, accepted):
     """safe_domain decides: it rejects the chart, or its box's width fixes the
     coordinates, and every consumer of a chart point agrees with it."""

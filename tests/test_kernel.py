@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import PAULI, SIGMA_1, SIGMA_2, SIGMA_3, fd_derivative, phim, su2_closed_form_u
 from oracles import expm, unclipped_psi_divided_differences
@@ -12,7 +10,6 @@ from lieforge.curvature import sample_safe_points
 from lieforge.errors import InvalidInputError, NumericRangeError, SingularityError
 from lieforge.kernel import (
     PSI_SERIES_MIN,
-    dual_mul,
     expm_dual,
     mat_inverse,
     psi,
@@ -170,23 +167,6 @@ class TestMatInverse:
     def test_unitary_inverse_is_adjoint(self):
         u = expm(random_antihermitian(np.random.default_rng(9), 4))
         assert np.abs(mat_inverse(u) - u.conj().T).max() < 1e-10
-
-
-class TestDualMul:
-    @given(
-        x=st.floats(-10, 10), y=st.floats(-10, 10),
-        dx=st.floats(-2, 2), dy=st.floats(-2, 2),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_product_rule(self, x, y, dx, dy):
-        a, b = np.array([x, dx]), np.array([y, dy])
-        prod = dual_mul(a, b)
-        assert prod.shape == (2,)
-        assert prod[0] == pytest.approx(x * y, abs=1e-12)
-        assert prod[1] == pytest.approx(x * dy + y * dx, rel=1e-12, abs=1e-12)
-        # leading batch axes broadcast, the slot axis stays last
-        batch = dual_mul(np.broadcast_to(a, (3, 2, 2)), b)
-        assert batch.shape == (3, 2, 2) and (batch == prod).all()
 
 
 class TestPhim:

@@ -22,8 +22,9 @@ def test_printed_s2_frame():
     assert np.allclose(b[:, 1], [0.0, 1.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("n", range(2, 13))
 def test_unit_radius_and_tangency(n):
+    # the embedding is the value's oracle: its Gram B^T B is the closed form
     rng = np.random.default_rng(n)
     for _ in range(20):
         theta = np.concatenate([
@@ -33,6 +34,7 @@ def test_unit_radius_and_tangency(n):
         x, b = hyperspherical_embedding(n, theta)
         assert abs(np.sum(x * x) - 1.0) < 1e-12
         assert np.abs(x @ b).max() < 1e-10
+        assert np.abs(b.T @ b - sphere_metric_field(n)(theta)[0]).max() <= 1e-14
 
 
 def test_n2_matches_n3_slice():
@@ -49,6 +51,20 @@ def test_s2_metric_is_printed_diagonal():
         th, ph = rng.uniform(0.1, np.pi - 0.1), rng.uniform(-np.pi, np.pi)
         g = pullback_metric(3, [th, ph]).g
         assert np.abs(g - np.diag([1.0, np.sin(th) ** 2])).max() < 1e-12
+
+
+def test_point_query_reads_its_own_frame(monkeypatch):
+    # g = diag(lam) is its own eigenframe: no eigh, condition max lam / min lam
+    def no_eigh(*args):
+        raise AssertionError("pullback_metric called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for n, theta in [(2, [1.1]), (3, [0.7, 0.2]), (9, np.linspace(0.4, 1.1, 8))]:
+        mt = pullback_metric(n, theta)
+        lam = np.concatenate([[1.0], np.cumprod(np.sin(theta[:-1]) ** 2)])
+        assert np.abs(mt.g - np.diag(lam)).max() <= 1e-15
+        assert mt.condition == mt.g.diagonal().max() / mt.g.diagonal().min()
+        assert np.array_equal(mt.g_inv, np.diag(1.0 / mt.g.diagonal()))
 
 
 def test_circle_is_arc_length():
@@ -150,11 +166,13 @@ def test_exact_jet_batch_matches_per_point(n):
 @pytest.mark.parametrize("m", [1, 20])
 @pytest.mark.parametrize("n", range(3, 15))
 def test_jet_through_views_matches_indexed_oracle(n, m):
-    # S^2 .. S^13: every field bitwise equal to the fancy-indexed jet
+    # S^2 .. S^13: every field bitwise equal to the fancy-indexed jet, and
+    # the field's value to the jet's g
     field = sphere_metric_field(n)
     pts = sample_safe_points(field, m, np.random.default_rng(100 + n))
     for got, ref in zip(sphere_frame_jet(pts), indexed_sphere_frame_jet(pts)):
         assert got.shape == ref.shape and np.array_equal(got, ref)
+    assert np.array_equal(field(pts), sphere_frame_jet(pts).g)  # the value is the jet's g
 
 
 def test_jet_budget_is_checked_before_any_array():
