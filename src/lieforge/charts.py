@@ -1,14 +1,14 @@
 """Chart parametrizations U(theta) of group manifolds with first derivatives,
-and ``safe_domain``, the one table of charts that every chart consumer reads.
+and ``safe_domain``, the one table of charts that every chart consumer reads:
+its box's width is a chart's coordinate count, and ``polar_domain`` builds
+the box and pole rule of the charts of polar angles (Euler, and spheres).
 
-Two charts are provided: the exponential chart for any cataloged group
-(U and its derivatives from one eigendecomposition in ``kernel.expm_dual``,
-one generator seeded per partial slot; the production metric on this chart
-uses the adjoint form in ``metric.py``, so these frames serve the tests and
-the benchmark as an oracle) and the z-x-z Euler-angle chart for SU(2) (every
-entry of U and its partials a phase times a constant combination of
-(cos, sin)(theta / 2)), whose U and d_theta U, with the place of each factor
-(``EULER_FACTOR_ORDER``), give the Euler jet in ``metric.py``.
+The exponential chart of any cataloged group (U and dU from
+``kernel.expm_dual``) is an oracle for the tests and the benchmark, as the
+production metric uses the adjoint form in ``metric.py``.  In the z-x-z
+Euler-angle chart of SU(2) every entry of U and its partials is a phase
+times a constant combination of (cos, sin)(theta / 2); with the place of
+each factor (``EULER_FACTOR_ORDER``) they give the Euler jet in ``metric.py``.
 """
 
 import functools
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .catalog import GroupSpec
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_width
 from .kernel import expm_dual
 
 EXP_SU2_NORM_MAX = 2.0 * np.pi - 1e-2
@@ -59,20 +59,14 @@ class ChartPoint(_ChartFields):
 
     def __new__(cls, chart, coords, group):
         coords, width = np.asarray(coords, dtype=float), len(safe_domain(group, chart).lo)
-        if coords.shape != (width,):
-            raise InvalidInputError(f"{chart} chart for {group.name} needs one vector of "
-                                    f"{width} coordinates, got shape {coords.shape}")
+        check_width(coords.shape, width, group.name, chart, one=True)
         return super().__new__(cls, chart, coords, group)
 
 
 def exp_chart_batch(spec: GroupSpec, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """U = exp(sum_a theta^a X_a) and dU_a for a batch of points (m, dim)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if thetas.shape[1] != spec.dim:
-        raise InvalidInputError(
-            f"exp chart for {spec.name}: expected {spec.dim} coordinates, "
-            f"got {thetas.shape[1]}"
-        )
+    check_width(thetas.shape, spec.dim, spec.name, "exp")
     m = thetas.shape[0]
     n = spec.matrix_size
     stack = np.empty((m, spec.dim + 1, n, n), dtype=complex)
@@ -90,13 +84,28 @@ def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every entry of U, d_theta U, d_phi U = (i/2) sigma_3 U and d_psi U =
     U (i/2) sigma_3 is a phase times a constant combination of (c, s), the real
     view of e^{i theta / 2}: one complex exponential and one matmul."""
-    angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    if angles.shape[1] != 3:
-        raise InvalidInputError("euler chart takes (theta, phi, psi)")
+    angles = np.atleast_2d(angles)
     m = len(angles)
     z = np.exp(1j * (angles @ _EULER_PHASE))
     out = z[:, None, 1:] * (z[:, :1].view(float) @ _EULER_TRIG).reshape(m, 4, 4)
     return out[:, 0].reshape(m, 2, 2), out[:, 1:].reshape(m, 3, 2, 2)
+
+
+def off_pole(pts: np.ndarray, npolar: int, margin: float) -> np.ndarray:
+    """Per row of pts and polar angle t, its first npolar coordinates: margin < t < pi - margin."""
+    polar = np.atleast_2d(pts)[:, :npolar]
+    return (polar > margin) & (polar < np.pi - margin)
+
+
+def polar_domain(npolar: int, nazimuthal: int, box_margin: float, pole_margin: float) -> SafeDomain:
+    """The domain of a chart of ``npolar`` polar angles, then ``nazimuthal`` azimuthal
+    ones: its read-only box samples polar angles ``box_margin`` from 0 and pi and
+    azimuthal ones in [-pi, pi]; it accepts points ``off_pole`` by ``pole_margin``."""
+    box = np.array([[box_margin] * npolar + [-np.pi] * nazimuthal,
+                    [np.pi - box_margin] * npolar + [np.pi] * nazimuthal])
+    box.setflags(write=False)
+    return SafeDomain(lo=box[0], hi=box[1],
+                      contains=lambda pts: off_pole(pts, npolar, pole_margin).all(axis=1))
 
 
 def chart_cache(build: Callable) -> Callable:
@@ -124,14 +133,7 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
     if chart == "euler":
         if spec.name != "su2":
             raise InvalidInputError("euler chart exists only for su2")
-        box = np.array([[0.25, -np.pi, -np.pi], [np.pi - 0.25, np.pi, np.pi]])
-        box.setflags(write=False)
-
-        def contains(pts):
-            theta = np.atleast_2d(pts)[:, 0]
-            return (theta > EULER_POLE_MARGIN) & (theta < np.pi - EULER_POLE_MARGIN)
-
-        return SafeDomain(lo=box[0], hi=box[1], contains=contains)
+        return polar_domain(1, 2, 0.25, EULER_POLE_MARGIN)
 
     if chart != "exp":
         raise InvalidInputError(f"unknown chart {chart!r}")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, SingularityError,
-                     check_alloc)
+                     check_alloc, check_width)
 from .metric import FrameJet, MetricField, _rotate
 
 # riemann_ricci rejects ||g||_1 ||g^-1||_1 above this; for symmetric g the
@@ -41,7 +41,7 @@ class CurvatureBundle(NamedTuple):  # at points (..., d); every field keeps thos
 
 def _frame_ricci(field: MetricField,
                  points: np.ndarray) -> tuple[FrameJet, np.ndarray, np.ndarray, np.ndarray]:
-    """The jet at points (m, d), and Gamma, Ricci and R in its frame, where
+    """The jet at points (..., d), flattened, and Gamma, Ricci and R in its frame, where
     g^-1 = diag(w), w = 1 / lam.  With A_y = g^-1 d_y g, Ricci is
     d_c Gamma^c_xy - d_y Gamma^c_xc + Gamma^c_cq Gamma^q_xy - Gamma^c_yq Gamma^q_cx,
     d_c Gamma^c_xy = g^cd (d_c Gamma_dxy - d_c g_dq Gamma^q_xy),
@@ -49,9 +49,8 @@ def _frame_ricci(field: MetricField,
     Raises InvalidInputError for points whose width is not ``field.dim``, checked
     before the domain, and SingularityError, naming the first point, where the
     chart g has ||g||_1 ||g^-1||_1 > CURVATURE_CONDITION_LIMIT."""
-    if points.shape[1:] != (field.dim,):
-        raise InvalidInputError(f"{field.name} takes points of {field.dim} coordinates, "
-                                f"got {points.shape[1]}")
+    check_width(points.shape, field.dim, field.name)
+    points = points.reshape(-1, field.dim)
     _require_inside(field, points, "{0} is outside the safe domain of {1}")
     jet = field.jet(points)
     condition = np.abs(jet.g).sum(1).max(1) * np.abs(jet.g_inv).sum(1).max(1)
@@ -81,12 +80,11 @@ def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
     as ``_frame_ricci`` does: InvalidInputError for points of the wrong
     width, checked before the domain, then DomainError and SingularityError."""
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    lead, flat = points.shape[:-1], points.reshape(-1, points.shape[-1])
-    jet, gam, ric, scalar = _frame_ricci(field, flat)
-    d, q, scalar = flat.shape[1], jet.q, scalar.reshape(lead)
+    jet, gam, ric, scalar = _frame_ricci(field, points)
+    lead, d, q = points.shape[:-1], field.dim, jet.q
     return CurvatureBundle(gamma=_rotate(gam, q).reshape(lead + (d, d, d)),
                            ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
-                           scalar=scalar if lead else float(scalar),
+                           scalar=scalar.reshape(lead) if lead else float(scalar[0]),
                            metric=jet.g.reshape(lead + (d, d)), point=points)
 
 

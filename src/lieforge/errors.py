@@ -39,3 +39,11 @@ def check_alloc(nbytes: int, what: str) -> None:
     if nbytes > ALLOC_BUDGET_BYTES:
         raise InvalidInputError(
             f"{what} would need more than the {ALLOC_BUDGET_BYTES >> 30} GiB allocation budget")
+
+
+def check_width(shape: tuple, width: int, *name: str, one: bool = False) -> None:
+    """Reject points not of shape (..., width), or with ``one`` (width,), as an input
+    error naming the chart or field as its field does: ``name``'s parts joined by '-'."""
+    if (shape if one else shape[-1:]) != (width,):
+        raise InvalidInputError(
+            f"{'-'.join(name)} takes points of {width} coordinates, got shape {shape}")

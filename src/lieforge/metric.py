@@ -8,9 +8,9 @@ psi(x) = (cosh(sqrt x) - 1) / x, and the metric is psi of ad_A^2 in real
 d x d arithmetic on the adjoint representation.  The metric, its
 eigenvalues k psi(mu) (mu those of ad^2) and, for curvature, its exact jet
 in the eigenframe of ad^2 (``exp_frame_jet``) come from one batched
-eigendecomposition of ad^2, so a point query on the exp chart reads its
-condition number and inverse from that eigenframe; on the Euler chart they
-come from one eigh of g, and the sphere's diagonal g is its own frame.  On
+eigendecomposition of ad^2.  ``metric_batch`` gives g with its eigenframe,
+where a point query reads its condition number and inverse: on the exp chart
+that of ad^2, on the Euler chart one eigh of g; the sphere's is diag(g).  On
 the Euler chart the metric is the Gram of dU (``_gram``), as U is unitary
 and so Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b), and the exact jet is
 ``product_jet``'s, which serves any chart U = prod_j exp(t_j Y_j): it
@@ -33,7 +33,7 @@ from .catalog import GRAM_CONSTANT, GroupSpec, make_group
 from .charts import (EULER_FACTOR_ORDER, ChartPoint, SafeDomain, chart_cache,
                      euler_chart_batch, exp_chart_batch, safe_domain)
 from .errors import (InvalidInputError, LieForgeError, NumericRangeError, SingularityError,
-                     check_alloc)
+                     check_alloc, check_width)
 from .kernel import mat_inverse, psi, psi_divided_differences
 
 METRIC_CONDITION_LIMIT = 1e10
@@ -130,17 +130,14 @@ def _where(point: ChartPoint | None) -> str:
     return "" if point is None else f" at {point.chart} point {point.coords}"
 
 
-def _finish(g: np.ndarray, point: ChartPoint | None,
-            frame: tuple[np.ndarray, np.ndarray] | None = None) -> MetricTensor:
+def _finish(g: np.ndarray, lam: np.ndarray, q: np.ndarray,
+            point: ChartPoint | None) -> MetricTensor:
     """Condition number and inverse of a symmetric g = Q diag(lam) Q^T from its
-    eigenframe (lam, Q): on the exp chart the frame of ad^2 that
-    ``metric_batch`` gives with g, on the sphere (diag(g), I), and on the
-    Euler chart (``frame`` None) one eigh of g.  |lam| are g's singular
-    values, so max|lam| / min|lam| is the 2-norm condition number, and
-    g^-1 = Q diag(1 / lam) Q^T."""
+    eigenframe (lam, Q), the one ``metric_batch`` gives with g or, on the
+    sphere, (diag(g), I).  |lam| are g's singular values, so max|lam| /
+    min|lam| is the 2-norm condition number, and g^-1 = Q diag(1 / lam) Q^T."""
     if not np.isfinite(g).all():
         raise NumericRangeError(f"metric has non-finite entries{_where(point)}")
-    lam, q = np.linalg.eigh(g) if frame is None else frame
     size = np.abs(lam)
     lo, hi = float(size.min()), float(size.max())
     cond = hi / lo if lo > 0 else np.inf
@@ -167,9 +164,6 @@ def _exp_metric(spec: GroupSpec, thetas: np.ndarray, k: float
     finite differences of g see less round-off.
     """
     d = spec.dim
-    if thetas.shape[-1:] != (d,):
-        raise InvalidInputError(
-            f"exp chart for {spec.name}: expected {d} coordinates, got shape {thetas.shape}")
     ad = (thetas @ spec.structure.reshape(d, d * d)).reshape(-1, d, d)  # [m, b, e]
     x = ad @ ad  # (M^T)^2 = M^2, symmetric since M is skew
     if not np.isfinite(x).all():
@@ -198,6 +192,7 @@ def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
     per point.  Raises NumericRangeError where mu leaves [PSI_SERIES_MIN, 0].
     """
     theta, d = np.asarray(theta, dtype=float), spec.dim
+    check_width(theta.shape, d, spec.name, "exp")
     check_alloc(8 * JET_PEAK_D3_ARRAYS * math.prod(theta.shape[:-1]) * d ** 3,
                 f"the {spec.name} curvature jet")
     ad, mu, q, p, g = _exp_metric(spec, theta, k)
@@ -280,19 +275,24 @@ def product_jet(spec: GroupSpec, u: np.ndarray, du: np.ndarray, order: Sequence[
 
 
 def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
-                 k: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+                 k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Metric of ``spec`` on ``chart`` at a batch of points (m, d) -> g (m, d, d),
-    with the eigenframe g = Q diag(lam) Q^T as (lam (m, d), Q (m, d, d)) where
-    the chart gives it: on the exp chart lam = 2 kappa psi(mu), kappa =
-    k GRAM_CONSTANT, in the frame Q of ad^2, the same lam as
-    ``exp_frame_jet``'s; None on the Euler chart.  It keeps no chart list:
-    the table ``safe_domain`` rejects a chart the group does not have."""
-    safe_domain(spec, chart)
+    with its eigenframe g = Q diag(lam) Q^T, lam (m, d) and Q (m, d, d): on
+    the exp chart lam = 2 kappa psi(mu), kappa = k GRAM_CONSTANT, in the
+    frame Q of ad^2, the same lam as ``exp_frame_jet``'s; on the Euler chart
+    one eigh of g.  It keeps no chart list: the table ``safe_domain`` rejects
+    a chart the group does not have, and its box's width is the points'."""
+    pts = np.asarray(pts, dtype=float)
+    check_width(pts.shape, len(safe_domain(spec, chart).lo), spec.name, chart)
     if chart == "exp":
-        q, p, g = _exp_metric(spec, np.asarray(pts, dtype=float), k)[2:]
-        return g, ((2.0 * k * GRAM_CONSTANT) * p, q)
+        q, p, g = _exp_metric(spec, pts, k)[2:]
+        return g, (2.0 * k * GRAM_CONSTANT) * p, q
     du = euler_chart_batch(pts)[1]  # U is unitary: Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b)
-    return _gram(du.reshape(len(du), 3, 4), k), None
+    g = _gram(du.reshape(len(du), 3, 4), k)
+    try:  # non-finite angles give a nan g, on which eigh fails
+        return (g, *np.linalg.eigh(g))
+    except np.linalg.LinAlgError:
+        raise NumericRangeError(f"non-finite angles on the {spec.name} euler chart") from None
 
 
 @chart_cache
@@ -318,8 +318,8 @@ def metric(cfg: MetricConfig, point: ChartPoint) -> MetricTensor:
             f"{point.group.name} {point.chart}-chart point given to the "
             f"{cfg.group.name} {cfg.chart}-chart metric"
         )
-    g, frame = metric_batch(cfg.group, cfg.chart, point.coords, cfg.resolve_k())
-    return _finish(g[0], point, None if frame is None else (frame[0][0], frame[1][0]))
+    g, lam, q = metric_batch(cfg.group, cfg.chart, point.coords, cfg.resolve_k())
+    return _finish(g[0], lam[0], q[0], point)
 
 
 # ---------------------------------------------------------------------------

@@ -12,23 +12,21 @@ import functools
 
 import numpy as np
 
-from .charts import SafeDomain
+from .charts import off_pole, polar_domain
 from .curvature import einstein_check, sample_safe_points
-from .errors import InvalidInputError, SingularityError, check_alloc
+from .errors import InvalidInputError, SingularityError, check_alloc, check_width
 from .metric import JET_PEAK_D3_ARRAYS, FrameJet, MetricField, MetricTensor, _finish
 
 POLE_MARGIN = 1e-6
 
 
 def _angles(n_ambient: int, thetas: np.ndarray) -> np.ndarray:
-    """A batch (m, N - 1) of S^{N-1} coordinates, or InvalidInputError."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    """Points (..., N - 1) of S^{N-1} as a batch (m, N - 1), or InvalidInputError."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if n_ambient < 2:
         raise InvalidInputError("sphere embedding needs ambient dimension >= 2")
-    if thetas.shape[1] != n_ambient - 1:
-        raise InvalidInputError(
-            f"S^{n_ambient - 1} takes {n_ambient - 1} coordinates, got {thetas.shape[1]}")
-    return thetas
+    check_width(thetas.shape, n_ambient - 1, f"s{n_ambient - 1}-pullback")
+    return thetas.reshape(-1, n_ambient - 1)
 
 
 def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -49,14 +47,8 @@ def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray
     return prefix[..., -1] * f[..., -1], prefix * df * suffix
 
 
-def _off_pole(n_ambient: int, pts: np.ndarray) -> np.ndarray:
-    """Per row and polar angle: POLE_MARGIN < t < pi - POLE_MARGIN."""
-    polar = np.atleast_2d(pts)[:, : max(n_ambient - 2, 0)]
-    return (polar > POLE_MARGIN) & (polar < np.pi - POLE_MARGIN)
-
-
 def _check_polar(n_ambient: int, theta: np.ndarray):
-    inside = _off_pole(n_ambient, theta)[0]
+    inside = off_pole(theta, max(n_ambient - 2, 0), POLE_MARGIN)[0]
     if not inside.all():
         i = int(np.argmin(inside))
         raise SingularityError(
@@ -71,9 +63,9 @@ def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     """Induced metric g = diag(lam) at one point, with its own frame
     (lam, I): the condition is max lam / min lam, with no eigh."""
     theta = np.asarray(theta, dtype=float)
+    g = sphere_metric_field(n_ambient).func(theta)[0]
     _check_polar(n_ambient, theta)
-    g = sphere_metric_field(n_ambient)(theta)[0]
-    return _finish(g, None, (g.diagonal(), np.eye(len(g))))
+    return _finish(g, g.diagonal(), np.eye(len(g)), None)
 
 
 def _diagonal(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,21 +118,17 @@ def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
 
 @functools.lru_cache(maxsize=64)
 def sphere_metric_field(n_ambient: int) -> MetricField:
-    """Pullback field g = diag(lam) on S^{N-1}, sampled in
-    [0.3, pi - 0.3]^{N-2} x [-pi, pi]; built once per N and shared, with a
-    read-only box.  At finite points its value is its jet's g, bit for bit."""
+    """Pullback field g = diag(lam) on S^{N-1} over the ``polar_domain`` of N - 2
+    polar angles, sampled in [0.3, pi - 0.3], and one azimuth; built once per N
+    and shared.  At finite points its value is its jet's g, bit for bit."""
     def func(pts):
         lam = _diagonal(_angles(n_ambient, pts))[1]
         return lam[:, :, None] * np.eye(n_ambient - 1)
 
     npolar = max(n_ambient - 2, 0)
     check_alloc(16 * (npolar + 1), f"the S^{n_ambient - 1} sampling box")
-    box = np.array([[0.3] * npolar + [-np.pi], [np.pi - 0.3] * npolar + [np.pi]])
-    box.setflags(write=False)
-    domain = SafeDomain(lo=box[0], hi=box[1],
-                        contains=lambda pts: _off_pole(n_ambient, pts).all(axis=1))
-    return MetricField(dim=n_ambient - 1, func=func, domain=domain,
-                       name=f"s{n_ambient - 1}-pullback", jet=sphere_frame_jet)
+    return MetricField(dim=n_ambient - 1, func=func, name=f"s{n_ambient - 1}-pullback",
+                       domain=polar_domain(npolar, 1, 0.3, POLE_MARGIN), jet=sphere_frame_jet)
 
 
 def sphere_einstein_check(n_ambient: int, samples: int, tol: float, seed: int = 0):

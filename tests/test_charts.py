@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,7 +11,7 @@ from lieforge.charts import EULER_POLE_MARGIN, ChartPoint, euler_chart_batch, sa
 from lieforge.curvature import einstein_check, riemann_ricci
 from lieforge.errors import InvalidInputError
 from lieforge.metric import closed_form_metric_su2_euler, metric_batch, metric_field, resolve_k
-from lieforge.sphere import sphere_metric_field
+from lieforge.sphere import pullback_metric, sphere_metric_field
 
 
 def test_exp_chart_origin(su2):
@@ -160,15 +162,6 @@ def test_su2_log_roundtrip(su2):
         assert np.abs(exp_chart(su2, v).U - u).max() < 1e-12
 
 
-def test_chart_point_validation(su2):
-    with pytest.raises(InvalidInputError):
-        ChartPoint("exp", [0.1], su2)
-    with pytest.raises(InvalidInputError):
-        ChartPoint("euler", [0.1, 0.2], su2)
-    with pytest.raises(InvalidInputError):
-        ChartPoint("polar", [0.1, 0.2, 0.3], su2)
-
-
 def test_safe_domains(su2):
     dom = safe_domain(su2, "exp")
     assert dom.contains(np.array([[1.0, 0.0, 0.0]]))[0]
@@ -182,52 +175,106 @@ def test_safe_domains(su2):
 _EXP, _EULER = [0.1, 0.2, 0.3], [1.0, 0.2, 0.3]
 
 
+def width_error(name: str, width: int, shape: tuple) -> str:
+    """The one wording of a wrong coordinate count, as a pattern."""
+    return re.escape(f"{name} takes points of {width} coordinates, got shape {shape}")
+
+
 @pytest.mark.parametrize("group, chart, coords, accepted", [
     ("su2", "exp", _EXP, True),
+    ("su2", "exp", _EXP[:1], False),
     ("su2", "exp", _EXP[:2], False),
     ("su2", "exp", _EXP + [0.4], False),
     ("su2", "exp", 0.5, False),
     ("su2", "exp", np.array(_EXP)[:, None], False),
     ("su2", "euler", _EULER, True),
     ("su2", "euler", _EULER[:2], False),
+    ("su2", "euler", np.array(_EULER)[:, None], False),
     ("so3", "euler", _EULER, False),
     ("su3", "euler", _EULER, False),
     ("sp1", "euler", _EULER, False),
     ("su2", "polar", _EXP, False),
     ("su2", ["exp"], _EXP, False),
-], ids=["exp", "exp-2", "exp-4", "exp-scalar", "exp-column", "euler", "euler-2",
-        "euler-so3", "euler-su3", "euler-sp1", "unknown", "unhashable"])
+], ids=["exp", "exp-1", "exp-2", "exp-4", "exp-scalar", "exp-column", "euler", "euler-2",
+        "euler-column", "euler-so3", "euler-su3", "euler-sp1", "unknown", "unhashable"])
 def test_one_chart_table(group, chart, coords, accepted):
     """safe_domain decides: it rejects the chart, or its box's width fixes the
-    coordinates, and every consumer of a chart point agrees with it."""
+    coordinates, and every consumer of a chart point agrees with it.  A wrong
+    width reads the same from each, with the shape that consumer holds: a
+    scalar is one coordinate to the curvature and one point to the verdict."""
     spec = parse_group_name(group)
     try:
         width = len(safe_domain(spec, chart).lo)
     except InvalidInputError:
         width = None
     assert accepted == (np.shape(coords) == (width,))
-    calls = (lambda: ChartPoint(chart, coords, spec),
-             lambda: metric_batch(spec, chart, coords, 2.0),
-             lambda: riemann_ricci(metric_field(spec, chart, 2.0), coords))
-    for call in calls:
+    calls = ((lambda: ChartPoint(chart, coords, spec), np.shape(coords)),
+             (lambda: metric_batch(spec, chart, coords, 2.0), np.shape(coords)),
+             (lambda: riemann_ricci(metric_field(spec, chart, 2.0), coords),
+              np.shape(np.atleast_1d(coords))),
+             (lambda: einstein_check(metric_field(spec, chart, 2.0), np.atleast_2d(coords), 1e-6),
+              np.shape(np.atleast_2d(coords))))
+    for call, shape in calls:
         if accepted:
             call()
         else:
-            with pytest.raises(InvalidInputError):
+            match = None if width is None else width_error(f"{group}-{chart}", width, shape)
+            with pytest.raises(InvalidInputError, match=match):
                 call()
 
 
 @pytest.mark.parametrize("points", [[1.0, 0.5], [1.0, 0.5, 1.2, 0.7, 0.1], 0.5],
                          ids=["two", "five", "scalar"])
 def test_curvature_rejects_a_point_of_the_wrong_width(points):
+    """S^3's curvature, value and point query read one wrong-width wording."""
     s3 = sphere_metric_field(4)
     assert riemann_ricci(s3, [1.0, 0.5, 0.1]).scalar == pytest.approx(6.0)
-    with pytest.raises(InvalidInputError):
+    one, batch = np.shape(np.atleast_1d(points)), np.shape(np.atleast_2d(points))
+    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, one)):
         riemann_ricci(s3, points)
+    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, batch)):
+        s3(points)
+    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, one)):
+        pullback_metric(4, points)
 
 
 @pytest.mark.parametrize("width", [2, 5])
 def test_einstein_check_rejects_points_of_the_wrong_width(width):
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, (2, width))):
         einstein_check(sphere_metric_field(4), np.full((2, width), 1.0), 1e-6)
 
+
+_PI = 3.141592653589793
+
+
+def test_polar_boxes_are_pinned(su2):
+    # the Euler chart and S^1 to S^18 sample polar angles 0.25 and 0.3 from
+    # the poles and azimuths in [-pi, pi], bit for bit, from read-only boxes
+    domains = [(safe_domain(su2, "euler"), [0.25, -_PI, -_PI], [2.891592653589793, _PI, _PI])]
+    for n in range(2, 20):
+        domains.append((sphere_metric_field(n).domain, [0.3] * (n - 2) + [-_PI],
+                        [2.8415926535897933] * (n - 2) + [_PI]))
+    for dom, lo, hi in domains:
+        assert np.array_equal(dom.lo, lo) and np.array_equal(dom.hi, hi)
+        assert dom.lo.dtype == float and not (dom.lo.flags.writeable or dom.hi.flags.writeable)
+
+
+_EULER_NEAR = [0.001, 0.0010000000000000002, 3.1405926535897932, 3.140592653589793]
+_SPHERE_NEAR = [1e-06, 1.0000000000000002e-06, 3.141591653589793, 3.1415916535897925]
+
+
+@pytest.mark.parametrize("domain, npolar, near", [
+    (lambda: safe_domain(make_group("su", 2), "euler"), 1, _EULER_NEAR),
+    *[(lambda n=n: sphere_metric_field(n).domain, n - 2, _SPHERE_NEAR) for n in (2, 3, 4, 8, 19)],
+], ids=["euler", "s1", "s2", "s3", "s7", "s18"])
+def test_polar_domains_accept_points_off_the_pole_margins(domain, npolar, near):
+    # each polar angle at its margin m, one float inside it, at pi - m and one
+    # float inside that, the others at 1.0; azimuths are never refused
+    dom = domain()
+    rows = np.ones((4 * npolar + 2, len(dom.lo)))
+    for j in range(npolar):
+        rows[4 * j:4 * j + 4, j] = near
+    rows[-2:, npolar:] = [[-10.0], [10.0]]
+    expected = [False, True, False, True] * npolar + [True, True]
+    assert dom.contains(rows).tolist() == expected
+    assert [bool(dom.contains(r)[0]) for r in rows] == expected

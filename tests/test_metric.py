@@ -181,10 +181,14 @@ class TestFinish:
     def test_non_finite_metric_is_a_lieforge_error(self, bad):
         g = np.eye(3)
         with pytest.raises(NumericRangeError, match="non-finite"):
-            _finish(np.full((3, 3), bad), None)
+            _finish(np.full((3, 3), bad), np.ones(3), np.eye(3), None)
         g[1, 2] = g[2, 1] = bad
         with pytest.raises(NumericRangeError, match="non-finite"):
-            _finish(g, None)
+            _finish(g, np.ones(3), np.eye(3), None)
+        # eigh fails on the all-nan g of non-finite Euler angles
+        su2 = make_group("su", 2)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericRangeError, match="non-finite"):
+            metric(cfg_euler(su2), ChartPoint("euler", [bad, 0.2, 0.3], su2))
 
     @pytest.mark.parametrize("g", [np.zeros((3, 3)), np.diag([1.0, 2.0, 0.0]),
                                    np.diag([1.0, -1e-12, 1.0])])
@@ -192,13 +196,13 @@ class TestFinish:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularityError) as exc:
-                _finish(g, None)
+                _finish(g, *np.linalg.eigh(g), None)
         assert exc.value.condition > METRIC_CONDITION_LIMIT
 
     def test_nan_condition_is_degenerate(self):
         # an eigenframe whose lam overflowed to inf gives cond = inf / inf = nan
         with pytest.raises(SingularityError, match="condition nan"):
-            _finish(np.eye(2), None, (np.full(2, np.inf), np.eye(2)))
+            _finish(np.eye(2), np.full(2, np.inf), np.eye(2), None)
 
     @pytest.mark.parametrize("t", [6.0, 6.27, 6.2831])
     def test_exp_inverse_near_the_chart_edge(self, su2, t):
@@ -212,7 +216,8 @@ class TestFinish:
     @pytest.mark.parametrize("chart,point", [("exp", [0.3, -1.2, 2.0]),
                                              ("euler", [1.0, 0.2, -0.4])])
     def test_one_eigh_per_query(self, su2, monkeypatch, chart, point):
-        # the exp chart reads g's eigenframe from the eigh of ad^2; Euler has one eigh of g
+        # metric_batch gives every chart's g with its eigenframe: the exp chart
+        # reads it from the eigh of ad^2, and Euler has one eigh of g
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
@@ -220,6 +225,9 @@ class TestFinish:
         mt = metric(cfg, ChartPoint(chart, np.array(point), su2))
         assert len(calls) == 1
         assert np.abs(mt.g @ mt.g_inv - np.eye(3)).max() <= 1e-14
+        g, lam, q = metric_batch(su2, chart, np.array([point, point]), 2.0)
+        assert len(calls) == 2 and lam.shape == (2, 3) and q.shape == (2, 3, 3)
+        assert np.abs((q * lam[:, None]) @ q.swapaxes(1, 2) - g).max() <= 1e-15
 
     def test_exp_jet_evaluates_psi_once(self, monkeypatch):
         spec = make_group("so", 5)
@@ -236,11 +244,11 @@ class TestFinish:
         module = importlib.import_module("lieforge.metric")
         frames = []
         finish = module._finish
-        monkeypatch.setattr(module, "_finish", lambda g, point, frame=None:
-                            frames.append(frame) or finish(g, point, frame))
+        monkeypatch.setattr(module, "_finish", lambda g, lam, q, point:
+                            frames.append(lam) or finish(g, lam, q, point))
         for p in jet_points(spec):
             metric(MetricConfig(group=spec, k=k), ChartPoint("exp", p, spec))
-            assert np.array_equal(frames[-1][0], exp_frame_jet(spec, p, k).lam[0])
+            assert np.array_equal(frames[-1], exp_frame_jet(spec, p, k).lam[0])
 
 
 class TestClosedFormOracles:
