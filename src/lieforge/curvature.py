@@ -2,10 +2,10 @@
 
 Every field carries an exact jet (exponential chart, Euler chart, sphere
 pullback): dg and the second derivatives contracted with g^-1, in an
-orthonormal frame where g is diagonal.  Gamma and Ricci follow from traces
-in that frame, with no Riemann tensor and the sign fixed so the unit
-2-sphere has Ric = +g.  ``einstein_check`` reads only frame-invariant norms
-and sends its samples in budget-sized chunks.
+orthonormal frame where g = diag(lam); the condition guard reads only lam.
+Gamma and Ricci follow from traces in that frame, with no Riemann tensor and
+the sign fixed so the unit 2-sphere has Ric = +g.  ``einstein_check`` reads
+only frame-invariant norms and sends its samples in budget-sized chunks.
 """
 
 from typing import NamedTuple
@@ -14,10 +14,10 @@ import numpy as np
 
 from .errors import (ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, SingularityError,
                      check_alloc, check_width)
-from .metric import FrameJet, MetricField, _rotate
+from .metric import FrameJet, MetricField, _rotate, condition_number
 
-# riemann_ricci rejects ||g||_1 ||g^-1||_1 above this; for symmetric g the
-# product bounds the 2-norm condition number from above
+# riemann_ricci rejects a jet whose lam has max lam / min lam above this, or
+# min lam <= 0: S^7's sampling box reaches 2.3e6 at its corners, S^16 passes
 CURVATURE_CONDITION_LIMIT = 1e8
 # samples per curvature call in einstein_check: as many d^3 floats (one per
 # sample) as fit, at least one; larger chunks ran slower from d = 28 up
@@ -35,7 +35,6 @@ class CurvatureBundle(NamedTuple):  # at points (..., d); every field keeps thos
     gamma: np.ndarray     # Gamma^c_ab, shape (..., d, d, d)
     ricci: np.ndarray     # Ric_ab, shape (..., d, d)
     scalar: float | np.ndarray
-    metric: np.ndarray
     point: np.ndarray
 
 
@@ -47,16 +46,16 @@ def _frame_ricci(field: MetricField,
     d_c Gamma^c_xy = g^cd (d_c Gamma_dxy - d_c g_dq Gamma^q_xy),
     d_y Gamma^c_xc = (g^cd d_x d_y g_cd - tr(A_y A_x)) / 2, Gamma^c_cq = tr(A_q) / 2.
     Raises InvalidInputError for points whose width is not ``field.dim``, checked
-    before the domain, and SingularityError, naming the first point, where the
-    chart g has ||g||_1 ||g^-1||_1 > CURVATURE_CONDITION_LIMIT."""
+    before the domain, and SingularityError, naming the first point, where
+    ``condition_number(lam)`` exceeds CURVATURE_CONDITION_LIMIT."""
     check_width(points.shape, field.dim, field.name)
     points = points.reshape(-1, field.dim)
     _require_inside(field, points, "{0} is outside the safe domain of {1}")
     jet = field.jet(points)
-    condition = np.abs(jet.g).sum(1).max(1) * np.abs(jet.g_inv).sum(1).max(1)
-    if not (condition <= CURVATURE_CONDITION_LIMIT).all():
+    condition = condition_number(jet.lam)
+    if not (condition <= CURVATURE_CONDITION_LIMIT).all():  # nan too
         i = np.argmin(condition <= CURVATURE_CONDITION_LIMIT)
-        worst = float(np.nan_to_num(condition[i], nan=np.inf))  # nan: g exactly singular
+        worst = float(condition[i])
         raise SingularityError(
             f"metric condition {worst:.3e} exceeds {CURVATURE_CONDITION_LIMIT:.0e}",
             condition=worst, point=points[i])
@@ -84,8 +83,7 @@ def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
     lead, d, q = points.shape[:-1], field.dim, jet.q
     return CurvatureBundle(gamma=_rotate(gam, q).reshape(lead + (d, d, d)),
                            ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
-                           scalar=scalar.reshape(lead) if lead else float(scalar[0]),
-                           metric=jet.g.reshape(lead + (d, d)), point=points)
+                           scalar=scalar.reshape(lead) if lead else float(scalar[0]), point=points)
 
 
 class EinsteinVerdict(NamedTuple):

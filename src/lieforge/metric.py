@@ -1,16 +1,16 @@
 """Maurer-Cartan frames and the group metric g_ab = k Tr(w_a^dag w_b).
 
-``metric_batch`` is the one place a chart is chosen.  On the exponential
-chart the frames have the closed form w_a = phi(ad_A) X_a with
-A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
+``metric_batch`` is the one place a chart is chosen and a chart g formed.
+On the exponential chart the frames have the closed form w_a = phi(ad_A) X_a
+with A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
 orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
 psi(x) = (cosh(sqrt x) - 1) / x, and the metric is psi of ad_A^2 in real
 d x d arithmetic on the adjoint representation.  The metric, its
 eigenvalues k psi(mu) (mu those of ad^2) and, for curvature, its exact jet
-in the eigenframe of ad^2 (``exp_frame_jet``) come from one batched
-eigendecomposition of ad^2.  ``metric_batch`` gives g with its eigenframe,
-where a point query reads its condition number and inverse: on the exp chart
-that of ad^2, on the Euler chart one eigh of g; the sphere's is diag(g).  On
+in the eigenframe of ad^2 (``exp_frame_jet``) come from one batched eigh of
+ad^2 (``_exp_spectrum``).  Every eigenframe (lam, Q) is judged by one rule,
+``condition_number(lam)``: a point query's, from ``metric_batch`` (on the
+Euler chart one eigh of g; the sphere's is diag(g)), and every jet's.  On
 the Euler chart the metric is the Gram of dU (``_gram``), as U is unitary
 and so Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b), and the exact jet is
 ``product_jet``'s, which serves any chart U = prod_j exp(t_j Y_j): it
@@ -80,10 +80,8 @@ class FrameJet(NamedTuple):
     """What Ricci by traces reads at points (m, d), in the orthonormal frame
     theta = Q theta' where g' = diag(lam): dg[m, e, a, b] = d'_e g'_ab and,
     with w = 1 / lam, inner_xy = sum_c w_c d'_x d'_y g'_cc, outer_xy =
-    sum_c w_c d'_c d'_c g'_xy and mixed_xy = sum_c w_c d'_x d'_c g'_cy; g and
-    g_inv = Q diag(w) Q^T are in chart coordinates, for the condition guard."""
-    g: np.ndarray
-    g_inv: np.ndarray
+    sum_c w_c d'_c d'_c g'_xy and mixed_xy = sum_c w_c d'_x d'_c g'_cy.  No
+    chart-coordinate g is kept: the condition guard reads lam."""
     q: np.ndarray
     lam: np.ndarray
     dg: np.ndarray
@@ -93,7 +91,7 @@ class FrameJet(NamedTuple):
 
 
 class MetricField(NamedTuple):
-    """Batch-evaluable metric over one chart: points (m, d) -> metrics (m, d, d).
+    """Batch-evaluable metric over one chart: points (d,) or (m, d) -> metrics (m, d, d).
 
     ``domain`` is where the field may be evaluated and sampled: its box is the
     sampling box and its ``contains`` guards every jet.  ``jet`` gives the
@@ -106,8 +104,8 @@ class MetricField(NamedTuple):
     jet: Callable[[np.ndarray], FrameJet]
     name: str = "field"
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.func(np.atleast_2d(np.asarray(pts, dtype=float)))
+    def __call__(self, pts: np.ndarray) -> np.ndarray:  # a scalar is one coordinate
+        return self.func(np.atleast_1d(np.asarray(pts, dtype=float)))
 
 
 def _real(raw: np.ndarray) -> np.ndarray:
@@ -130,17 +128,24 @@ def _where(point: ChartPoint | None) -> str:
     return "" if point is None else f" at {point.chart} point {point.coords}"
 
 
+def condition_number(lam: np.ndarray) -> np.ndarray:
+    """max lam / min lam along the last axis of a symmetric g's eigenvalues lam,
+    its 2-norm condition number; +inf where min lam <= 0, nan where lam has nan."""
+    # ufunc reductions skip the Python wrappers of ndarray.min and .all: 2 us of a point query
+    lo, hi = np.minimum.reduce(lam, -1), np.maximum.reduce(lam, -1)
+    if np.minimum.reduce(lo, None) > 0:  # every g positive definite: no mask to build
+        return hi / lo
+    return np.where(lo <= 0, np.inf, hi) / np.where(lo <= 0, 1.0, lo)  # nan lo: nan / nan
+
+
 def _finish(g: np.ndarray, lam: np.ndarray, q: np.ndarray,
             point: ChartPoint | None) -> MetricTensor:
     """Condition number and inverse of a symmetric g = Q diag(lam) Q^T from its
     eigenframe (lam, Q), the one ``metric_batch`` gives with g or, on the
-    sphere, (diag(g), I).  |lam| are g's singular values, so max|lam| /
-    min|lam| is the 2-norm condition number, and g^-1 = Q diag(1 / lam) Q^T."""
+    sphere, (diag(g), I): ``condition_number(lam)`` and g^-1 = Q diag(1 / lam) Q^T."""
     if not np.isfinite(g).all():
         raise NumericRangeError(f"metric has non-finite entries{_where(point)}")
-    size = np.abs(lam)
-    lo, hi = float(size.min()), float(size.max())
-    cond = hi / lo if lo > 0 else np.inf
+    cond = float(condition_number(lam))
     if not cond <= METRIC_CONDITION_LIMIT:  # nan too
         raise SingularityError(
             f"metric is degenerate (condition {cond:.3e}){_where(point)}",
@@ -150,18 +155,15 @@ def _finish(g: np.ndarray, lam: np.ndarray, q: np.ndarray,
     return MetricTensor(g=g, g_inv=(q / lam) @ q.T, point=point, condition=cond)
 
 
-def _exp_metric(spec: GroupSpec, thetas: np.ndarray, k: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """ad, the eigenvalues mu and vectors Q of X = ad^2 (one eigh), psi(mu)
-    and the metric g at points (..., dim) of the exponential chart, flattened
-    to (m, ...).
+def _exp_spectrum(spec: GroupSpec, thetas: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """ad, the eigenvalues mu and vectors Q of X = ad^2 (one eigh) and psi(mu)
+    at points (..., dim) of the exponential chart, flattened to (m, ...).
 
     With M_eb = theta^c f_cbe the matrix of ad_A, w_a = J_ea X_e for
     J = phi(M), and Tr(X_e^dag X_f) = delta_ef / 2 gives g = k J^T J / 2.
-    M is skew, so J^T J = phi(-M) phi(M) = 2 psi(M^2) and g = k psi(M^2),
-    written as k (p + p^T) / 2 so that g is symmetric to the last bit, with
-    p = I / 2 + Q diag(psi(mu) - 1/2) Q^T: the identity part stays exact, so
-    finite differences of g see less round-off.
+    M is skew, so J^T J = phi(-M) phi(M) = 2 psi(M^2) and g = k psi(M^2) =
+    Q diag(k psi(mu)) Q^T.
     """
     d = spec.dim
     ad = (thetas @ spec.structure.reshape(d, d * d)).reshape(-1, d, d)  # [m, b, e]
@@ -169,10 +171,7 @@ def _exp_metric(spec: GroupSpec, thetas: np.ndarray, k: float
     if not np.isfinite(x).all():
         raise NumericRangeError(f"non-finite entries in ad^2 on the {spec.name} exp chart")
     mu, q = np.linalg.eigh(x)
-    ps = psi(mu)
-    p = (q * (ps - 0.5)[:, None]) @ q.swapaxes(1, 2)
-    p.reshape(len(p), d * d)[:, ::d + 1] += 0.5
-    return ad, mu, q, ps, (k * GRAM_CONSTANT) * (p + p.swapaxes(1, 2))
+    return ad, mu, q, psi(mu)
 
 
 def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
@@ -195,7 +194,7 @@ def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
     check_width(theta.shape, d, spec.name, "exp")
     check_alloc(8 * JET_PEAK_D3_ARRAYS * math.prod(theta.shape[:-1]) * d ** 3,
                 f"the {spec.name} curvature jet")
-    ad, mu, q, p, g = _exp_metric(spec, theta, k)
+    ad, mu, q, p = _exp_spectrum(spec, theta)
     d1, d2 = psi_divided_differences(mu)
     m, c2, qt = len(q), 2.0 * k * GRAM_CONSTANT, q.swapaxes(1, 2)
     wp = 1.0 / p                                  # 2 kappa w
@@ -218,8 +217,8 @@ def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
     wk = wp[:, None, :, None, None] * kern        # [m, s, c, k, y] = 2 kappa w_c K_s,cky
     hs = u.diagonal(0, 2, 3)[..., None, :] @ wk.swapaxes(2, 3)  # [m, s, k, 1, y] = 2 kappa H
     mixed = (us @ (wk * u).reshape(m, 2, d * d, d)).sum(1) + (u * hs.swapaxes(2, 3)).sum((1, 3))
-    return FrameJet(g=g, g_inv=(q * (wp / c2)[:, None]) @ qt, q=q, lam=c2 * p,
-                    dg=(c2 * d1)[:, None] * u[:, 1], inner=inner, outer=outer, mixed=mixed)
+    return FrameJet(q=q, lam=c2 * p, dg=(c2 * d1)[:, None] * u[:, 1],
+                    inner=inner, outer=outer, mixed=mixed)
 
 
 def _rotate(t: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -232,7 +231,7 @@ def contract_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> FrameJet:
     """The ``FrameJet`` of a full jet at m points: g (m, d, d), dg[m, e, a, b] =
     d_e g_ab and ddg[m, e, f, a, b] = d_e d_f g_ab.  ddg is contracted with
     g^-1 = Q diag(1 / lam) Q^T from one eigh of g, and turned with dg into the
-    eigenframe theta = Q theta'."""
+    eigenframe theta = Q theta'; neither g nor g^-1 is returned."""
     (m, d), (lam, q) = g.shape[:2], np.linalg.eigh(g)
     qt = q.swapaxes(1, 2)
     with np.errstate(divide="ignore", invalid="ignore"):  # singular g: the guard reports it
@@ -242,7 +241,7 @@ def contract_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> FrameJet:
         mixed = (gvec[:, None] @ ddg.reshape(m, d, d * d, d)).reshape(m, d, d)
         outer = (gvec @ ddg.reshape(m, d * d, d * d)).reshape(m, d, d)
         inner = (ddg.reshape(m, d * d, d * d) @ gvec.reshape(m, d * d, 1)).reshape(m, d, d)
-        return FrameJet(g=g, g_inv=ginv, q=q, lam=lam, dg=_rotate(dg, qt), inner=qt @ inner @ q,
+        return FrameJet(q=q, lam=lam, dg=_rotate(dg, qt), inner=qt @ inner @ q,
                         outer=qt @ outer @ q, mixed=qt @ mixed @ q)
 
 
@@ -279,14 +278,17 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
     """Metric of ``spec`` on ``chart`` at a batch of points (m, d) -> g (m, d, d),
     with its eigenframe g = Q diag(lam) Q^T, lam (m, d) and Q (m, d, d): on
     the exp chart lam = 2 kappa psi(mu), kappa = k GRAM_CONSTANT, in the
-    frame Q of ad^2, the same lam as ``exp_frame_jet``'s; on the Euler chart
-    one eigh of g.  It keeps no chart list: the table ``safe_domain`` rejects
-    a chart the group does not have, and its box's width is the points'."""
+    frame Q of ad^2, the same (lam, Q) as ``exp_frame_jet``'s; on the Euler
+    chart one eigh of g.  It keeps no chart list: the table ``safe_domain``
+    rejects a chart the group does not have, and its box's width is the points'."""
     pts = np.asarray(pts, dtype=float)
     check_width(pts.shape, len(safe_domain(spec, chart).lo), spec.name, chart)
     if chart == "exp":
-        q, p, g = _exp_metric(spec, pts, k)[2:]
-        return g, (2.0 * k * GRAM_CONSTANT) * p, q
+        # g = kappa (p + p^T), p = I / 2 + Q diag(psi - 1/2) Q^T: symmetric, identity exact
+        q, ps = _exp_spectrum(spec, pts)[2:]
+        p = (q * (ps - 0.5)[:, None]) @ q.swapaxes(1, 2)
+        p.reshape(len(p), -1)[:, ::spec.dim + 1] += 0.5
+        return (k * GRAM_CONSTANT) * (p + p.swapaxes(1, 2)), (2.0 * k * GRAM_CONSTANT) * ps, q
     du = euler_chart_batch(pts)[1]  # U is unitary: Tr(d_a U^dag d_b U) = Tr(w_a^dag w_b)
     g = _gram(du.reshape(len(du), 3, 4), k)
     try:  # non-finite angles give a nan g, on which eigh fails
@@ -346,5 +348,5 @@ def closed_form_metric_su2_euler(theta: float, phi: float, psi: float) -> Metric
         [0.0, -c / s2, 1.0 / s2],
     ])
     point = ChartPoint("euler", np.array([theta, phi, psi]), make_group("su", 2))
-    return MetricTensor(g=g, g_inv=g_inv, point=point,
-                        condition=float(np.linalg.cond(g)))
+    return MetricTensor(g=g, g_inv=g_inv, point=point,  # g's eigenvalues are 1 and 1 +- c
+                        condition=float(condition_number(np.array([1.0, 1.0 + c, 1.0 - c]))))

@@ -60,10 +60,11 @@ def _check_polar(n_ambient: int, theta: np.ndarray):
 
 
 def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
-    """Induced metric g = diag(lam) at one point, with its own frame
+    """Induced metric g = diag(lam) at one point (N - 1,), with its own frame
     (lam, I): the condition is max lam / min lam, with no eigh."""
-    theta = np.asarray(theta, dtype=float)
-    g = sphere_metric_field(n_ambient).func(theta)[0]
+    theta, field = np.atleast_1d(np.asarray(theta, dtype=float)), sphere_metric_field(n_ambient)
+    g = field.func(theta)[0]
+    check_width(theta.shape, field.dim, field.name, one=True)
     _check_polar(n_ambient, theta)
     return _finish(g, g.diagonal(), np.eye(len(g)), None)
 
@@ -90,7 +91,7 @@ def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
     2 cot t_c [c < a] and hess_cea = d_c d_e lam_a / lam_a = d_c log lam_a
     d_e log lam_a - 2 csc^2 t_c [c = e < a] give inner_xy = sum_a hess_xya,
     outer_xx = lam_x sum_c hess_ccx / lam_c and mixed = 0, as d_y lam_y = 0.
-    g, g_inv, outer, q and mixed are slices of one zeroed block, and every
+    outer, q = I and mixed are slices of one zeroed block, and every
     diagonal is written through a strided view of its array.
     """
     t = np.asarray(theta, dtype=float)
@@ -104,23 +105,22 @@ def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
     csc2 = np.zeros((m, d, d))                                # [c, a] = 2 csc^2 t_c [c < a]
     csc2[:, :-1] = (2.0 / (sin * sin))[..., None] * below
     w = 1.0 / lam
-    block = np.zeros((5, m, d, d))
-    diag = block.reshape(5, m, d * d)[..., ::d + 1]
-    diag[0], diag[1], diag[3] = lam, w, 1.0
-    diag[2] = lam * (w[:, None] @ (dlog * dlog - csc2))[:, 0]
+    block = np.zeros((3, m, d, d))
+    diag = block.reshape(3, m, d * d)[..., ::d + 1]
+    diag[0], diag[1] = lam * (w[:, None] @ (dlog * dlog - csc2))[:, 0], 1.0
     inner = dlog @ dlog.swapaxes(1, 2)
     inner.reshape(m, d * d)[:, ::d + 1] -= csc2.sum(2)
     dg = np.zeros((m, d, d, d))
     dg.reshape(m, d, d * d)[..., ::d + 1] = lam[:, None] * dlog
-    g, g_inv, outer, q, mixed = block
-    return FrameJet(g=g, g_inv=g_inv, q=q, lam=lam, dg=dg, inner=inner, outer=outer, mixed=mixed)
+    outer, q, mixed = block
+    return FrameJet(q=q, lam=lam, dg=dg, inner=inner, outer=outer, mixed=mixed)
 
 
 @functools.lru_cache(maxsize=64)
 def sphere_metric_field(n_ambient: int) -> MetricField:
     """Pullback field g = diag(lam) on S^{N-1} over the ``polar_domain`` of N - 2
     polar angles, sampled in [0.3, pi - 0.3], and one azimuth; built once per N
-    and shared.  At finite points its value is its jet's g, bit for bit."""
+    and shared.  At finite points its value is diag of its jet's lam, bit for bit."""
     def func(pts):
         lam = _diagonal(_angles(n_ambient, pts))[1]
         return lam[:, :, None] * np.eye(n_ambient - 1)

@@ -32,8 +32,8 @@ from lieforge.curvature import _require_inside, riemann_ricci
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.kernel import (_PSI_H1, _PSI_H2, _PSI_TERMS, expm_dual, mat_inverse,
                              psi_divided_differences)
-from lieforge.metric import (FrameJet, MetricField, MetricTensor, _exp_metric, contract_jet,
-                             metric)
+from lieforge.metric import (FrameJet, MetricField, MetricTensor, _exp_spectrum, contract_jet,
+                             metric, metric_batch)
 from lieforge.sphere import _check_polar, hyperspherical_batch
 
 BASE_STEP = 1e-3
@@ -201,7 +201,8 @@ def exp_full_jet(spec, theta, k):
     at a time, which keeps the temporaries near d^3.
     """
     theta, d = np.asarray(theta, dtype=float), spec.dim
-    ad, mu, q, _, g = (x[0] for x in _exp_metric(spec, theta, k))
+    ad, mu, q, _ = (x[0] for x in _exp_spectrum(spec, theta))
+    g = metric_batch(spec, "exp", theta, k)[0][0]
     d1, d2 = psi_divided_differences(mu)
     fq = q.T @ spec.structure @ q               # [c] = F'_c
     adq = q.T @ ad @ q
@@ -376,14 +377,13 @@ def indexed_sphere_frame_jet(theta):
     csc2 = np.zeros((m, d, d))
     csc2[:, :-1] = (2.0 / (sin * sin))[..., None] * below
     w = 1.0 / lam
-    g, g_inv, outer = np.zeros((3, m, d, d))
-    g[:, ar, ar], g_inv[:, ar, ar] = lam, w
+    outer = np.zeros((m, d, d))
     outer[:, ar, ar] = lam * (w[:, None] @ (dlog * dlog - csc2))[:, 0]
     inner = dlog @ dlog.swapaxes(1, 2)
     inner[:, ar, ar] -= csc2.sum(2)
     dg = np.zeros((m, d, d, d))
     dg[:, :, ar, ar] = lam[:, None] * dlog
-    return FrameJet(g=g, g_inv=g_inv, q=np.broadcast_to(np.eye(d), (m, d, d)), lam=lam, dg=dg,
+    return FrameJet(q=np.broadcast_to(np.eye(d), (m, d, d)), lam=lam, dg=dg,
                     inner=inner, outer=outer, mixed=np.zeros((m, d, d)))
 
 

@@ -210,6 +210,7 @@ def test_one_chart_table(group, chart, coords, accepted):
     assert accepted == (np.shape(coords) == (width,))
     calls = ((lambda: ChartPoint(chart, coords, spec), np.shape(coords)),
              (lambda: metric_batch(spec, chart, coords, 2.0), np.shape(coords)),
+             (lambda: metric_field(spec, chart, 2.0)(coords), np.shape(np.atleast_1d(coords))),
              (lambda: riemann_ricci(metric_field(spec, chart, 2.0), coords),
               np.shape(np.atleast_1d(coords))),
              (lambda: einstein_check(metric_field(spec, chart, 2.0), np.atleast_2d(coords), 1e-6),
@@ -226,13 +227,14 @@ def test_one_chart_table(group, chart, coords, accepted):
 @pytest.mark.parametrize("points", [[1.0, 0.5], [1.0, 0.5, 1.2, 0.7, 0.1], 0.5],
                          ids=["two", "five", "scalar"])
 def test_curvature_rejects_a_point_of_the_wrong_width(points):
-    """S^3's curvature, value and point query read one wrong-width wording."""
+    """S^3's curvature, value and point query read one wrong-width wording,
+    with the caller's shape: a scalar is one coordinate."""
     s3 = sphere_metric_field(4)
     assert riemann_ricci(s3, [1.0, 0.5, 0.1]).scalar == pytest.approx(6.0)
-    one, batch = np.shape(np.atleast_1d(points)), np.shape(np.atleast_2d(points))
+    one = np.shape(np.atleast_1d(points))
     with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, one)):
         riemann_ricci(s3, points)
-    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, batch)):
+    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, one)):
         s3(points)
     with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, one)):
         pullback_metric(4, points)

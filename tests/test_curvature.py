@@ -19,6 +19,8 @@ from lieforge.metric import (
     JET_PEAK_D3_ARRAYS,
     K_MAX,
     K_MIN,
+    MetricField,
+    contract_jet,
     exp_metric_field,
     metric_field,
     resolve_k,
@@ -77,7 +79,7 @@ class TestRiemannRicci:
     def test_su2_is_einstein_pointwise(self, su2_field):
         for p in safe_su2_points(5, seed=22):
             b = riemann_ricci(su2_field, p)
-            assert np.abs(b.ricci - 0.5 * b.metric).max() < 1e-6
+            assert np.abs(b.ricci - 0.5 * su2_field(p)[0]).max() < 1e-6
 
     def test_su2_scalar_both_charts(self, su2, su2_field):
         euler_field = metric_field(su2, "euler", 2.0)
@@ -107,7 +109,7 @@ class TestRiemannRicci:
         field = exp_metric_field(spec, resolve_k("auto"))
         b = riemann_ricci(field, np.zeros(spec.dim))
         f = spec.structure
-        assert np.abs(b.metric - np.eye(spec.dim)).max() < 1e-14
+        assert np.abs(field(np.zeros(spec.dim))[0] - np.eye(spec.dim)).max() < 1e-14
         riem = riemann_tensor(field, np.zeros(spec.dim),
                               lambda p: exp_full_jet(spec, p, resolve_k("auto")))
         assert np.abs(riem + 0.25 * np.einsum("abe,ecd->dcab", f, f)).max() < 1e-6
@@ -170,7 +172,7 @@ class TestRicciByTraces:
     def test_single_point_keeps_shapes(self, su2_field):
         b = riemann_ricci(su2_field, np.array([0.4, -0.2, 0.9]))
         assert b.gamma.shape == (3, 3, 3) and b.ricci.shape == (3, 3)
-        assert b.metric.shape == (3, 3) and isinstance(b.scalar, float)
+        assert b.point.shape == (3,) and isinstance(b.scalar, float)
 
     def test_leading_axes_match_per_point(self, su2_field):
         pts = safe_su2_points(6, seed=51).reshape(2, 3, 3)
@@ -501,7 +503,47 @@ def stiff_where(x0, eps):
     return stencil_field(dim=2, func=func, domain=everywhere(2), name="stiff-where")
 
 
+def constant_field(g):
+    """The constant metric g on R^d: its exact jet, dg = ddg = 0, through ``contract_jet``."""
+    d = len(g)
+
+    def func(pts):
+        return np.broadcast_to(g, (len(pts), d, d)).copy()
+
+    def jet(pts):
+        m = len(pts)
+        return contract_jet(func(pts), np.zeros((m, d, d, d)), np.zeros((m, d, d, d, d)))
+
+    return MetricField(dim=d, func=func, domain=everywhere(d), jet=jet, name="constant")
+
+
+def one_norm_condition(g):
+    """||g||_1 ||g^-1||_1, an upper bound on the 2-norm condition of g."""
+    return np.linalg.norm(g, 1) * np.linalg.norm(np.linalg.inv(g), 1)
+
+
 class TestConditionGuard:
+    """The guard reads only the jet's lam: max lam / min lam, +inf where min lam <= 0."""
+
+    def test_indefinite_metric_is_singular(self):
+        # diag(1, -1): ||g||_1 ||g^-1||_1 = 1, but lam = (-1, 1) has no condition
+        g = np.diag([1.0, -1.0])
+        assert one_norm_condition(g) == 1.0
+        with pytest.raises(SingularityError, match="metric condition inf exceeds 1e[+]08") as exc:
+            riemann_ricci(constant_field(g), np.zeros(2))
+        assert exc.value.condition == np.inf
+        assert np.array_equal(exc.value.point, np.zeros(2))
+
+    def test_non_diagonal_metric_is_judged_by_its_eigenvalues(self):
+        # lam = (1, 1, 1, 1.25e-8) in a Hadamard frame: max lam / min lam = 8e7
+        # passes, where the 1-norm product, 1.2e8, would fail
+        q = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        g = (q * [1.0, 1.0, 1.0, 1.25e-8]) @ q.T
+        assert one_norm_condition(g) > 1e8
+        assert np.linalg.cond(g) == pytest.approx(8e7, rel=1e-6)
+        b = riemann_ricci(constant_field(g), np.zeros(4))
+        assert np.abs(b.ricci).max() == 0.0 and b.scalar == 0.0
+
     def test_riemann_ricci_raises_above_limit(self):
         assert np.abs(riemann_ricci(stiff_field(1e-7), np.zeros(2)).ricci).max() < 1e-9
         for eps in (1e-9, 0.0):  # 0.0: exactly singular, no inverse

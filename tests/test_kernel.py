@@ -15,7 +15,7 @@ from lieforge.kernel import (
     psi,
     psi_divided_differences,
 )
-from lieforge.metric import _exp_metric, metric_field, resolve_k
+from lieforge.metric import _exp_spectrum, metric_field, resolve_k
 from lieforge.scan import CHART
 
 
@@ -266,7 +266,7 @@ def default_scan_spectra():
     for i, name in enumerate(("su2", "su3", "so3", "so4", "so5", "sp1", "sp2")):
         spec = parse_group_name(name)
         pts = sample_safe_points(metric_field(spec, CHART, k), 20, np.random.default_rng([0, i]))
-        out.append(_exp_metric(spec, pts, k)[1])
+        out.append(_exp_spectrum(spec, pts)[1])
     return out
 
 

@@ -357,7 +357,8 @@ class TestEulerGram:
         field = metric_field(make_group("su", 2), "euler", k)
         dom = field.domain
         pts = np.random.default_rng(36).uniform(dom.lo, dom.hi, (50, 3))
-        g, jet_g = field(pts), field.jet(pts).g
+        g = field(pts)
+        jet_g = product_jet(make_group("su", 2), *euler_chart_batch(pts), EULER_FACTOR_ORDER, k)[0]
         assert np.abs(g - jet_g).max() <= 4 * np.spacing(np.abs(g).max())
 
 
@@ -510,7 +511,8 @@ class TestExactJet:
             assert np.array_equal(ddg, np.swapaxes(ddg, 2, 3))
             assert np.abs(ddg - np.swapaxes(ddg, 0, 1)).max() <= 1e-14
             jet = exp_frame_jet(spec, p, 3.0)
-            assert np.array_equal(jet.g[0], g)
+            q, lam = jet.q[0], jet.lam[0]
+            assert np.abs((q * lam) @ q.T - g).max() <= 1e-14
             assert np.abs(chart_view(jet)[0][0] - dg).max() <= 1e-14
         oracle = [fd_derivative(lambda x: phi_metric(spec, x[None], 3.0)[0], p, e)
                   for e in range(spec.dim)]
@@ -528,10 +530,10 @@ class TestExactJet:
         spec = make_group(family, n)
         pts = jet_points(spec)
         jet = exp_frame_jet(spec, pts, 2.0)
-        batch = (jet.g, jet.lam) + chart_view(jet)
+        batch = (jet.lam,) + chart_view(jet)
         for i, p in enumerate(pts):
             one = exp_frame_jet(spec, p, 2.0)
-            for b, x in zip(batch, (one.g, one.lam) + chart_view(one)):
+            for b, x in zip(batch, (one.lam,) + chart_view(one)):
                 assert b[i].shape == x[0].shape
                 assert np.abs(b[i] - x[0]).max() <= 1e-13
 
@@ -569,10 +571,12 @@ class TestExactJet:
 
     @pytest.mark.parametrize("family,n", CATALOG)
     def test_value_is_the_batch_metric(self, family, n):
+        # the jet's frame is the one metric_batch forms g from
         spec = make_group(family, n)
         pts = jet_points(spec)
-        assert np.array_equal(exp_frame_jet(spec, pts, 2.0).g,
-                              metric_batch(spec, "exp", pts, 2.0)[0])
+        jet, (g, lam, q) = exp_frame_jet(spec, pts, 2.0), metric_batch(spec, "exp", pts, 2.0)
+        assert np.array_equal(jet.lam, lam) and np.array_equal(jet.q, q)
+        assert np.abs((q * lam[:, None]) @ q.swapaxes(1, 2) - g).max() <= 1e-14 * np.abs(g).max()
 
     def test_rejects_spectrum_past_the_series_range(self, su2):
         # |theta| = 6.5 puts an eigenvalue of ad^2 at -42.25 < -(2 pi)^2

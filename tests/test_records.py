@@ -39,10 +39,8 @@ def records():
         "MetricTensor": (metric(MetricConfig(group=spec), point),
                          ["g", "g_inv", "point", "condition"]),
         "MetricField": (field, ["dim", "func", "domain", "jet", "name"]),
-        "FrameJet": (field.jet(pts), ["g", "g_inv", "q", "lam", "dg", "inner", "outer",
-                                      "mixed"]),
-        "CurvatureBundle": (riemann_ricci(field, pts),
-                            ["gamma", "ricci", "scalar", "metric", "point"]),
+        "FrameJet": (field.jet(pts), ["q", "lam", "dg", "inner", "outer", "mixed"]),
+        "CurvatureBundle": (riemann_ricci(field, pts), ["gamma", "ricci", "scalar", "point"]),
         "EinsteinVerdict": (einstein_check(field, pts, 1e-6),
                             ["lambda_hat", "lambda_spread", "residual", "field_residual",
                              "samples", "tol", "passed", "failure"]),

@@ -67,6 +67,16 @@ def test_point_query_reads_its_own_frame(monkeypatch):
         assert np.array_equal(mt.g_inv, np.diag(1.0 / mt.g.diagonal()))
 
 
+@pytest.mark.parametrize("theta", [[[0.0, 1.0, 1.0]], [[1.0, 1.0, 1.0], [0.5, 0.5, 0.5]]],
+                         ids=["pole-row", "two-rows"])
+def test_point_query_takes_one_point(theta):
+    # a batch of rows is an input error naming its shape, before any pole check
+    shape = np.shape(theta)
+    with pytest.raises(InvalidInputError) as exc:
+        pullback_metric(4, theta)
+    assert str(exc.value) == f"s3-pullback takes points of 3 coordinates, got shape {shape}"
+
+
 def test_circle_is_arc_length():
     g = pullback_metric(2, [1.1]).g
     assert g.shape == (1, 1)
@@ -142,12 +152,12 @@ def test_sphere_einstein(n, expected):
 @pytest.mark.parametrize("n", range(3, 14))
 def test_exact_jet_matches_pullback_and_fd(n):
     # the full-ddg oracle against the pullback and the stencil; the frame
-    # jet's metric is the oracle's
+    # jet's lam is the oracle's diagonal g
     field = sphere_metric_field(n)
     for p in sample_safe_points(field, 4, np.random.default_rng(n)):
         g, dg, ddg = sphere_full_jet(p)
         assert np.abs(g - field(p)[0]).max() <= 1e-14
-        assert np.array_equal(sphere_frame_jet(p).g[0], g)
+        assert np.array_equal(np.diag(sphere_frame_jet(p).lam[0]), g)
         for exact, fd, bound in zip((g, dg, ddg), metric_jet(field, p), (1e-12, 1e-11, 1e-8)):
             assert np.abs(exact - fd).max() <= bound
 
@@ -167,12 +177,13 @@ def test_exact_jet_batch_matches_per_point(n):
 @pytest.mark.parametrize("n", range(3, 15))
 def test_jet_through_views_matches_indexed_oracle(n, m):
     # S^2 .. S^13: every field bitwise equal to the fancy-indexed jet, and
-    # the field's value to the jet's g
+    # the field's value to diag of the jet's lam
     field = sphere_metric_field(n)
     pts = sample_safe_points(field, m, np.random.default_rng(100 + n))
     for got, ref in zip(sphere_frame_jet(pts), indexed_sphere_frame_jet(pts)):
         assert got.shape == ref.shape and np.array_equal(got, ref)
-    assert np.array_equal(field(pts), sphere_frame_jet(pts).g)  # the value is the jet's g
+    lam = sphere_frame_jet(pts).lam
+    assert np.array_equal(field(pts), lam[:, :, None] * np.eye(n - 1))  # the value is diag(lam)
 
 
 def test_jet_budget_is_checked_before_any_array():
