@@ -1,7 +1,7 @@
 """Chart parametrizations U(theta) of group manifolds with first derivatives,
 and ``safe_domain``, the one table of charts that every chart consumer reads:
-its box's width is a chart's coordinate count, and ``polar_domain`` builds
-the box and pole rule of the charts of polar angles (Euler, and spheres).
+its box's width is a chart's coordinate count, every group's exp chart has one
+ball, and ``polar_domain`` builds the box and pole rule of polar-angle charts.
 
 The exponential chart of any cataloged group (U and dU from
 ``kernel.expm_dual``) is an oracle for the tests and the benchmark, as the
@@ -20,7 +20,7 @@ from .catalog import GroupSpec
 from .errors import InvalidInputError, check_width
 from .kernel import expm_dual
 
-EXP_SU2_NORM_MAX = 2.0 * np.pi - 1e-2
+EXP_NORM_MAX = 2.0 * np.pi - 1e-2
 # g's smallest eigenvalue is about delta^2 / 2 at a distance delta from a
 # pole theta = 0 or pi, and the curvature from the exact jet loses about
 # 1e-15 / delta^4 to round-off there: |R - 3/2| reached 1.1e-3 over 100
@@ -126,9 +126,14 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
     a read-only box.  An unknown chart or the Euler chart off su2 is
     InvalidInputError.
 
-    The exponential chart of SU(2) is nondegenerate for |theta| < 2*pi - 1e-2;
-    other groups get a conservative injectivity ball |theta| < pi/2 in the
-    normalized basis.
+    Every group's exp chart accepts the ball |theta| < EXP_NORM_MAX and samples
+    the box of half-width 0.9 EXP_NORM_MAX / sqrt(d), its corners inside it.
+    Its metric 2 kappa psi(ad_theta^2) is regular where rho(ad_theta) < 2 pi
+    (Helgason 1978, DGLSS ch. II section 1).  With Tr(X_a^dag X_b) = delta_ab / 2,
+    A = theta^a X_a has |A|_F^2 = |theta|^2 / 2 and ad_A's eigenvalues lie among
+    i (w_j - w_k) for the eigenvalues w of iA, so rho(ad_theta) <= w_max - w_min
+    <= sqrt(2 (w_max^2 + w_min^2)) <= |theta|, tight along a root of su(n) and
+    sp(n), and in the ball ad_theta^2 >= -|theta|^2 > ``kernel.PSI_SERIES_MIN``.
     """
     if chart == "euler":
         if spec.name != "su2":
@@ -137,19 +142,12 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
 
     if chart != "exp":
         raise InvalidInputError(f"unknown chart {chart!r}")
-
     d = spec.dim
-    if spec.name == "su2":
-        r = 1.5
-        nmax = EXP_SU2_NORM_MAX
-    else:
-        r = 0.95 * (np.pi / 2) / np.sqrt(d)
-        nmax = np.pi / 2
 
-    def contains(pts, _nmax=nmax):
+    def contains(pts):
         p = np.asarray(pts).reshape(-1, d)  # np.linalg.norm(p, axis=1), without its wrapper
-        return np.sqrt((p * p).sum(1)) < _nmax
+        return np.sqrt((p * p).sum(1)) < EXP_NORM_MAX
 
-    box = np.outer([-r, r], np.ones(d))
+    box = np.outer([-0.9, 0.9], np.full(d, EXP_NORM_MAX / np.sqrt(d)))
     box.setflags(write=False)
     return SafeDomain(lo=box[0], hi=box[1], contains=contains)

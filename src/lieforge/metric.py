@@ -129,13 +129,14 @@ def _where(point: ChartPoint | None) -> str:
 
 
 def condition_number(lam: np.ndarray) -> np.ndarray:
-    """max lam / min lam along the last axis of a symmetric g's eigenvalues lam,
-    its 2-norm condition number; +inf where min lam <= 0, nan where lam has nan."""
+    """max lam / min lam along the last axis of a symmetric g's eigenvalues lam, its
+    2-norm condition number; +inf where min lam <= 0, nan where lam has nan or is all +inf."""
     # ufunc reductions skip the Python wrappers of ndarray.min and .all: 2 us of a point query
     lo, hi = np.minimum.reduce(lam, -1), np.maximum.reduce(lam, -1)
-    if np.minimum.reduce(lo, None) > 0:  # every g positive definite: no mask to build
+    if 0 < np.minimum.reduce(lo, None) < np.inf:  # every g positive definite: no mask to build
         return hi / lo
-    return np.where(lo <= 0, np.inf, hi) / np.where(lo <= 0, 1.0, lo)  # nan lo: nan / nan
+    with np.errstate(invalid="ignore"):  # inf / inf and nan / nan are nan
+        return np.where(lo <= 0, np.inf, hi) / np.where(lo <= 0, 1.0, lo)
 
 
 def _finish(g: np.ndarray, lam: np.ndarray, q: np.ndarray,

@@ -40,16 +40,25 @@ def s2_field():
     return stencil_field(dim=2, func=func, domain=domain, name="s2-hand")
 
 
+def stencil_exp_domain(spec):
+    """The exp chart's domain, sampled in the box of half-width 1.5 on su2 and
+    0.95 (pi / 2) / sqrt(d) elsewhere, well inside the production box: the
+    finite-difference stencil's error grows with |theta|."""
+    r = 1.5 if spec.name == "su2" else 0.95 * (np.pi / 2) / np.sqrt(spec.dim)
+    return safe_domain(spec, "exp")._replace(lo=np.full(spec.dim, -r), hi=np.full(spec.dim, r))
+
+
 def left_invariant_field(spec, q):
     """g = J^T Q J with J = phi(M), M_eb = theta^c f_cbe: the left-invariant
     metric with inner product Q on the Lie algebra, on the exp chart of
-    ``spec``.  Q = I is the bi-invariant k = 2 metric; any other Q is a
-    control that need not be Einstein."""
+    ``spec``, with the box of ``stencil_exp_domain``.  Q = I is the
+    bi-invariant k = 2 metric; any other Q is a control that need not be
+    Einstein."""
     q = np.asarray(q, dtype=float)
 
     def func(pts):
         j = phim(np.einsum("mc,cbe->meb", np.atleast_2d(pts), spec.structure))
         return np.swapaxes(j, -1, -2) @ q @ j
 
-    return stencil_field(dim=spec.dim, func=func, domain=safe_domain(spec, "exp"),
+    return stencil_field(dim=spec.dim, func=func, domain=stencil_exp_domain(spec),
                          name=f"{spec.name}-left-invariant")

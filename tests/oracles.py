@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lieforge.catalog import GRAM_CONSTANT, make_group
-from lieforge.charts import EXP_SU2_NORM_MAX, ChartPoint, euler_chart_batch, exp_chart_batch
+from lieforge.charts import EXP_NORM_MAX, ChartPoint, euler_chart_batch, exp_chart_batch
 from lieforge.curvature import _require_inside, riemann_ricci
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.kernel import (_PSI_H1, _PSI_H2, _PSI_TERMS, expm_dual, mat_inverse,
@@ -296,7 +296,7 @@ def closed_form_metric_su2_exp(theta: np.ndarray) -> MetricTensor:
     if theta.shape != (3,):
         raise InvalidInputError("su2 exp chart takes 3 coordinates")
     t = float(np.linalg.norm(theta))
-    if t >= EXP_SU2_NORM_MAX:
+    if t >= EXP_NORM_MAX:
         raise SingularityError(
             f"|theta| = {t:.6f} is at or beyond the chart degeneracy at 2*pi",
             point=theta,

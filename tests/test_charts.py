@@ -5,11 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import SIGMA_1, SIGMA_3, fd_derivative
+from test_g2 import g2_spec
 from oracles import chart_transition_check, euler_chart, exp_chart, su2_log, symplectic_form
 from lieforge.catalog import make_group, parse_group_name
-from lieforge.charts import EULER_POLE_MARGIN, ChartPoint, euler_chart_batch, safe_domain
+from lieforge.charts import (EULER_POLE_MARGIN, EXP_NORM_MAX, ChartPoint, euler_chart_batch,
+                             safe_domain)
 from lieforge.curvature import einstein_check, riemann_ricci
-from lieforge.errors import InvalidInputError
+from lieforge.errors import DomainError, InvalidInputError
+from lieforge.kernel import PSI_SERIES_MIN
 from lieforge.metric import closed_form_metric_su2_euler, metric_batch, metric_field, resolve_k
 from lieforge.sphere import pullback_metric, sphere_metric_field
 
@@ -167,9 +170,72 @@ def test_safe_domains(su2):
     assert dom.contains(np.array([[1.0, 0.0, 0.0]]))[0]
     assert dom.contains(np.zeros((1, 3)))[0]
     assert not dom.contains(np.array([[2 * np.pi, 0.0, 0.0]]))[0]
+    # one ball for every group: the box's corners lie at 0.9 of its radius
     so5 = make_group("so", 5)
     dom5 = safe_domain(so5, "exp")
-    assert np.all(np.linalg.norm(np.stack([dom5.lo, dom5.hi]), axis=1) < np.pi / 2)
+    corners = np.linalg.norm(np.stack([dom5.lo, dom5.hi]), axis=1)
+    assert np.allclose(corners, 0.9 * EXP_NORM_MAX, rtol=1e-15) and (corners < EXP_NORM_MAX).all()
+
+
+def ad_squared_min(spec, thetas):
+    """The smallest eigenvalue of ad_theta^2 per row of thetas, ad_eb = theta^c f_cbe."""
+    ad = np.einsum("mc,cbe->meb", np.atleast_2d(thetas), spec.structure)
+    return np.linalg.eigvalsh(ad @ ad)[:, 0]
+
+
+def lemma_groups():
+    """su2..su8, so3..so10, sp1..sp4 and g2."""
+    return ([make_group("su", n) for n in range(2, 9)] + [make_group("so", n) for n in range(3, 11)]
+            + [make_group("sp", n) for n in range(1, 5)] + [g2_spec()])
+
+
+class TestExpDomain:
+    """One exp-chart domain for every group, the ball |theta| < EXP_NORM_MAX:
+    rho(ad_theta) <= |theta| in the catalog normalization keeps it regular."""
+
+    @pytest.mark.parametrize("spec", lemma_groups(), ids=lambda s: s.name)
+    def test_spectral_radius_is_at_most_the_norm(self, spec):
+        u = np.random.default_rng(11).normal(size=(200, spec.dim))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        assert (np.sqrt(-np.minimum(ad_squared_min(spec, u), 0.0)) <= 1.0 + 1e-12).all()
+
+    @pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 5), ("sp", 1), ("sp", 3)])
+    def test_root_directions_are_tight(self, family, n):
+        # iA = diag(1, -1, 0, ...) on su(n), diag(1, 0.., -1, 0..) on sp(n) (the long
+        # root 2 e_1): rho(ad_A) = 2 and |theta|^2 = 2 |A|_F^2 = 4
+        spec = make_group(family, n)
+        size = spec.matrix_size
+        b = np.zeros((size, size), dtype=complex)
+        j = size // 2 if family == "sp" else 1
+        b[0, 0], b[j, j] = 1j, -1j
+        theta = 2.0 * np.einsum("aij,ij->a", spec.generators.conj(), b).real
+        assert np.abs(np.einsum("a,aij->ij", theta, spec.generators) - b).max() <= 1e-15
+        u = theta / np.linalg.norm(theta)
+        assert abs(np.sqrt(-ad_squared_min(spec, u)[0]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("spec", lemma_groups(), ids=lambda s: s.name)
+    def test_box_draws_stay_in_the_psi_series_range(self, spec):
+        dom = safe_domain(spec, "exp")
+        draws = np.random.default_rng(12).uniform(dom.lo, dom.hi, (200, spec.dim))
+        mu = ad_squared_min(spec, np.vstack([dom.lo, dom.hi, draws]))
+        assert (mu > PSI_SERIES_MIN).all()
+
+    def test_su3_is_einstein_at_norm_3(self):
+        # halfway to the ball's edge, R / 2d is still the Killing value 3/8
+        field = metric_field(make_group("su", 3), "exp", 2.0)
+        theta = np.array([3.0] + [0.0] * 7)
+        assert abs(riemann_ricci(field, theta).scalar / (2 * 8) - 3.0 / 8.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["su3", "so5", "sp2"])
+    def test_points_past_the_ball_are_outside(self, name):
+        spec = parse_group_name(name)
+        field = metric_field(spec, "exp", 2.0)
+        theta = np.zeros((3, spec.dim))
+        theta[:, 0] = np.nextafter(EXP_NORM_MAX, 0.0), EXP_NORM_MAX, np.nextafter(EXP_NORM_MAX, 7.0)
+        assert field.domain.contains(theta).tolist() == [True, False, False]
+        for past in theta[1:]:
+            with pytest.raises(DomainError, match=f"outside the safe domain of {name}-exp"):
+                riemann_ricci(field, past)
 
 
 _EXP, _EULER = [0.1, 0.2, 0.3], [1.0, 0.2, 0.3]

@@ -10,7 +10,7 @@ from oracles import (BASE_STEP, christoffel, closed_form_su2_euler_full_jet,
                      sphere_full_jet, stencil_field, su2_log, uniform_sample_points,
                      with_stencil)
 from lieforge.catalog import make_group, parse_group_name
-from lieforge.charts import EXP_SU2_NORM_MAX, safe_domain
+from lieforge.charts import EXP_NORM_MAX, safe_domain
 from lieforge import curvature
 from lieforge.curvature import CHUNK_BYTES, einstein_check, riemann_ricci, sample_safe_points
 from lieforge.errors import ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, SingularityError
@@ -611,17 +611,18 @@ class TestSampleSafePoints:
 
     @pytest.mark.parametrize("name", ["su2", "su3", "so5"])
     def test_exp_contains_is_the_norm_test(self, name):
+        assert EXP_NORM_MAX == 2.0 * np.pi - 1e-2  # su2's boundary cases here and in CI
         spec = parse_group_name(name)
         contains, d = safe_domain(spec, "exp").contains, spec.dim
-        nmax = EXP_SU2_NORM_MAX if name == "su2" else np.pi / 2
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(200, d))
-        rows *= (nmax / np.linalg.norm(rows, axis=1))[:, None]  # on the boundary, to rounding
+        rows *= (EXP_NORM_MAX / np.linalg.norm(rows, axis=1))[:, None]  # on the boundary
         axis = np.zeros((3, d))
-        axis[:, 0] = np.nextafter(nmax, 0.0), nmax, np.nextafter(nmax, np.inf)
+        axis[:, 0] = [np.nextafter(EXP_NORM_MAX, 0.0), EXP_NORM_MAX,
+                      np.nextafter(EXP_NORM_MAX, np.inf)]
         pts = np.concatenate([rows, np.nextafter(rows, 0.0), np.nextafter(rows, 2 * rows),
                               axis, rng.uniform(-2.0, 2.0, (50, d))])
-        got, expected = contains(pts), np.linalg.norm(pts, axis=1) < nmax
+        got, expected = contains(pts), np.linalg.norm(pts, axis=1) < EXP_NORM_MAX
         assert got.dtype == bool and np.array_equal(got, expected)
         assert 0 < expected[:200].sum() < 200 and expected[-53] and not expected[-52:-50].any()
 
