@@ -1,8 +1,8 @@
 """Levi-Civita curvature of a metric field from its ``metric.FrameJet``.
 
 Every field carries an exact jet (exponential chart, Euler chart, sphere
-pullback): dg and the second derivatives contracted with g^-1, in an
-orthonormal frame where g = diag(lam); the condition guard reads only lam.
+pullback): dg and the one term of 2 Ric that holds second derivatives, in
+an orthonormal frame where g = diag(lam); the condition guard reads only lam.
 Gamma and Ricci follow from traces in that frame, with no Riemann tensor and
 the sign fixed so the unit 2-sphere has Ric = +g.  ``einstein_check`` reads
 only frame-invariant norms and sends its samples in budget-sized chunks.
@@ -35,7 +35,6 @@ class CurvatureBundle(NamedTuple):  # at points (..., d); every field keeps thos
     gamma: np.ndarray     # Gamma^c_ab, shape (..., d, d, d)
     ricci: np.ndarray     # Ric_ab, shape (..., d, d)
     scalar: float | np.ndarray
-    point: np.ndarray
 
 
 def _frame_ricci(field: MetricField,
@@ -44,7 +43,8 @@ def _frame_ricci(field: MetricField,
     g^-1 = diag(w), w = 1 / lam.  With A_y = g^-1 d_y g, Ricci is
     d_c Gamma^c_xy - d_y Gamma^c_xc + Gamma^c_cq Gamma^q_xy - Gamma^c_yq Gamma^q_cx,
     d_c Gamma^c_xy = g^cd (d_c Gamma_dxy - d_c g_dq Gamma^q_xy),
-    d_y Gamma^c_xc = (g^cd d_x d_y g_cd - tr(A_y A_x)) / 2, Gamma^c_cq = tr(A_q) / 2.
+    d_y Gamma^c_xc = (g^cd d_x d_y g_cd - tr(A_y A_x)) / 2, Gamma^c_cq = tr(A_q) / 2:
+    the second derivatives enter as jet.hess / 2.
     Raises InvalidInputError for points whose width is not ``field.dim``, checked
     before the domain, and SingularityError, naming the first point, where
     ``condition_number(lam)`` exceeds CURVATURE_CONDITION_LIMIT."""
@@ -68,7 +68,7 @@ def _frame_ricci(field: MetricField,
     v = (0.5 * dg.diagonal(0, 2, 3) - dg.diagonal(0, 1, 2)) @ w[:, :, None]
     swapped = gam.swapaxes(1, 2)                                 # [y, c, q] = Gamma^c_yq
     quad = swapped.reshape(m, d, d * d) @ swapped.reshape(m, d * d, d)
-    ric = (0.5 * (jet.mixed + jet.mixed.swapaxes(1, 2) - jet.outer - jet.inner + tr_aa) - quad
+    ric = (0.5 * (jet.hess + tr_aa) - quad
            + (v.swapaxes(1, 2) @ gam.reshape(m, d, d * d)).reshape(m, d, d))
     return jet, gam, ric, (ric.diagonal(0, 1, 2) * w).sum(1)
 
@@ -83,7 +83,7 @@ def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
     lead, d, q = points.shape[:-1], field.dim, jet.q
     return CurvatureBundle(gamma=_rotate(gam, q).reshape(lead + (d, d, d)),
                            ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
-                           scalar=scalar.reshape(lead) if lead else float(scalar[0]), point=points)
+                           scalar=scalar.reshape(lead) if lead else float(scalar[0]))
 
 
 class EinsteinVerdict(NamedTuple):

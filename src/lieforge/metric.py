@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .catalog import GRAM_CONSTANT, GroupSpec, make_group
+from .catalog import GRAM_CONSTANT, GroupSpec
 # No production path needs kernel.expm_dual, charts.exp_chart_batch (imported
 # here too), kernel.mat_inverse (imported here only), catalog.structure_constants,
 # closed_form_metric_su2_euler, exp_metric_field or sphere.hyperspherical_batch;
@@ -72,22 +72,19 @@ def resolve_k(k: Union[float, str]) -> float:
 class MetricTensor(NamedTuple):
     g: np.ndarray
     g_inv: np.ndarray
-    point: ChartPoint | None
     condition: float
 
 
 class FrameJet(NamedTuple):
     """What Ricci by traces reads at points (m, d), in the orthonormal frame
     theta = Q theta' where g' = diag(lam): dg[m, e, a, b] = d'_e g'_ab and,
-    with w = 1 / lam, inner_xy = sum_c w_c d'_x d'_y g'_cc, outer_xy =
-    sum_c w_c d'_c d'_c g'_xy and mixed_xy = sum_c w_c d'_x d'_c g'_cy.  No
-    chart-coordinate g is kept: the condition guard reads lam."""
+    with w = 1 / lam, the one second-derivative term of 2 Ric, hess_xy =
+    sum_c w_c (d'_x d'_c g'_cy + d'_y d'_c g'_cx - d'_c d'_c g'_xy - d'_x d'_y g'_cc).
+    No chart-coordinate g is kept: the condition guard reads lam."""
     q: np.ndarray
     lam: np.ndarray
     dg: np.ndarray
-    inner: np.ndarray
-    outer: np.ndarray
-    mixed: np.ndarray
+    hess: np.ndarray
 
 
 class MetricField(NamedTuple):
@@ -153,7 +150,7 @@ def _finish(g: np.ndarray, lam: np.ndarray, q: np.ndarray,
             condition=cond,
             point=point,
         )
-    return MetricTensor(g=g, g_inv=(q / lam) @ q.T, point=point, condition=cond)
+    return MetricTensor(g=g, g_inv=(q / lam) @ q.T, condition=cond)
 
 
 def _exp_spectrum(spec: GroupSpec, thetas: np.ndarray
@@ -184,12 +181,13 @@ def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
     Q^T ad Q, and K[0, i, k, j] = D1_ij, K[1, i, k, j] = D2_ikj, psi's divided
     differences on mu (Daleckii & Krein 1965; Higham 2008, section 3.2).
     Then d'_e g' = 2 kappa D1 o Xdot'_e, d'_e d'_f g' = 2 kappa (M_ef + M_fe)
-    with M_ef,ij = sum_{s,k} K_s,ikj U_s,e,ik U_s,f,kj, and with sigma =
-    (-1, 1): inner = 4 kappa sum_{s,c,k} sigma_s w_c K_s,ckc U_s,x,ck U_s,y,ck,
-    outer = 4 kappa sum_{s,k} K_s,xky T_s,k,xy for T_s,k = sum_c w_c
-    U_s,c[:, k] (x) U_s,c[k, :], and mixed = 2 kappa [U (w K U) + sum_{s,k}
-    U_s,x,ky H_s,ky] for H_s,ky = sum_c w_c U_s,c,ck K_s,cky.  Arrays are d^3
-    per point.  Raises NumericRangeError where mu leaves [PSI_SERIES_MIN, 0].
+    with M_ef,ij = sum_{s,k} K_s,ikj U_s,e,ik U_s,f,kj.  hess = mixed + mixed^T
+    - outer - inner, summed in that order, where with sigma = (-1, 1):
+    inner = 4 kappa sum_{s,c,k} sigma_s w_c K_s,ckc U_s,x,ck U_s,y,ck, outer =
+    4 kappa sum_{s,k} K_s,xky T_s,k,xy for T_s,k = sum_c w_c U_s,c[:, k] (x)
+    U_s,c[k, :], and mixed = 2 kappa [U (w K U) + sum_{s,k} U_s,x,ky H_s,ky]
+    for H_s,ky = sum_c w_c U_s,c,ck K_s,cky.  Arrays are d^3 per point.
+    Raises NumericRangeError where mu leaves [PSI_SERIES_MIN, 0].
     """
     theta, d = np.asarray(theta, dtype=float), spec.dim
     check_width(theta.shape, d, spec.name, "exp")
@@ -219,7 +217,7 @@ def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
     hs = u.diagonal(0, 2, 3)[..., None, :] @ wk.swapaxes(2, 3)  # [m, s, k, 1, y] = 2 kappa H
     mixed = (us @ (wk * u).reshape(m, 2, d * d, d)).sum(1) + (u * hs.swapaxes(2, 3)).sum((1, 3))
     return FrameJet(q=q, lam=c2 * p, dg=(c2 * d1)[:, None] * u[:, 1],
-                    inner=inner, outer=outer, mixed=mixed)
+                    hess=mixed + mixed.swapaxes(1, 2) - outer - inner)
 
 
 def _rotate(t: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -230,20 +228,18 @@ def _rotate(t: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def contract_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> FrameJet:
     """The ``FrameJet`` of a full jet at m points: g (m, d, d), dg[m, e, a, b] =
-    d_e g_ab and ddg[m, e, f, a, b] = d_e d_f g_ab.  ddg is contracted with
-    g^-1 = Q diag(1 / lam) Q^T from one eigh of g, and turned with dg into the
+    d_e g_ab and ddg[m, e, f, a, b] = d_e d_f g_ab.  hess's four second
+    derivatives are gathered from ddg and contracted once with g^-1 =
+    Q diag(1 / lam) Q^T from one eigh of g, then turned with dg into the
     eigenframe theta = Q theta'; neither g nor g^-1 is returned."""
     (m, d), (lam, q) = g.shape[:2], np.linalg.eigh(g)
     qt = q.swapaxes(1, 2)
+    t = ddg.transpose(0, 2, 3, 1, 4)  # [m, c, e, x, y] = d_x d_c g_ey
+    terms = t + t.swapaxes(3, 4) - ddg - ddg.transpose(0, 3, 4, 1, 2)
     with np.errstate(divide="ignore", invalid="ignore"):  # singular g: the guard reports it
         ginv = (q / lam[:, None]) @ qt
-        gvec = ginv.reshape(m, 1, d * d)
-        # g^cd d_x d_c g_dy (partials commute), g^cd d_c d_d g_xy, g^cd d_x d_y g_cd
-        mixed = (gvec[:, None] @ ddg.reshape(m, d, d * d, d)).reshape(m, d, d)
-        outer = (gvec @ ddg.reshape(m, d * d, d * d)).reshape(m, d, d)
-        inner = (ddg.reshape(m, d * d, d * d) @ gvec.reshape(m, d * d, 1)).reshape(m, d, d)
-        return FrameJet(q=q, lam=lam, dg=_rotate(dg, qt), inner=qt @ inner @ q,
-                        outer=qt @ outer @ q, mixed=qt @ mixed @ q)
+        hess = (ginv.reshape(m, 1, d * d) @ terms.reshape(m, d * d, d * d)).reshape(m, d, d)
+        return FrameJet(q=q, lam=lam, dg=_rotate(dg, qt), hess=qt @ hess @ q)
 
 
 def product_jet(spec: GroupSpec, u: np.ndarray, du: np.ndarray, order: Sequence[int],
@@ -348,6 +344,5 @@ def closed_form_metric_su2_euler(theta: float, phi: float, psi: float) -> Metric
         [0.0, 1.0 / s2, -c / s2],
         [0.0, -c / s2, 1.0 / s2],
     ])
-    point = ChartPoint("euler", np.array([theta, phi, psi]), make_group("su", 2))
-    return MetricTensor(g=g, g_inv=g_inv, point=point,  # g's eigenvalues are 1 and 1 +- c
+    return MetricTensor(g=g, g_inv=g_inv,  # g's eigenvalues are 1 and 1 +- c
                         condition=float(condition_number(np.array([1.0, 1.0 + c, 1.0 - c]))))

@@ -88,11 +88,12 @@ def _below(d: int) -> np.ndarray:
 def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
     """Exact ``FrameJet`` of the pullback at points (m, d) in the chart's own
     frame: g = diag(lam), lam_a = prod_{b<a} sin^2 t_b, d_c log lam_a =
-    2 cot t_c [c < a] and hess_cea = d_c d_e lam_a / lam_a = d_c log lam_a
-    d_e log lam_a - 2 csc^2 t_c [c = e < a] give inner_xy = sum_a hess_xya,
-    outer_xx = lam_x sum_c hess_ccx / lam_c and mixed = 0, as d_y lam_y = 0.
-    outer, q = I and mixed are slices of one zeroed block, and every
-    diagonal is written through a strided view of its array.
+    2 cot t_c [c < a] and ddlam_cea = d_c d_e lam_a / lam_a = d_c log lam_a
+    d_e log lam_a - 2 csc^2 t_c [c = e < a] give hess = -outer - inner, with
+    inner_xy = sum_a ddlam_xya and outer_xx = lam_x sum_c ddlam_ccx / lam_c;
+    hess's mixed term is 0, as d_y lam_y = 0.  outer and q = I are slices of
+    one zeroed block, and every diagonal is written through a strided view
+    of its array.
     """
     t = np.asarray(theta, dtype=float)
     t = t.reshape(-1, t.shape[-1])
@@ -105,15 +106,15 @@ def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
     csc2 = np.zeros((m, d, d))                                # [c, a] = 2 csc^2 t_c [c < a]
     csc2[:, :-1] = (2.0 / (sin * sin))[..., None] * below
     w = 1.0 / lam
-    block = np.zeros((3, m, d, d))
-    diag = block.reshape(3, m, d * d)[..., ::d + 1]
+    block = np.zeros((2, m, d, d))
+    diag = block.reshape(2, m, d * d)[..., ::d + 1]
     diag[0], diag[1] = lam * (w[:, None] @ (dlog * dlog - csc2))[:, 0], 1.0
     inner = dlog @ dlog.swapaxes(1, 2)
     inner.reshape(m, d * d)[:, ::d + 1] -= csc2.sum(2)
     dg = np.zeros((m, d, d, d))
     dg.reshape(m, d, d * d)[..., ::d + 1] = lam[:, None] * dlog
-    outer, q, mixed = block
-    return FrameJet(q=q, lam=lam, dg=dg, inner=inner, outer=outer, mixed=mixed)
+    outer, q = block
+    return FrameJet(q=q, lam=lam, dg=dg, hess=-outer - inner)
 
 
 @functools.lru_cache(maxsize=64)

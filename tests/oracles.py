@@ -2,10 +2,11 @@
 what it does run.
 
 - Full second-derivative jets: ``exp_full_jet`` and ``sphere_full_jet`` give
-  (g, dg, ddg) with the whole d^4 ``ddg``; ``frame_contractions`` contracts
-  that ``ddg`` with g^-1 and turns the result into a frame jet's eigenframe,
-  ``chart_view`` turns a frame jet back into chart coordinates, and
-  ``chart_ricci`` is Ricci by traces in chart coordinates, with
+  (g, dg, ddg) with the whole d^4 ``ddg``; ``hess`` contracts that ``ddg``
+  with g^-1 into a frame jet's second-derivative term, in chart coordinates,
+  ``frame_contractions`` turns dg and ``hess`` into a frame jet's
+  eigenframe, ``chart_view`` turns a frame jet back into chart coordinates,
+  and ``chart_ricci`` is Ricci by traces in chart coordinates, with
   ``np.linalg.inv``.
 - The finite-difference (FD) stencil ``metric_jet``, and ``stencil_field``
   and ``with_stencil``, which give a field the stencil on its own values as
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lieforge.catalog import GRAM_CONSTANT, make_group
+from lieforge.catalog import GRAM_CONSTANT
 from lieforge.charts import EXP_NORM_MAX, ChartPoint, euler_chart_batch, exp_chart_batch
 from lieforge.curvature import _require_inside, riemann_ricci
 from lieforge.errors import InvalidInputError, SingularityError
@@ -235,50 +236,50 @@ def sphere_full_jet(theta):
     below = np.triu(np.ones((d, d)), 1)[:-1]
     dlog = np.zeros(t.shape + (d,))
     dlog[..., :-1, :] = (2.0 * np.cos(t[..., :-1]) / sin)[..., None] * below
-    hess = dlog[..., :, None, :] * dlog[..., None, :, :]
-    hess[..., ar[:-1], ar[:-1], :] -= (2.0 / (sin * sin))[..., None] * below
+    ddlam = dlog[..., :, None, :] * dlog[..., None, :, :]  # [c, e, a] = d_c d_e g_aa / g_aa
+    ddlam[..., ar[:-1], ar[:-1], :] -= (2.0 / (sin * sin))[..., None] * below
     jet = tuple(np.zeros(t.shape + (d,) * k) for k in (1, 2, 3))
-    for out, diagonal in zip(jet, (diag, diag[..., None, :] * dlog, diag[..., None, None, :] * hess)):
+    diagonals = (diag, diag[..., None, :] * dlog, diag[..., None, None, :] * ddlam)
+    for out, diagonal in zip(jet, diagonals):
         out[..., ar, ar] = diagonal
     return jet
 
 
+def hess(ginv, ddg):
+    """g^cd (d_x d_c g_dy + d_y d_c g_dx - d_c d_d g_xy - d_x d_y g_cd) at
+    points (..., d) from g^-1 and a full ddg, in chart coordinates."""
+    mixed = np.einsum("...cd,...xcdy->...xy", ginv, ddg)
+    return (mixed + np.swapaxes(mixed, -1, -2) - np.einsum("...cd,...cdxy->...xy", ginv, ddg)
+            - np.einsum("...cd,...xycd->...xy", ginv, ddg))
+
+
 def frame_contractions(g, dg, ddg, q):
-    """dg, inner, outer and mixed of a full jet at one point, contracted with
-    g^-1 = inv(g) in chart coordinates and then turned into the frame
-    theta = Q theta' of the columns of ``q``."""
-    ginv = np.linalg.inv(g)
-    inner = np.einsum("cd,xycd->xy", ginv, ddg)
-    outer = np.einsum("cd,cdxy->xy", ginv, ddg)
-    mixed = np.einsum("cd,xcdy->xy", ginv, ddg)
+    """dg and hess of a full jet at one point, with g^-1 = inv(g) in chart
+    coordinates, turned into the frame theta = Q theta' of the columns of ``q``."""
     dg_frame = np.einsum("ce,cab->eab", q, q.T @ dg @ q)
-    return (dg_frame,) + tuple(q.T @ t @ q for t in (inner, outer, mixed))
+    return dg_frame, q.T @ hess(np.linalg.inv(g), ddg) @ q
 
 
 def chart_ricci(g, dg, ddg):
     """Ricci at one point from a full jet, by the trace formula in chart
-    coordinates: with A_y = g^-1 d_y g, Ric_xy = (g^cd d_x d_c g_dy +
-    g^cd d_y d_c g_dx - g^cd d_c d_d g_xy - g^cd d_x d_y g_cd + tr(A_y A_x)) / 2
+    coordinates: with A_y = g^-1 d_y g, Ric_xy = (hess_xy + tr(A_y A_x)) / 2
     - Gamma^c_yq Gamma^q_cx + (Gamma^c_cq - g^cd d_c g_dq) Gamma^q_xy."""
     ginv = np.linalg.inv(g)
     low = 0.5 * (np.einsum("adb->dab", dg) + np.einsum("bda->dab", dg) - dg)
     gam = np.einsum("cd,dab->cab", ginv, low)
     a = ginv @ dg
-    mixed = np.einsum("cd,xcdy->xy", ginv, ddg)
-    outer = np.einsum("cd,cdxy->xy", ginv, ddg)
-    inner = np.einsum("cd,xycd->xy", ginv, ddg)
     tr_aa = np.einsum("yij,xji->xy", a, a)
     w = 0.5 * np.einsum("qii->q", a) - np.einsum("cd,cdq->q", ginv, dg)
     quad = np.einsum("cyq,qcx->xy", gam, gam)
-    return 0.5 * (mixed + mixed.T - outer - inner + tr_aa) - quad + np.einsum("q,qxy->xy", w, gam)
+    return 0.5 * (hess(ginv, ddg) + tr_aa) - quad + np.einsum("q,qxy->xy", w, gam)
 
 
 def chart_view(jet):
-    """A frame jet's dg, inner, outer and mixed at points (m, ...), turned
-    back into chart coordinates: T = Q T' Q^T on every index."""
+    """A frame jet's dg and hess at points (m, ...), turned back into chart
+    coordinates: T = Q T' Q^T on every index."""
     q, qt = jet.q, jet.q.swapaxes(1, 2)
     dg = np.einsum("mce,meab->mcab", q, q[:, None] @ jet.dg @ qt[:, None])
-    return (dg,) + tuple(q @ t @ qt for t in (jet.inner, jet.outer, jet.mixed))
+    return dg, q @ jet.hess @ qt
 
 
 def _radial_coeff(t: float) -> float:
@@ -310,9 +311,7 @@ def closed_form_metric_su2_exp(theta: np.ndarray) -> MetricTensor:
         a = _radial_coeff(t)
         g = a * eye + (1.0 - a) * proj
         g_inv = (1.0 / a) * eye + (1.0 - 1.0 / a) * proj
-    point = ChartPoint("exp", theta, make_group("su", 2))
-    return MetricTensor(g=g, g_inv=g_inv, point=point,
-                        condition=float(np.linalg.cond(g)))
+    return MetricTensor(g=g, g_inv=g_inv, condition=float(np.linalg.cond(g)))
 
 
 def closed_form_su2_exp_metric_derivative(theta: np.ndarray) -> np.ndarray:
@@ -383,8 +382,7 @@ def indexed_sphere_frame_jet(theta):
     inner[:, ar, ar] -= csc2.sum(2)
     dg = np.zeros((m, d, d, d))
     dg[:, :, ar, ar] = lam[:, None] * dlog
-    return FrameJet(q=np.broadcast_to(np.eye(d), (m, d, d)), lam=lam, dg=dg,
-                    inner=inner, outer=outer, mixed=np.zeros((m, d, d)))
+    return FrameJet(q=np.broadcast_to(np.eye(d), (m, d, d)), lam=lam, dg=dg, hess=-outer - inner)
 
 
 def unclipped_psi_divided_differences(mu):

@@ -14,7 +14,7 @@ from lieforge.charts import EXP_NORM_MAX, safe_domain
 from lieforge import curvature
 from lieforge.curvature import CHUNK_BYTES, einstein_check, riemann_ricci, sample_safe_points
 from lieforge.errors import ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, SingularityError
-from lieforge.sphere import sphere_metric_field
+from lieforge.sphere import sphere_frame_jet, sphere_metric_field
 from lieforge.metric import (
     JET_PEAK_D3_ARRAYS,
     K_MAX,
@@ -172,7 +172,7 @@ class TestRicciByTraces:
     def test_single_point_keeps_shapes(self, su2_field):
         b = riemann_ricci(su2_field, np.array([0.4, -0.2, 0.9]))
         assert b.gamma.shape == (3, 3, 3) and b.ricci.shape == (3, 3)
-        assert b.point.shape == (3,) and isinstance(b.scalar, float)
+        assert isinstance(b.scalar, float)
 
     def test_leading_axes_match_per_point(self, su2_field):
         pts = safe_su2_points(6, seed=51).reshape(2, 3, 3)
@@ -318,6 +318,21 @@ class TestEinsteinCheck:
     def test_empty_points_rejected(self, su2_field):
         with pytest.raises(InvalidInputError):
             einstein_check(su2_field, np.empty((0, 3)), 1e-6)
+
+    def test_field_residual_fails_where_lambda_steps(self):
+        # S^7's jet with g scaled by 1 + 1e-7 where t1 > pi/2: Ricci and hess
+        # are scale-free, so Ric = 2 Lambda g holds at every sample with two
+        # values of Lambda.  Ric - (R / 2 - Lambda (d - 2)) g is (d - 2) / 2
+        # times Ric - 2 Lambda g there, so the field residual fails first
+        def jet(pts):
+            j, s = sphere_frame_jet(pts), np.where(pts[:, 0] > np.pi / 2, 1 + 1e-7, 1.0)
+            return j._replace(lam=j.lam * s[:, None], dg=j.dg * s[:, None, None, None])
+
+        field = sphere_metric_field(8)._replace(jet=jet)
+        v = einstein_check(field, sample_safe_points(field, 20, np.random.default_rng(0)), 1e-6)
+        assert v.residual < 1e-6 <= v.field_residual
+        assert v.field_residual == pytest.approx(2.5 * v.residual, rel=1e-6)
+        assert not v.passed and v.failure.startswith("field residual")
 
 
 class TestMetricConstantRange:

@@ -1,6 +1,9 @@
 """The paper's metric beyond the classical catalog: the exceptional g2,
-which is Einstein with the Killing value, and u(n), bi-invariant but not
-Einstein, as a failing control.  Both are test-side GroupSpecs."""
+which is Einstein with the Killing value, and two bi-invariant controls:
+u(n), not Einstein, and su(2) + su(2) acting on C^2 (x) C^a + C^2 (x) C^b,
+Einstein only at a = b.  All are test-side GroupSpecs."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -46,6 +49,23 @@ def u_spec(n: int) -> GroupSpec:
     return GroupSpec(family="U", n=n, matrix_size=n, dim=n * n, generators=x, name=f"u{n}")
 
 
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def su2_pair_spec(a: int, b: int) -> GroupSpec:
+    """su(2) + su(2) as (i/2) sigma_k (x) I_a + 0 and 0 + (i/2) sigma_k (x) I_b,
+    normalized to Tr(X^dag X) = 1/2: the trace form weights the factors a : b."""
+    n = 2 * (a + b)
+    x = np.zeros((6, n, n), dtype=complex)
+    for k, sigma in enumerate(0.5j * _PAULI):
+        x[k, :2 * a, :2 * a] = np.kron(sigma, np.eye(a))
+        x[3 + k, 2 * a:, 2 * a:] = np.kron(sigma, np.eye(b))
+    x *= np.sqrt(GRAM_CONSTANT / np.einsum("aij,aij->a", x.conj(), x).real)[:, None, None]
+    x.setflags(write=False)
+    return GroupSpec(family="SU2xSU2", n=n, matrix_size=n, dim=6, generators=x,
+                     name=f"su2xsu2-{a}-{b}")
+
+
 def verdict(spec):
     field = metric_field(spec, "exp", 2.0)
     return einstein_check(field, sample_safe_points(field, 20, np.random.default_rng(0)), 1e-6)
@@ -74,3 +94,22 @@ def test_u_n_is_bi_invariant_but_not_einstein(n):
     # Ric vanishes on the centre while g does not
     v = verdict(u_spec(n))
     assert not v.passed and v.failure.startswith("residual") and v.residual > 0.1
+
+
+def test_g2_generators_are_pinned():
+    # sha256 of the Fano-line basis, signed zeros included, as the catalog's pin
+    digest = hashlib.sha256(g2_spec().generators.tobytes()).hexdigest()
+    assert digest == "ccace4ca4826a14b9560a9508a1347fb41cc843d43a8c504966ee451b88eab0b"
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_weighted_su2_pair_is_einstein_only_at_equal_weights(b):
+    # one algebra, three metrics: the factors' Killing values 1/4 and 1/(4b)
+    # average to lambda_hat = (1 + 1/b) / 8, and the residual is their
+    # difference (1 - 1/b) / 4, so the verdict reads the metric
+    v = verdict(su2_pair_spec(1, b))
+    assert abs(v.lambda_hat - (1 + 1 / b) / 8) <= 1e-12
+    assert abs(v.residual - (1 - 1 / b) / 4) <= 1e-12
+    assert v.passed == (b == 1)
+    if b > 1:
+        assert v.failure.startswith("residual")

@@ -146,6 +146,20 @@ class TestCli:
         assert out["group"] == "su2"
         assert np.allclose(np.array(out["g"]) @ np.array(out["g_inv"]), np.eye(3), atol=1e-9)
 
+    @pytest.mark.parametrize("argv", [
+        ["--group", "so5", "--point=0.1,0.2,0.3,0.1,0,0,0,0,0,0.2"],
+        ["--group", "su2", "--chart", "euler", "--point", "1.0,0.2,-0.4"],
+    ], ids=["so5-exp", "su2-euler"])
+    def test_metric_csv_is_the_json_g(self, argv, capsys):
+        # d rows of .17g floats, which read back bitwise as the JSON output's g
+        assert cli.main(["metric", *argv, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert cli.main(["metric", *argv, "--format", "json"]) == 0
+        g = json.loads(capsys.readouterr().out)["g"]
+        assert len(rows) == len(g) == len(g[0])
+        assert np.array(rows).tobytes() == np.array(g).tobytes()
+
     def test_einstein_command(self, capsys):
         code = cli.main(["einstein", "--group", "so4", "--samples", "5",
                          "--tol", "1e-6", "--seed", "42"])
