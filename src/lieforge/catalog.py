@@ -20,19 +20,19 @@ GRAM_CONSTANT = 0.5
 class _GroupFields(NamedTuple):
     family: str  # "SU" | "SO" | "Sp"
     n: int
-    matrix_size: int
-    dim: int
     generators: np.ndarray  # (dim, matrix_size, matrix_size), complex
     name: str = ""
 
 
 class GroupSpec(_GroupFields):
-    """Hashed by identity (one spec per (family, n)), with a __dict__ to cache ``structure``."""
+    """Hashed by identity (one spec per (family, n)), with a __dict__ to cache ``structure``;
+    ``dim`` and ``matrix_size`` are read from the generators' shape."""
     __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
+    dim = property(lambda self: self.generators.shape[0])
+    matrix_size = property(lambda self: self.generators.shape[1])
 
-    def __new__(cls, family, n, matrix_size, dim, generators, name=""):
-        return super().__new__(cls, family, n, matrix_size, dim, generators,
-                               name or f"{family.lower()}{n}")
+    def __new__(cls, family, n, generators, name=""):
+        return super().__new__(cls, family, n, generators, name or f"{family.lower()}{n}")
 
     @functools.cached_property
     def structure(self) -> np.ndarray:
@@ -138,7 +138,7 @@ def _build_group(fam: str, n: int) -> GroupSpec:
     check_alloc(48 * dim * info["size"](n) ** 2 + 8192, f"the {fam}({n}) generators")
     gens = _normalize(info["build"](n))
     gens.setflags(write=False)
-    return GroupSpec(family=fam, n=n, matrix_size=info["size"](n), dim=dim, generators=gens)
+    return GroupSpec(family=fam, n=n, generators=gens)
 
 
 _NAME_RE = re.compile(r"^(su|so|sp)(\d+)$")

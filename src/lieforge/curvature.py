@@ -3,7 +3,7 @@
 Every field carries an exact jet (exponential chart, Euler chart, sphere
 pullback): dg and the one term of 2 Ric that holds second derivatives, in
 an orthonormal frame where g = diag(lam); the condition guard reads only lam.
-Gamma and Ricci follow from traces in that frame, with no Riemann tensor and
+Ricci and R follow from traces in that frame, with no Riemann tensor and
 the sign fixed so the unit 2-sphere has Ric = +g.  ``einstein_check`` reads
 only frame-invariant norms and sends its samples in budget-sized chunks.
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, SingularityError,
                      check_alloc, check_width)
-from .metric import FrameJet, MetricField, _rotate, condition_number
+from .metric import FrameJet, MetricField, condition_number
 
 # riemann_ricci rejects a jet whose lam has max lam / min lam above this, or
 # min lam <= 0: S^7's sampling box reaches 2.3e6 at its corners, S^16 passes
@@ -32,14 +32,13 @@ def _require_inside(field: MetricField, pts: np.ndarray, message: str) -> None:
 
 
 class CurvatureBundle(NamedTuple):  # at points (..., d); every field keeps those leading axes
-    gamma: np.ndarray     # Gamma^c_ab, shape (..., d, d, d)
     ricci: np.ndarray     # Ric_ab, shape (..., d, d)
     scalar: float | np.ndarray
 
 
 def _frame_ricci(field: MetricField,
-                 points: np.ndarray) -> tuple[FrameJet, np.ndarray, np.ndarray, np.ndarray]:
-    """The jet at points (..., d), flattened, and Gamma, Ricci and R in its frame, where
+                 points: np.ndarray) -> tuple[FrameJet, np.ndarray, np.ndarray]:
+    """The jet at points (..., d), flattened, and Ricci and R in its frame, where
     g^-1 = diag(w), w = 1 / lam.  With A_y = g^-1 d_y g, Ricci is
     d_c Gamma^c_xy - d_y Gamma^c_xc + Gamma^c_cq Gamma^q_xy - Gamma^c_yq Gamma^q_cx,
     d_c Gamma^c_xy = g^cd (d_c Gamma_dxy - d_c g_dq Gamma^q_xy),
@@ -70,19 +69,18 @@ def _frame_ricci(field: MetricField,
     quad = swapped.reshape(m, d, d * d) @ swapped.reshape(m, d * d, d)
     ric = (0.5 * (jet.hess + tr_aa) - quad
            + (v.swapaxes(1, 2) @ gam.reshape(m, d, d * d)).reshape(m, d, d))
-    return jet, gam, ric, (ric.diagonal(0, 1, 2) * w).sum(1)
+    return jet, ric, (ric.diagonal(0, 1, 2) * w).sum(1)
 
 
 def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
-    """Gamma, Ricci and R in chart coordinates at points (..., d) from one
-    call of the field's jet; a scalar is one point of one coordinate.  Raises
-    as ``_frame_ricci`` does: InvalidInputError for points of the wrong
-    width, checked before the domain, then DomainError and SingularityError."""
+    """Ricci, turned back into chart coordinates as Q Ric' Q^T, and R at points
+    (..., d) from one call of the field's jet; a scalar is one point of one
+    coordinate.  Raises as ``_frame_ricci`` does: InvalidInputError for points
+    of the wrong width, checked before the domain, then DomainError and SingularityError."""
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    jet, gam, ric, scalar = _frame_ricci(field, points)
+    jet, ric, scalar = _frame_ricci(field, points)
     lead, d, q = points.shape[:-1], field.dim, jet.q
-    return CurvatureBundle(gamma=_rotate(gam, q).reshape(lead + (d, d, d)),
-                           ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
+    return CurvatureBundle(ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
                            scalar=scalar.reshape(lead) if lead else float(scalar[0]))
 
 
@@ -112,11 +110,20 @@ def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
     draw is refused; a point outside it would still fail the jet's domain
     guard.  The field itself is never evaluated.
     """
-    if not count >= 1:
-        raise InvalidInputError(f"need at least one sample point, got {count}")
+    if not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise InvalidInputError(f"need an integer count of at least one sample point, got {count}")
     dom, d = field.domain, len(field.domain.lo)
     check_alloc(8 * count * d, f"{count} sample points")
     return dom.lo + (dom.hi - dom.lo) * rng.random((count, d))
+
+
+def check_tol_and_seed(tol: float, seed: int) -> None:
+    """InvalidInputError unless a verdict's tolerance is positive and finite and its
+    seed an integer >= 0, as ``np.random.default_rng`` needs."""
+    if not 0 < tol < float("inf"):  # also rejects nan
+        raise InvalidInputError("tolerance must be positive and finite")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidInputError("seed must be an integer >= 0")
 
 
 def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> EinsteinVerdict:
@@ -136,7 +143,7 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
     step = max(1, CHUNK_BYTES // (8 * d ** 3))
     for chunk in (points[i:i + step] for i in range(0, len(points), step)):
         try:
-            jet, _, ric, scalar = _frame_ricci(field, chunk)
+            jet, ric, scalar = _frame_ricci(field, chunk)
         except (SingularityError, DomainError):
             for p in chunk:
                 try:

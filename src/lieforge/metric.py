@@ -91,15 +91,15 @@ class MetricField(NamedTuple):
     """Batch-evaluable metric over one chart: points (d,) or (m, d) -> metrics (m, d, d).
 
     ``domain`` is where the field may be evaluated and sampled: its box is the
-    sampling box and its ``contains`` guards every jet.  ``jet`` gives the
-    exact ``FrameJet`` at points (m, d), from which curvature is computed.
+    sampling box, its width the coordinate count ``dim``, and its ``contains``
+    guards every jet.  ``jet`` gives the exact ``FrameJet`` at points (m, d).
     """
 
-    dim: int
     func: Callable[[np.ndarray], np.ndarray]
     domain: SafeDomain
     jet: Callable[[np.ndarray], FrameJet]
     name: str = "field"
+    dim = property(lambda self: len(self.domain.lo))
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:  # a scalar is one coordinate
         return self.func(np.atleast_1d(np.asarray(pts, dtype=float)))
@@ -220,12 +220,6 @@ def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
                     hess=mixed + mixed.swapaxes(1, 2) - outer - inner)
 
 
-def _rotate(t: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_ijk q_ci q_aj q_bk t_ijk for 3-tensors t (m, d, d, d)."""
-    m, d = q.shape[:2]
-    return (q @ (q[:, None] @ t @ q.swapaxes(1, 2)[:, None]).reshape(m, d, d * d)).reshape(t.shape)
-
-
 def contract_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> FrameJet:
     """The ``FrameJet`` of a full jet at m points: g (m, d, d), dg[m, e, a, b] =
     d_e g_ab and ddg[m, e, f, a, b] = d_e d_f g_ab.  hess's four second
@@ -237,9 +231,10 @@ def contract_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> FrameJet:
     t = ddg.transpose(0, 2, 3, 1, 4)  # [m, c, e, x, y] = d_x d_c g_ey
     terms = t + t.swapaxes(3, 4) - ddg - ddg.transpose(0, 3, 4, 1, 2)
     with np.errstate(divide="ignore", invalid="ignore"):  # singular g: the guard reports it
+        dg = (qt @ (qt[:, None] @ dg @ q[:, None]).reshape(m, d, d * d)).reshape(dg.shape)
         ginv = (q / lam[:, None]) @ qt
         hess = (ginv.reshape(m, 1, d * d) @ terms.reshape(m, d * d, d * d)).reshape(m, d, d)
-        return FrameJet(q=q, lam=lam, dg=_rotate(dg, qt), hess=qt @ hess @ q)
+        return FrameJet(q=q, lam=lam, dg=dg, hess=qt @ hess @ q)
 
 
 def product_jet(spec: GroupSpec, u: np.ndarray, du: np.ndarray, order: Sequence[int],
@@ -302,7 +297,7 @@ def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
     and the jets up in this module when called."""
     jet = (lambda p: exp_frame_jet(spec, p, k)) if chart == "exp" else (
         lambda p: contract_jet(*product_jet(spec, *euler_chart_batch(p), EULER_FACTOR_ORDER, k)))
-    return MetricField(dim=spec.dim, func=lambda pts: metric_batch(spec, chart, pts, k)[0],
+    return MetricField(func=lambda pts: metric_batch(spec, chart, pts, k)[0],
                        domain=safe_domain(spec, chart), name=f"{spec.name}-{chart}", jet=jet)
 
 

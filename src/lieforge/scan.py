@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import GroupSpec, parse_group_name
-from .curvature import EinsteinVerdict, einstein_check, sample_safe_points
+from .curvature import EinsteinVerdict, check_tol_and_seed, einstein_check, sample_safe_points
 from .errors import InvalidInputError, LieForgeError
 from .metric import metric_field, resolve_k
 
@@ -35,10 +35,7 @@ class ScanConfig(_ScanFields):
     def __new__(cls, groups, samples=20, tolerance=1e-6, seed=0, k="auto"):
         if not samples >= 1:
             raise InvalidInputError("samples must be >= 1")
-        if not 0 < tolerance < float("inf"):  # also rejects nan
-            raise InvalidInputError("tolerance must be positive and finite")
-        if not seed >= 0:
-            raise InvalidInputError("seed must be >= 0")
+        check_tol_and_seed(tolerance, seed)
         resolve_k(k)
         return super().__new__(cls, groups, samples, tolerance, seed, k)
 

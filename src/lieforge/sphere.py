@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .charts import off_pole, polar_domain
-from .curvature import einstein_check, sample_safe_points
+from .curvature import check_tol_and_seed, einstein_check, sample_safe_points
 from .errors import InvalidInputError, SingularityError, check_alloc, check_width
 from .metric import JET_PEAK_D3_ARRAYS, FrameJet, MetricField, MetricTensor, _finish
 
@@ -128,7 +128,7 @@ def sphere_metric_field(n_ambient: int) -> MetricField:
 
     npolar = max(n_ambient - 2, 0)
     check_alloc(16 * (npolar + 1), f"the S^{n_ambient - 1} sampling box")
-    return MetricField(dim=n_ambient - 1, func=func, name=f"s{n_ambient - 1}-pullback",
+    return MetricField(func=func, name=f"s{n_ambient - 1}-pullback",
                        domain=polar_domain(npolar, 1, 0.3, POLE_MARGIN), jet=sphere_frame_jet)
 
 
@@ -137,6 +137,7 @@ def sphere_einstein_check(n_ambient: int, samples: int, tol: float, seed: int = 
     Lambda = (N - 2) / 2)."""
     if n_ambient < 3:
         raise InvalidInputError("einstein check needs a sphere of dimension >= 2")
+    check_tol_and_seed(tol, seed)
     field = sphere_metric_field(n_ambient)
     pts = sample_safe_points(field, samples, np.random.default_rng(seed))
     return einstein_check(field, pts, tol)

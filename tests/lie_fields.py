@@ -19,7 +19,7 @@ def flat_field(d):
         pts = np.atleast_2d(pts)
         return np.broadcast_to(np.eye(d), (len(pts), d, d)).copy()
 
-    return stencil_field(dim=d, func=func, domain=everywhere(d), name="flat")
+    return stencil_field(func=func, domain=everywhere(d), name="flat")
 
 
 def s2_field():
@@ -37,7 +37,7 @@ def s2_field():
 
     domain = SafeDomain(lo=np.array([0.3, -np.pi]), hi=np.array([np.pi - 0.3, np.pi]),
                         contains=contains)
-    return stencil_field(dim=2, func=func, domain=domain, name="s2-hand")
+    return stencil_field(func=func, domain=domain, name="s2-hand")
 
 
 def stencil_exp_domain(spec):
@@ -60,5 +60,5 @@ def left_invariant_field(spec, q):
         j = phim(np.einsum("mc,cbe->meb", np.atleast_2d(pts), spec.structure))
         return np.swapaxes(j, -1, -2) @ q @ j
 
-    return stencil_field(dim=spec.dim, func=func, domain=stencil_exp_domain(spec),
+    return stencil_field(func=func, domain=stencil_exp_domain(spec),
                          name=f"{spec.name}-left-invariant")

@@ -13,8 +13,10 @@ what it does run.
   its jet: hand-written test fields have no closed-form jet.
 - Chart frames: ``exp_chart`` and ``euler_chart`` (U and dU at one point),
   ``maurer_cartan`` (the literal U^-1 dU), ``su2_log``, the chart transition
-  and the Euler-chart isometry residuals, ``expm``, ``symplectic_form``,
-  ``hyperspherical_embedding`` and ``christoffel``.
+  and the Euler-chart isometry residuals, ``expm``, ``symplectic_form`` and
+  ``hyperspherical_embedding``.
+- ``christoffel``: Gamma in chart coordinates from a field's jet; production
+  code forms Gamma only in the jet's frame, as a term of Ricci.
 - The printed closed-form SU(2) metrics and their derivatives.
 - Earlier forms of production code that must give bitwise the same
   results: ``uniform_sample_points`` (one ``rng.uniform`` draw),
@@ -78,24 +80,32 @@ def metric_jet(field, points, h=BASE_STEP):
     return g, dg, ddg
 
 
-def stencil_field(dim, func, domain, name="field", h=BASE_STEP):
+def stencil_field(func, domain, name="field", h=BASE_STEP):
     """A MetricField whose jet is the stencil on its own values at step h,
     contracted by ``contract_jet``."""
     def jet(points):
         return contract_jet(*metric_jet(field, points, h))
 
-    field = MetricField(dim=dim, func=func, domain=domain, jet=jet, name=name)
+    field = MetricField(func=func, domain=domain, jet=jet, name=name)
     return field
 
 
 def with_stencil(field, h=BASE_STEP):
     """``field``'s values, domain and name, with the stencil jet in place of its own."""
-    return stencil_field(field.dim, field.func, field.domain, field.name, h)
+    return stencil_field(field.func, field.domain, field.name, h)
 
 
 def christoffel(field, point):
-    """Gamma^c_ab at one point, from riemann_ricci and under its condition guard."""
-    return riemann_ricci(field, point).gamma
+    """Gamma^c_ab at one point in chart coordinates, from the field's jet, after
+    ``riemann_ricci`` at the point has applied its width, domain and condition
+    guards: in the jet's frame Gamma^d_ab = w_d (d_a g_db + d_b g_da - d_d g_ab) / 2,
+    w = 1 / lam, then turned with q on every index."""
+    riemann_ricci(field, point)
+    jet = field.jet(np.reshape(point, (1, -1)))
+    q, w, dg = jet.q[0], 1.0 / jet.lam[0], jet.dg[0]
+    t = dg.swapaxes(0, 1)  # [d, a, b] = d_a g_db
+    gam = 0.5 * w[:, None, None] * (t + t.swapaxes(1, 2) - dg)
+    return np.einsum("ci,aj,bk,ijk->cab", q, q, q, gam)
 
 
 def expm(a):

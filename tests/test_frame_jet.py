@@ -161,7 +161,7 @@ def ts_field(k=2.0):
 
     domain = SafeDomain(lo=np.full(8, 0.2), hi=np.full(8, 1.2),
                         contains=lambda x: np.ones(len(np.atleast_2d(x)), bool))
-    return MetricField(dim=8, func=func, domain=domain, name="su3-tilma-sudarshan",
+    return MetricField(func=func, domain=domain, name="su3-tilma-sudarshan",
                        jet=lambda p: contract_jet(*ts_jet(p, k)))
 
 

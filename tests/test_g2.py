@@ -39,14 +39,14 @@ def g2_spec() -> GroupSpec:
     x = np.array(gens, dtype=complex)
     x *= np.sqrt(GRAM_CONSTANT / np.einsum("aij,aij->a", x.conj(), x).real)[:, None, None]
     x.setflags(write=False)
-    return GroupSpec(family="G2", n=2, matrix_size=7, dim=14, generators=x, name="g2")
+    return GroupSpec(family="G2", n=2, generators=x, name="g2")
 
 
 def u_spec(n: int) -> GroupSpec:
     """u(n): su(n) and the centre, i I / sqrt(2n)."""
     x = np.concatenate([make_group("su", n).generators, (1j / np.sqrt(2 * n)) * np.eye(n)[None]])
     x.setflags(write=False)
-    return GroupSpec(family="U", n=n, matrix_size=n, dim=n * n, generators=x, name=f"u{n}")
+    return GroupSpec(family="U", n=n, generators=x, name=f"u{n}")
 
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -62,8 +62,7 @@ def su2_pair_spec(a: int, b: int) -> GroupSpec:
         x[3 + k, 2 * a:, 2 * a:] = np.kron(sigma, np.eye(b))
     x *= np.sqrt(GRAM_CONSTANT / np.einsum("aij,aij->a", x.conj(), x).real)[:, None, None]
     x.setflags(write=False)
-    return GroupSpec(family="SU2xSU2", n=n, matrix_size=n, dim=6, generators=x,
-                     name=f"su2xsu2-{a}-{b}")
+    return GroupSpec(family="SU2xSU2", n=n, generators=x, name=f"su2xsu2-{a}-{b}")
 
 
 def verdict(spec):

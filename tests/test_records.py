@@ -21,6 +21,8 @@ from lieforge.curvature import einstein_check, riemann_ricci, sample_safe_points
 from lieforge.errors import InvalidInputError
 from lieforge.metric import MetricConfig, metric, metric_field
 from lieforge.scan import ScanConfig, run_scan
+from lieforge.sphere import sphere_metric_field
+from test_g2 import g2_spec
 
 
 def records():
@@ -31,16 +33,16 @@ def records():
     pts = sample_safe_points(field, 2, np.random.default_rng(0))
     report = run_scan(ScanConfig(groups=("su2",), samples=2))
     return {
-        "GroupSpec": (spec, ["family", "n", "matrix_size", "dim", "generators", "name"]),
+        "GroupSpec": (spec, ["family", "n", "generators", "name"]),
         "StructureConstants": (structure_constants(spec), ["f"]),
         "SafeDomain": (safe_domain(spec, "exp"), ["lo", "hi", "contains"]),
         "ChartPoint": (point, ["chart", "coords", "group"]),
         "MetricConfig": (MetricConfig(group=spec), ["group", "chart", "k"]),
         "MetricTensor": (metric(MetricConfig(group=spec), point),
                          ["g", "g_inv", "condition"]),
-        "MetricField": (field, ["dim", "func", "domain", "jet", "name"]),
+        "MetricField": (field, ["func", "domain", "jet", "name"]),
         "FrameJet": (field.jet(pts), ["q", "lam", "dg", "hess"]),
-        "CurvatureBundle": (riemann_ricci(field, pts), ["gamma", "ricci", "scalar"]),
+        "CurvatureBundle": (riemann_ricci(field, pts), ["ricci", "scalar"]),
         "EinsteinVerdict": (einstein_check(field, pts, 1e-6),
                             ["lambda_hat", "lambda_spread", "residual", "field_residual",
                              "samples", "tol", "passed", "failure"]),
@@ -62,6 +64,36 @@ def test_fields_cannot_be_assigned(name):
         assert getattr(record, attr) is value
 
 
+def test_derived_counts_cannot_be_assigned():
+    spec, field = make_group("su", 3), sphere_metric_field(5)
+    for record, attr in ((spec, "dim"), (spec, "matrix_size"), (field, "dim")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 1)
+    assert (spec.dim, spec.matrix_size, field.dim) == (8, 3, 4)
+
+
+@pytest.mark.parametrize("build, dim", [
+    (lambda: metric_field(make_group("so", 5), "exp", 2.0), 10),
+    (lambda: metric_field(make_group("su", 2), "euler", 2.0), 3),
+    (lambda: sphere_metric_field(5), 4),
+], ids=["exp", "euler", "sphere"])
+def test_field_dim_is_its_box_width(build, dim):
+    field = build()
+    assert field.dim == len(field.domain.lo) == dim
+
+
+@pytest.mark.parametrize("build, dim, size", [
+    (lambda: make_group("su", 3), 8, 3),
+    (lambda: make_group("so", 5), 10, 5),
+    (lambda: make_group("sp", 2), 10, 4),
+    (g2_spec, 14, 7),
+], ids=["su3", "so5", "sp2", "g2"])
+def test_spec_counts_are_its_generators_shape(build, dim, size):
+    spec = build()
+    assert spec.dim == len(spec.generators) == dim
+    assert spec.matrix_size == spec.generators.shape[1] == spec.generators.shape[2] == size
+
+
 @pytest.mark.parametrize("record", [ChartPoint("euler", [1.0, 0.2, 0.3], make_group("su", 2)),
                                     ScanConfig(groups=("su2",))])
 def test_validated_records_take_no_new_attributes(record):
@@ -81,8 +113,8 @@ def test_group_spec_hashes_and_compares_by_identity():
 
 def test_group_spec_names_itself():
     spec = make_group("so", 4)
-    assert GroupSpec(spec.family, spec.n, spec.matrix_size, spec.dim, spec.generators).name == "so4"
-    assert GroupSpec("SO", 4, 4, 6, spec.generators, name="rot4").name == "rot4"
+    assert GroupSpec(spec.family, spec.n, spec.generators).name == "so4"
+    assert GroupSpec("SO", 4, spec.generators, name="rot4").name == "rot4"
 
 
 def test_one_spec_per_family_and_size():

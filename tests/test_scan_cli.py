@@ -22,7 +22,7 @@ from lieforge.scan import (
     emit_report,
     run_scan,
 )
-from lieforge.sphere import sphere_einstein_check
+from lieforge.sphere import pullback_metric, sphere_einstein_check
 
 
 def mask_times(report_dict, value=0.0):
@@ -235,6 +235,31 @@ class TestCli:
         assert keys[keys.index("residual") + 1] == "field_residual"
         assert out["field_residual"] == sphere_einstein_check(4, 2, 1e-6, 0).field_residual
 
+    def test_sphere_point_prints_the_pullback_metric(self, capsys):
+        # diag(1, sin^2 1, sin^4 1), printed at 12 decimals
+        assert cli.main(["sphere", "--dim", "4", "--point=1,1,1"]) == 0
+        head, *rows = capsys.readouterr().out.splitlines()
+        assert head == "pullback metric on S3:"
+        printed = np.array([[float(v) for v in row.split()] for row in rows])
+        assert np.array_equal(printed, np.diag([1.0, 0.708073418274, 0.501367965666]))
+        assert np.abs(printed - pullback_metric(4, np.ones(3)).g).max() < 5e-13
+
+    def test_sphere_needs_point_or_einstein(self, capsys):
+        assert cli.main(["sphere", "--dim", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lieforge: sphere needs --point unless --einstein is given\n"
+
+    def test_failed_sphere_verdict_writes_null_floats(self, capsys):
+        # S^17 fails on the curvature guard: no Lambda, infinite residuals, all null
+        assert cli.main(["sphere", "--dim", "18", "--einstein", "--samples", "20"]) == 1
+        text = capsys.readouterr().out
+        out = json.loads(text)
+        for key in ("lambda_hat", "lambda_spread", "residual", "field_residual"):
+            assert f'"{key}": null' in text and out[key] is None
+        assert out["pass"] is False
+        assert out["failure"].endswith("failed: metric condition 2.791e+08 exceeds 1e+08")
+
     def test_curvature_command(self, capsys):
         code = cli.main(["curvature", "--group", "su2", "--chart", "exp",
                          "--point", "0.8,0.1,-0.3"])
@@ -428,6 +453,33 @@ class TestInputValidation:
         with pytest.raises(InvalidInputError):
             sample_safe_points(exp_metric_field(parse_group_name("su2")), 0,
                                np.random.default_rng(0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_scan(ScanConfig(groups=("su2",), samples=2.5)),
+        lambda: sphere_einstein_check(4, 2.5, 1e-6),
+        lambda: sphere_einstein_check(4, 2.0, 1e-6),
+        lambda: run_scan(ScanConfig(groups=("su2",), samples=2, seed=1.5)),
+        lambda: sphere_einstein_check(4, 2, 1e-6, seed=-1),
+        lambda: sphere_einstein_check(4, 2, 1e-6, seed=1.5),
+        lambda: sphere_einstein_check(4, 2, float("nan")),
+        lambda: sphere_einstein_check(4, 2, float("inf")),
+        lambda: sphere_einstein_check(4, 2, 0.0),
+    ], ids=["scan-samples", "sphere-samples", "sphere-float-samples", "scan-seed",
+            "sphere-negative-seed", "sphere-float-seed", "sphere-nan-tol", "sphere-inf-tol",
+            "sphere-zero-tol"])
+    def test_api_verdict_inputs_raise_invalid_input(self, call):
+        # argparse rejects all of these before the CLI reaches the API
+        with pytest.raises(InvalidInputError):
+            call()
+
+    def test_numpy_integers_count_and_seed(self):
+        field = exp_metric_field(parse_group_name("su2"))
+        pts = sample_safe_points(field, np.int64(3), np.random.default_rng(0))
+        assert np.array_equal(pts, sample_safe_points(field, 3, np.random.default_rng(0)))
+        cfg = ScanConfig(groups=("su2",), samples=np.int64(2), seed=np.int64(5))
+        assert run_scan(cfg).rows[0].lambda_hat == run_scan(cfg._replace(seed=5)).rows[0].lambda_hat
+        verdict = sphere_einstein_check(4, np.int64(2), 1e-6, np.int64(1))
+        assert verdict == sphere_einstein_check(4, 2, 1e-6, 1)
 
 
 _WITHOUT_SCIPY = """
