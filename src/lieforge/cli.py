@@ -12,10 +12,10 @@ import numpy as np
 
 from .catalog import parse_group_name
 from .charts import ChartPoint
-from .curvature import einstein_check, riemann_ricci, sample_safe_points
+from .curvature import riemann_ricci
 from .errors import InvalidInputError, LieForgeError
 from .metric import MetricConfig, metric, metric_field, resolve_k
-from .scan import ScanConfig, dumps_json, emit_report, run_scan
+from .scan import ScanConfig, dumps_json, emit_report, run_scan, verdict, verdict_dict
 from .sphere import pullback_metric, sphere_einstein_check
 
 
@@ -162,28 +162,19 @@ def _cmd_curvature(args) -> int:
     return 0
 
 
-def _write_verdict(head: dict, v) -> int:
-    """Print a verdict as JSON after its ``head`` keys; exit 0 on pass, 1 on fail."""
-    sys.stdout.write(dumps_json({
-        **head,
-        "samples": v.samples,
-        "tolerance": v.tol,
-        "lambda_hat": v.lambda_hat,
-        "lambda_spread": v.lambda_spread,
-        "residual": v.residual,
-        "field_residual": v.field_residual,
-        "pass": v.passed,
-        "failure": v.failure,
-    }))
+def _write_verdict(head: dict, args, v) -> int:
+    """Print a verdict as JSON after its ``head`` keys and the request's samples and
+    tolerance; exit 0 on pass, 1 on fail."""
+    sys.stdout.write(dumps_json({**head, "samples": args.samples, "tolerance": args.tol,
+                                 **verdict_dict(v)}))
     return 0 if v.passed else 1
 
 
 def _cmd_einstein(args) -> int:
     spec = parse_group_name(args.group)
     field = metric_field(spec, args.chart, resolve_k(args.k))
-    pts = sample_safe_points(field, args.samples, np.random.default_rng(args.seed))
-    return _write_verdict({"group": spec.name, "chart": args.chart},
-                          einstein_check(field, pts, args.tol))
+    return _write_verdict({"group": spec.name, "chart": args.chart}, args,
+                          verdict(field, args.samples, args.tol, args.seed))
 
 
 def _cmd_scan(args) -> int:
@@ -208,7 +199,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_sphere(args) -> int:
     if args.einstein:
-        return _write_verdict({"sphere": f"S{args.dim - 1}"},
+        return _write_verdict({"sphere": f"S{args.dim - 1}"}, args,
                               sphere_einstein_check(args.dim, args.samples, args.tol, args.seed))
     if args.point is None:
         raise LieForgeError("sphere needs --point unless --einstein is given")

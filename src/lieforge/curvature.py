@@ -89,17 +89,27 @@ class EinsteinVerdict(NamedTuple):
     lambda_spread: float
     residual: float
     field_residual: float
-    samples: int
-    tol: float
     passed: bool
     failure: str | None = None
 
     @classmethod
-    def failed(cls, samples: int, tol: float, reason: str) -> "EinsteinVerdict":
+    def failed(cls, reason: str) -> "EinsteinVerdict":
         """A verdict that could not be computed: no Lambda, infinite residuals."""
         return cls(lambda_hat=float("nan"), lambda_spread=float("nan"),
                    residual=float("inf"), field_residual=float("inf"),
-                   samples=samples, tol=tol, passed=False, failure=reason)
+                   passed=False, failure=reason)
+
+
+def check_samples(count: int) -> None:
+    """InvalidInputError unless ``count`` is an integer >= 1, numpy integers included."""
+    if not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise InvalidInputError(f"need an integer count of at least one sample point, got {count}")
+
+
+def check_tol(tol: float) -> None:
+    """InvalidInputError unless a verdict's tolerance is positive and finite."""
+    if not 0 < tol < float("inf"):  # also rejects nan
+        raise InvalidInputError("tolerance must be positive and finite")
 
 
 def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
@@ -110,20 +120,10 @@ def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
     draw is refused; a point outside it would still fail the jet's domain
     guard.  The field itself is never evaluated.
     """
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
-        raise InvalidInputError(f"need an integer count of at least one sample point, got {count}")
+    check_samples(count)
     dom, d = field.domain, len(field.domain.lo)
     check_alloc(8 * count * d, f"{count} sample points")
     return dom.lo + (dom.hi - dom.lo) * rng.random((count, d))
-
-
-def check_tol_and_seed(tol: float, seed: int) -> None:
-    """InvalidInputError unless a verdict's tolerance is positive and finite and its
-    seed an integer >= 0, as ``np.random.default_rng`` needs."""
-    if not 0 < tol < float("inf"):  # also rejects nan
-        raise InvalidInputError("tolerance must be positive and finite")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InvalidInputError("seed must be an integer >= 0")
 
 
 def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> EinsteinVerdict:
@@ -134,8 +134,10 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
     deviation of Ric from 2 Lambda g.  The Lambda-term field equation is
     checked with Lambda_field = Lambda (d - 2), which is degenerate
     (identically zero) for d = 2 and is then reported but excluded from
-    pass/fail.
+    pass/fail.  Raises InvalidInputError for a tolerance that is not positive
+    and finite, or no points.
     """
+    check_tol(tol)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) < 1:
         raise InvalidInputError("einstein check needs at least one sample point")
@@ -149,7 +151,7 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
                 try:
                     _frame_ricci(field, p[None])
                 except (SingularityError, DomainError) as exc:
-                    return EinsteinVerdict.failed(len(points), tol, f"sample {p} failed: {exc}")
+                    return EinsteinVerdict.failed(f"sample {p} failed: {exc}")
             raise
         parts.append((ric, jet.lam, scalar))
     ric, g_eig, scalar = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
@@ -170,5 +172,5 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
     elif d != 2 and not field_residual < tol:
         failure = f"field residual {field_residual:.3e} is not below tolerance {tol:.3e}"
     return EinsteinVerdict(lambda_hat=lam, lambda_spread=float(lambdas.max() - lambdas.min()),
-                           residual=residual, field_residual=field_residual, samples=len(points),
-                           tol=tol, passed=failure is None, failure=failure)
+                           residual=residual, field_residual=field_residual,
+                           passed=failure is None, failure=failure)

@@ -130,7 +130,9 @@ def condition_number(lam: np.ndarray) -> np.ndarray:
     2-norm condition number; +inf where min lam <= 0, nan where lam has nan or is all +inf."""
     # ufunc reductions skip the Python wrappers of ndarray.min and .all: 2 us of a point query
     lo, hi = np.minimum.reduce(lam, -1), np.maximum.reduce(lam, -1)
-    if 0 < np.minimum.reduce(lo, None) < np.inf:  # every g positive definite: no mask to build
+    # every g positive definite and finite, no mask: a batch's lo needs max too (inf / inf)
+    if (0 < lo < np.inf if lo.ndim == 0
+            else 0 < np.minimum.reduce(lo, None) and np.maximum.reduce(lo, None) < np.inf):
         return hi / lo
     with np.errstate(invalid="ignore"):  # inf / inf and nan / nan are nan
         return np.where(lo <= 0, np.inf, hi) / np.where(lo <= 0, 1.0, lo)

@@ -1,7 +1,8 @@
-"""Conjecture scan across group families and report serialization.
+"""The one verdict path, the conjecture scan and report serialization.
 
-A scan draws sample points uniformly in each group's safe box (deterministic
-from the seed), runs the Einstein check, and aggregates one row per group.
+``verdict`` draws sample points uniformly in a field's safe box (deterministic
+from the seed) and runs the Einstein check for ``einstein``, ``sphere
+--einstein`` and each scan group; ``verdict_dict`` gives every report its keys.
 JSON is the canonical lossless report form; floats are written with 17
 significant digits so reports round-trip byte-identically.
 """
@@ -14,11 +15,36 @@ import numpy as np
 
 from . import __version__
 from .catalog import GroupSpec, parse_group_name
-from .curvature import EinsteinVerdict, check_tol_and_seed, einstein_check, sample_safe_points
+from .curvature import EinsteinVerdict, check_samples, check_tol, einstein_check, sample_safe_points
 from .errors import InvalidInputError, LieForgeError
-from .metric import metric_field, resolve_k
+from .metric import MetricField, metric_field, resolve_k
 
 CHART = "exp"  # every group has an exponential chart
+
+
+def check_verdict_args(samples: int, tol: float, seed: int) -> None:
+    """InvalidInputError unless samples is an integer >= 1, tol positive and
+    finite, and seed an integer >= 0, as ``np.random.default_rng`` needs."""
+    check_samples(samples)
+    check_tol(tol)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidInputError("seed must be an integer >= 0")
+
+
+def verdict(field: MetricField, samples: int, tol: float, seed: int,
+            *stream: int) -> EinsteinVerdict:
+    """Einstein verdict on ``samples`` points drawn from ``default_rng([seed, *stream])``,
+    bitwise ``default_rng(seed)`` with no stream."""
+    check_verdict_args(samples, tol, seed)
+    # called through this module's name: perfbench/trace.py wraps scan.sample_safe_points
+    pts = sample_safe_points(field, samples, np.random.default_rng([seed, *stream]))
+    return einstein_check(field, pts, tol)
+
+
+def verdict_dict(v: EinsteinVerdict) -> dict:
+    """A verdict's report keys, in the one order every report writes them."""
+    return {"lambda_hat": v.lambda_hat, "lambda_spread": v.lambda_spread, "residual": v.residual,
+            "field_residual": v.field_residual, "pass": v.passed, "failure": v.failure}
 
 
 class _ScanFields(NamedTuple):
@@ -33,9 +59,7 @@ class ScanConfig(_ScanFields):
     __slots__ = ()
 
     def __new__(cls, groups, samples=20, tolerance=1e-6, seed=0, k="auto"):
-        if not samples >= 1:
-            raise InvalidInputError("samples must be >= 1")
-        check_tol_and_seed(tolerance, seed)
+        check_verdict_args(samples, tolerance, seed)
         resolve_k(k)
         return super().__new__(cls, groups, samples, tolerance, seed, k)
 
@@ -43,12 +67,13 @@ class ScanConfig(_ScanFields):
 class GroupResult(NamedTuple):
     name: str
     dim: int
-    lambda_hat: float
-    lambda_spread: float
-    max_residual: float
-    passed: bool
+    verdict: EinsteinVerdict
     wall_time_ms: float
-    failure: str | None = None
+
+    # read by perfbench/workloads.py
+    lambda_hat = property(lambda self: self.verdict.lambda_hat)
+    max_residual = property(lambda self: self.verdict.residual)
+    passed = property(lambda self: self.verdict.passed)
 
 
 class ScanReport(NamedTuple):
@@ -57,7 +82,7 @@ class ScanReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return all(r.verdict.passed for r in self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -71,16 +96,8 @@ class ScanReport(NamedTuple):
             },
             "version": __version__,
             "groups": [
-                {
-                    "name": r.name,
-                    "dim": r.dim,
-                    "lambda_hat": r.lambda_hat,
-                    "lambda_spread": r.lambda_spread,
-                    "max_residual": r.max_residual,
-                    "pass": r.passed,
-                    "wall_time_ms": r.wall_time_ms,
-                    "failure": r.failure,
-                }
+                {"name": r.name, "dim": r.dim, **verdict_dict(r.verdict),
+                 "wall_time_ms": r.wall_time_ms}
                 for r in self.rows
             ],
             "pass": self.passed,
@@ -91,23 +108,12 @@ def scan_one_group(spec: GroupSpec, cfg: ScanConfig, group_index: int) -> GroupR
     start = time.perf_counter()
     try:
         field = metric_field(spec, CHART, resolve_k(cfg.k))
-        rng = np.random.default_rng([cfg.seed, group_index])
-        # called through this module's name: perfbench/trace.py wraps scan.sample_safe_points
-        pts = sample_safe_points(field, cfg.samples, rng)
-        verdict = einstein_check(field, pts, cfg.tolerance)
+        v = verdict(field, cfg.samples, cfg.tolerance, cfg.seed, group_index)
     except InvalidInputError:
         raise  # a bad request, not a failed group
     except LieForgeError as exc:
-        verdict = EinsteinVerdict.failed(cfg.samples, cfg.tolerance, str(exc))
-    return GroupResult(
-        name=spec.name, dim=spec.dim,
-        lambda_hat=verdict.lambda_hat,
-        lambda_spread=verdict.lambda_spread,
-        max_residual=verdict.residual,
-        passed=verdict.passed,
-        wall_time_ms=(time.perf_counter() - start) * 1000.0,
-        failure=verdict.failure,
-    )
+        v = EinsteinVerdict.failed(str(exc))
+    return GroupResult(spec.name, spec.dim, v, (time.perf_counter() - start) * 1000.0)
 
 
 def run_scan(cfg: ScanConfig) -> ScanReport:
@@ -149,8 +155,8 @@ CSV_COLUMNS = ("name", "dim", "lambda_hat", "lambda_spread", "max_residual",
                "status", "wall_time_ms")
 
 
-def _fmt_float(x: float) -> str:
-    return format(x, ".17g") if np.isfinite(x) else "nan"
+def _fmt_float(x: float | None) -> str:
+    return format(x, ".17g") if x is not None and np.isfinite(x) else "nan"
 
 
 def dumps_csv(report_dict: dict) -> str:
@@ -158,9 +164,7 @@ def dumps_csv(report_dict: dict) -> str:
     for row in report_dict["groups"]:
         lines.append(",".join([
             row["name"], str(row["dim"]),
-            _fmt_float(row["lambda_hat"] if row["lambda_hat"] is not None else float("nan")),
-            _fmt_float(row["lambda_spread"] if row["lambda_spread"] is not None else float("nan")),
-            _fmt_float(row["max_residual"] if row["max_residual"] is not None else float("nan")),
+            *(_fmt_float(row[key]) for key in ("lambda_hat", "lambda_spread", "residual")),
             "pass" if row["pass"] else "fail",
             _fmt_float(row["wall_time_ms"]),
         ]))

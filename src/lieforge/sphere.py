@@ -13,9 +13,9 @@ import functools
 import numpy as np
 
 from .charts import off_pole, polar_domain
-from .curvature import check_tol_and_seed, einstein_check, sample_safe_points
 from .errors import InvalidInputError, SingularityError, check_alloc, check_width
 from .metric import JET_PEAK_D3_ARRAYS, FrameJet, MetricField, MetricTensor, _finish
+from .scan import verdict
 
 POLE_MARGIN = 1e-6
 
@@ -137,7 +137,4 @@ def sphere_einstein_check(n_ambient: int, samples: int, tol: float, seed: int = 
     Lambda = (N - 2) / 2)."""
     if n_ambient < 3:
         raise InvalidInputError("einstein check needs a sphere of dimension >= 2")
-    check_tol_and_seed(tol, seed)
-    field = sphere_metric_field(n_ambient)
-    pts = sample_safe_points(field, samples, np.random.default_rng(seed))
-    return einstein_check(field, pts, tol)
+    return verdict(sphere_metric_field(n_ambient), samples, tol, seed)

@@ -131,7 +131,7 @@ def test_criterion_5_conjecture_scan():
     elapsed = time.perf_counter() - start
     rows = {r.name: r for r in rep.rows}
     ok = rep.passed and elapsed < 300.0
-    ok = ok and all(r.lambda_spread < 1e-5 for r in rep.rows)
+    ok = ok and all(r.verdict.lambda_spread < 1e-5 for r in rep.rows)
     sp1_su2 = abs(rows["sp1"].lambda_hat - rows["su2"].lambda_hat)
     ok = ok and sp1_su2 < 1e-6
     detail = ", ".join(f"{r.name}:{r.lambda_hat:.6f}" for r in rep.rows)

@@ -318,6 +318,11 @@ class TestEinsteinCheck:
         with pytest.raises(InvalidInputError):
             einstein_check(su2_field, np.empty((0, 3)), 1e-6)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_tolerance_must_be_positive_and_finite(self, su2_field, tol):
+        with pytest.raises(InvalidInputError, match="tolerance must be positive and finite"):
+            einstein_check(su2_field, safe_su2_points(2, seed=27), tol)
+
     def test_field_residual_fails_where_lambda_steps(self):
         # S^7's jet with g scaled by 1 + 1e-7 where t1 > pi/2: Ricci and hess
         # are scale-free, so Ric = 2 Lambda g holds at every sample with two
@@ -369,7 +374,7 @@ class TestBatchedVerdict:
         pts = sample_safe_points(field, 20, np.random.default_rng(52))
         v = einstein_check(field, pts, 1e-6)
         lambdas = [riemann_ricci(field, p).scalar / (2 * field.dim) for p in pts]
-        assert v.passed and v.samples == 20
+        assert v.passed
         assert v.lambda_hat == pytest.approx(np.mean(lambdas), abs=1e-13)
         assert v.lambda_spread == pytest.approx(np.ptp(lambdas), abs=1e-13)
 
@@ -421,7 +426,7 @@ class TestBatchedVerdict:
             message = ("is outside the safe domain" if case == "jet-domain"
                        else "stencil leaves the safe domain")
         v = einstein_check(field, np.array([good, bad, good]), 1e-6)
-        assert not v.passed and v.samples == 3
+        assert not v.passed
         assert v.failure.startswith(f"sample {bad} failed: ")
         assert message in v.failure
 
@@ -577,7 +582,7 @@ class TestConditionGuard:
         assert not v.passed
         assert v.failure.startswith("sample [0.5")  # the first sample fails
         assert "failed: metric condition 1.000e+09 exceeds 1e+08" in v.failure
-        assert np.isnan(v.lambda_hat) and v.residual == np.inf and v.samples == 2
+        assert np.isnan(v.lambda_hat) and v.residual == np.inf
 
 
 class TestSampleSafePoints:

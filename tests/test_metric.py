@@ -24,6 +24,7 @@ from lieforge.metric import (
     _finish,
     _gram,
     closed_form_metric_su2_euler,
+    condition_number,
     exp_metric_field,
     exp_frame_jet,
     metric,
@@ -198,6 +199,16 @@ class TestFinish:
             with pytest.raises(SingularityError) as exc:
                 _finish(g, *np.linalg.eigh(g), None)
         assert exc.value.condition > METRIC_CONDITION_LIMIT
+
+    def test_condition_of_a_mixed_batch_without_warning(self):
+        # an all-+inf row beside finite ones is nan, not a warning
+        lam = np.array([[np.inf, np.inf], [1.0, 2.0], [-1.0, 2.0], [np.nan, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cond = condition_number(lam)
+            assert np.array_equal(condition_number(lam[:2]), [np.nan, 2.0], equal_nan=True)
+            assert condition_number(lam[0]) != condition_number(lam[0])
+        assert np.array_equal(cond, [np.nan, 2.0, np.inf, np.nan], equal_nan=True)
 
     def test_nan_condition_is_degenerate(self):
         # an eigenframe whose lam overflowed to inf gives cond = inf / inf = nan

@@ -13,8 +13,9 @@ from conftest import killing_lambda
 from lieforge import cli, scan
 from lieforge.catalog import parse_group_name, structure_constants
 from lieforge.errors import InvalidInputError, LieForgeError
-from lieforge.metric import MetricConfig, closed_form_metric_su2_euler, exp_metric_field
-from lieforge.curvature import sample_safe_points
+from lieforge.metric import (MetricConfig, closed_form_metric_su2_euler, exp_metric_field,
+                             metric_field, resolve_k)
+from lieforge.curvature import EinsteinVerdict, einstein_check, sample_safe_points
 from lieforge.scan import (
     ScanConfig,
     ScanReport,
@@ -94,7 +95,7 @@ class TestRunScan:
 
         monkeypatch.setattr(scan, "sample_safe_points", no_room)
         row = run_scan(ScanConfig(groups=("su2",), samples=2)).rows[0]
-        assert (row.passed, row.failure) == (False, "no room in the box")
+        assert (row.passed, row.verdict.failure) == (False, "no room in the box")
         assert np.isnan(row.lambda_hat) and row.max_residual == np.inf
 
     def test_failure_reason_in_report(self):
@@ -104,6 +105,58 @@ class TestRunScan:
         assert json.loads(emit_report(failing, "json"))["groups"][0]["failure"] == reason
         passing = run_scan(ScanConfig(groups=("su2",), samples=2)).to_dict()
         assert passing["groups"][0]["failure"] is None
+
+
+class TestOneVerdictPath:
+    """einstein, sphere --einstein and every scan group sample through
+    ``scan.verdict``, and every verdict's report keys come from ``verdict_dict``."""
+
+    @staticmethod
+    def recorder(monkeypatch):
+        seen = []
+
+        def recording(field, count, rng):
+            seen.append((field, sample_safe_points(field, count, rng)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(scan, "sample_safe_points", recording)
+        return seen
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 40])
+    def test_verdict_draws_the_seed_stream(self, seed, monkeypatch):
+        field = exp_metric_field(parse_group_name("su3"))
+        seen = self.recorder(monkeypatch)
+        v = scan.verdict(field, 4, 1e-6, seed)
+        [(drawn_from, pts)] = seen
+        expected = sample_safe_points(field, 4, np.random.default_rng(seed))
+        assert drawn_from is field and np.array_equal(pts, expected)
+        assert v == einstein_check(field, expected, 1e-6)
+
+    def test_scan_group_i_draws_stream_i(self, monkeypatch):
+        seen = self.recorder(monkeypatch)
+        rows = run_scan(ScanConfig(groups=("su2", "so3", "su3"), samples=3, seed=7)).rows
+        assert len(seen) == 3
+        for i, ((field, pts), row) in enumerate(zip(seen, rows)):
+            assert field is metric_field(parse_group_name(row.name), "exp", resolve_k("auto"))
+            expected = sample_safe_points(field, 3, np.random.default_rng([7, i]))
+            assert np.array_equal(pts, expected)
+            assert row.verdict == einstein_check(field, expected, 1e-6)
+
+    def test_every_report_lists_the_verdict_keys_alike(self, capsys):
+        keys = list(scan.verdict_dict(EinsteinVerdict.failed("none")))
+        row = run_scan(ScanConfig(groups=("su2",), samples=2)).to_dict()["groups"][0]
+        assert list(row) == ["name", "dim", *keys, "wall_time_ms"]
+        assert cli.main(["einstein", "--group", "su2", "--samples", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["group", "chart", "samples", "tolerance", *keys]
+        field = exp_metric_field(parse_group_name("su2"))
+        assert out == {"group": "su2", "chart": "exp", "samples": 2, "tolerance": 1e-6,
+                       **scan.verdict_dict(scan.verdict(field, 2, 1e-6, 0))}
+        assert cli.main(["sphere", "--dim", "4", "--einstein", "--samples", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["sphere", "samples", "tolerance", *keys]
+        assert out == {"sphere": "S3", "samples": 2, "tolerance": 1e-6,
+                       **scan.verdict_dict(sphere_einstein_check(4, 2, 1e-6))}
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +509,7 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("call", [
         lambda: run_scan(ScanConfig(groups=("su2",), samples=2.5)),
+        lambda: run_scan(ScanConfig(groups=(), samples=2.5)),
         lambda: sphere_einstein_check(4, 2.5, 1e-6),
         lambda: sphere_einstein_check(4, 2.0, 1e-6),
         lambda: run_scan(ScanConfig(groups=("su2",), samples=2, seed=1.5)),
@@ -464,9 +518,9 @@ class TestInputValidation:
         lambda: sphere_einstein_check(4, 2, float("nan")),
         lambda: sphere_einstein_check(4, 2, float("inf")),
         lambda: sphere_einstein_check(4, 2, 0.0),
-    ], ids=["scan-samples", "sphere-samples", "sphere-float-samples", "scan-seed",
-            "sphere-negative-seed", "sphere-float-seed", "sphere-nan-tol", "sphere-inf-tol",
-            "sphere-zero-tol"])
+    ], ids=["scan-samples", "empty-scan-samples", "sphere-samples", "sphere-float-samples",
+            "scan-seed", "sphere-negative-seed", "sphere-float-seed", "sphere-nan-tol",
+            "sphere-inf-tol", "sphere-zero-tol"])
     def test_api_verdict_inputs_raise_invalid_input(self, call):
         # argparse rejects all of these before the CLI reaches the API
         with pytest.raises(InvalidInputError):

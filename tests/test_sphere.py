@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lieforge import sphere
+from lieforge import scan
 from oracles import (hyperspherical_embedding, indexed_sphere_frame_jet, metric_jet,
                      sphere_full_jet, with_stencil)
 from lieforge.curvature import einstein_check, sample_safe_points
@@ -214,7 +214,7 @@ def test_einstein_samples_inside_field_box(monkeypatch):
         seen.append((field, sample_safe_points(field, count, rng)))
         return seen[-1][1]
 
-    monkeypatch.setattr(sphere, "sample_safe_points", recording)
+    monkeypatch.setattr(scan, "sample_safe_points", recording)
     assert sphere_einstein_check(5, samples=6, tol=1e-5).passed
     [(field, pts)] = seen
     lo, hi = field.domain.lo, field.domain.hi
