@@ -60,9 +60,17 @@ class StructureConstants(NamedTuple):
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:
-    """Scale a stack (p, n, n) to Tr(X^dag X) = GRAM_CONSTANT per matrix."""
-    gram = np.real(np.trace(x.conj().swapaxes(1, 2) @ x, axis1=1, axis2=2))
-    return x * np.sqrt(GRAM_CONSTANT / gram)[:, None, None]
+    """Scale a stack (p, n, n) in place to Tr(X^dag X) = GRAM_CONSTANT per matrix, the
+    trace summed as X^dag X's is: |x_ij|^2 over i, then along the diagonal as complex
+    numbers.  |x|^2 and its temporary, half the stack each, go before x is scaled."""
+    a = x.real * x.real
+    a += x.imag * x.imag
+    col = np.zeros(a.shape[:2], complex)
+    np.add.reduce(a, 1, out=col.real)
+    scale = np.sqrt(GRAM_CONSTANT / np.add.reduce(col, 1).real)
+    del a, col
+    x *= scale[:, None, None]
+    return x
 
 
 def _units(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,17 +88,23 @@ def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _su_generators(n: int) -> np.ndarray:
-    """(i/2) times the generalized Gell-Mann matrices: the symmetric and
-    antisymmetric pair of each j < k, then the n - 1 diagonal ones."""
-    e, et = _units(n, 1)
+    """(i/2) times the generalized Gell-Mann matrices in one zeroed stack: the
+    symmetric and antisymmetric pair of each j < k, then the n - 1 diagonal ones."""
+    j, k = np.triu_indices(n, 1)
+    x, r = np.zeros((n * n - 1, n, n), dtype=complex), 2 * np.arange(len(j))
+    x[r, j, k] = x[r, k, j] = 0.5j                # (i/2) (E_jk + E_kj)
+    x[r + 1, j, k], x[r + 1, k, j] = 0.5, -0.5    # (i/2) (-i E_jk + i E_kj)
     l, m = np.arange(1, n)[:, None], np.arange(n)
-    cartan = np.zeros((n - 1, n, n), dtype=complex)
-    cartan.reshape(n - 1, n * n)[:, ::n + 1] = ((m < l) - l * (m == l)) * np.sqrt(2 / (l * (l + 1)))
-    return 0.5j * np.concatenate([_pairs(e + et, -1j * e + 1j * et), cartan])
+    diag = ((m < l) - l * (m == l)) * np.sqrt(2 / (l * (l + 1)))
+    x[2 * len(j):].reshape(n - 1, n * n)[:, ::n + 1] = 0.5j * diag
+    return x
 
 
 def _so_generators(n: int) -> np.ndarray:
-    return 0.5 * np.subtract(*_units(n, 1))
+    j, k = np.triu_indices(n, 1)
+    x, r = np.zeros((len(j), n, n), dtype=complex), np.arange(len(j))
+    x[r, j, k], x[r, k, j] = 0.5, -0.5  # (E_jk - E_kj) / 2 for each j < k
+    return x
 
 
 def _sp_generators(n: int) -> np.ndarray:
@@ -118,14 +132,15 @@ _FAMILIES = {
 
 
 def make_group(family: str, n: int) -> GroupSpec:
-    """The algebra basis for one classical group, built once per (family, n).
-
-    Every caller shares the returned spec; its arrays are read-only.
-    """
+    """The algebra basis for one classical group, built once per (family, n), n an
+    int or numpy integer, not bool.  Every caller shares the returned spec; its
+    arrays are read-only."""
     fam = {"su": "SU", "so": "SO", "sp": "Sp"}.get(family.lower())
     if fam is None:
         raise InvalidInputError(f"unknown group family {family!r}")
-    return _build_group(fam, n)
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):  # 3.0 would hit su3's key
+        raise InvalidInputError(f"group size must be an integer, got {n!r}")
+    return _build_group(fam, int(n))
 
 
 @functools.lru_cache(maxsize=64)
@@ -134,8 +149,8 @@ def _build_group(fam: str, n: int) -> GroupSpec:
     if n < info["min_n"]:
         raise InvalidInputError(f"{fam}({n}) not supported: need n >= {info['min_n']}")
     dim = info["dim"](n)
-    # the peak: three complex stacks, X, conj(X) and X^dag X, in _normalize
-    check_alloc(48 * dim * info["size"](n) ** 2 + 8192, f"the {fam}({n}) generators")
+    # the peak: x beside |x|^2 and its temporary in _normalize, two complex stacks
+    check_alloc(32 * dim * info["size"](n) ** 2 + 8192, f"the {fam}({n}) generators")
     gens = _normalize(info["build"](n))
     gens.setflags(write=False)
     return GroupSpec(family=fam, n=n, generators=gens)

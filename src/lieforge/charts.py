@@ -84,7 +84,8 @@ def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every entry of U, d_theta U, d_phi U = (i/2) sigma_3 U and d_psi U =
     U (i/2) sigma_3 is a phase times a constant combination of (c, s), the real
     view of e^{i theta / 2}: one complex exponential and one matmul."""
-    angles = np.atleast_2d(angles)
+    angles = np.asarray(angles)
+    angles = angles.reshape(1, -1) if angles.ndim < 2 else angles
     m = len(angles)
     z = np.exp(1j * (angles @ _EULER_PHASE))
     out = z[:, None, 1:] * (z[:, :1].view(float) @ _EULER_TRIG).reshape(m, 4, 4)
@@ -93,7 +94,8 @@ def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def off_pole(pts: np.ndarray, npolar: int, margin: float) -> np.ndarray:
     """Per row of pts and polar angle t, its first npolar coordinates: margin < t < pi - margin."""
-    polar = np.atleast_2d(pts)[:, :npolar]
+    pts = np.asarray(pts)
+    polar = (pts.reshape(1, -1) if pts.ndim < 2 else pts)[:, :npolar]
     return (polar > margin) & (polar < np.pi - margin)
 
 
@@ -104,8 +106,8 @@ def polar_domain(npolar: int, nazimuthal: int, box_margin: float, pole_margin: f
     box = np.array([[box_margin] * npolar + [-np.pi] * nazimuthal,
                     [np.pi - box_margin] * npolar + [np.pi] * nazimuthal])
     box.setflags(write=False)
-    return SafeDomain(lo=box[0], hi=box[1],
-                      contains=lambda pts: off_pole(pts, npolar, pole_margin).all(axis=1))
+    return SafeDomain(lo=box[0], hi=box[1], contains=lambda pts: np.logical_and.reduce(
+        off_pole(pts, npolar, pole_margin), 1))
 
 
 def chart_cache(build: Callable) -> Callable:
@@ -146,7 +148,7 @@ def safe_domain(spec: GroupSpec, chart: str) -> SafeDomain:
 
     def contains(pts):
         p = np.asarray(pts).reshape(-1, d)  # np.linalg.norm(p, axis=1), without its wrapper
-        return np.sqrt((p * p).sum(1)) < EXP_NORM_MAX
+        return np.sqrt(np.add.reduce(p * p, 1)) < EXP_NORM_MAX
 
     box = np.outer([-0.9, 0.9], np.full(d, EXP_NORM_MAX / np.sqrt(d)))
     box.setflags(write=False)

@@ -27,8 +27,8 @@ CHUNK_BYTES = ALLOC_BUDGET_BYTES >> 13
 def _require_inside(field: MetricField, pts: np.ndarray, message: str) -> None:
     """DomainError, ``message`` formatted at the first row of pts outside the domain."""
     inside = np.asarray(field.domain.contains(pts), bool)
-    if not inside.all():
-        raise DomainError(message.format(pts[np.argmin(inside)], field.name))
+    if not np.logical_and.reduce(inside, None):
+        raise DomainError(message.format(pts[inside.argmin()], field.name))
 
 
 class CurvatureBundle(NamedTuple):  # at points (..., d); every field keeps those leading axes
@@ -47,18 +47,20 @@ def _frame_ricci(field: MetricField,
     Raises InvalidInputError for points whose width is not ``field.dim``, checked
     before the domain, and SingularityError, naming the first point, where
     ``condition_number(lam)`` exceeds CURVATURE_CONDITION_LIMIT."""
-    check_width(points.shape, field.dim, field.name)
-    points = points.reshape(-1, field.dim)
+    d = field.dim
+    check_width(points.shape, d, field.name)
+    points = points.reshape(-1, d)
     _require_inside(field, points, "{0} is outside the safe domain of {1}")
     jet = field.jet(points)
     condition = condition_number(jet.lam)
-    if not (condition <= CURVATURE_CONDITION_LIMIT).all():  # nan too
-        i = np.argmin(condition <= CURVATURE_CONDITION_LIMIT)
+    ok = condition <= CURVATURE_CONDITION_LIMIT  # nan fails too
+    if not np.logical_and.reduce(ok, None):
+        i = ok.argmin()
         worst = float(condition[i])
         raise SingularityError(
             f"metric condition {worst:.3e} exceeds {CURVATURE_CONDITION_LIMIT:.0e}",
             condition=worst, point=points[i])
-    (m, d), dg, w = points.shape, jet.dg, 1.0 / jet.lam
+    m, dg, w = len(points), jet.dg, 1.0 / jet.lam
     t = dg.swapaxes(1, 2)  # Gamma_dab = (d_a g_db + d_b g_da - d_d g_ab) / 2, then w_d
     gam = (0.5 * w[:, :, None, None]) * (t + t.swapaxes(2, 3) - dg)
     flat = dg.reshape(m, d, d * d)
@@ -69,7 +71,7 @@ def _frame_ricci(field: MetricField,
     quad = swapped.reshape(m, d, d * d) @ swapped.reshape(m, d * d, d)
     ric = (0.5 * (jet.hess + tr_aa) - quad
            + (v.swapaxes(1, 2) @ gam.reshape(m, d, d * d)).reshape(m, d, d))
-    return jet, ric, (ric.diagonal(0, 1, 2) * w).sum(1)
+    return jet, ric, np.add.reduce(ric.diagonal(0, 1, 2) * w, 1)
 
 
 def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
@@ -77,7 +79,8 @@ def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
     (..., d) from one call of the field's jet; a scalar is one point of one
     coordinate.  Raises as ``_frame_ricci`` does: InvalidInputError for points
     of the wrong width, checked before the domain, then DomainError and SingularityError."""
-    points = np.atleast_1d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    points = points if points.ndim else points.reshape(1)
     jet, ric, scalar = _frame_ricci(field, points)
     lead, d, q = points.shape[:-1], field.dim, jet.q
     return CurvatureBundle(ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
@@ -101,8 +104,8 @@ class EinsteinVerdict(NamedTuple):
 
 
 def check_samples(count: int) -> None:
-    """InvalidInputError unless ``count`` is an integer >= 1, numpy integers included."""
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
+    """InvalidInputError unless ``count`` is an integer >= 1, numpy integers included, not bool."""
+    if not (isinstance(count, (int, np.integer)) and not isinstance(count, bool) and count >= 1):
         raise InvalidInputError(f"need an integer count of at least one sample point, got {count}")
 
 
@@ -138,7 +141,8 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
     and finite, or no points.
     """
     check_tol(tol)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    points = points.reshape(1, -1) if points.ndim < 2 else points
     if len(points) < 1:
         raise InvalidInputError("einstein check needs at least one sample point")
     d, parts = field.dim, []
@@ -156,7 +160,7 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
         parts.append((ric, jet.lam, scalar))
     ric, g_eig, scalar = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     lambdas = scalar / (2.0 * d)
-    lam = float(lambdas.sum()) / len(lambdas)
+    lam = float(np.add.reduce(lambdas, None)) / len(lambdas)
     # ||Ric - s g||_F / ||g||_F per sample in the jet's frame, g = diag(g_eig),
     # s = 2 Lambda and R / 2 - Lambda (d - 2), subtracted on the diagonals of
     # two copies of Ric; an expanded square loses digits
@@ -165,12 +169,13 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
     diag[0] -= (2.0 * lam) * g_eig
     diag[1] -= (0.5 * scalar - lam * (d - 2))[:, None] * g_eig
     ratio = np.einsum("kmab,kmab->km", r, r) / np.einsum("ma,ma->m", g_eig, g_eig)
-    residual, field_residual = np.sqrt(ratio.max(axis=1)).tolist()
+    residual, field_residual = np.sqrt(np.maximum.reduce(ratio, 1)).tolist()
     failure = None
     if not residual < tol:
         failure = f"residual {residual:.3e} is not below tolerance {tol:.3e}"
     elif d != 2 and not field_residual < tol:
         failure = f"field residual {field_residual:.3e} is not below tolerance {tol:.3e}"
-    return EinsteinVerdict(lambda_hat=lam, lambda_spread=float(lambdas.max() - lambdas.min()),
+    spread = float(np.maximum.reduce(lambdas, None) - np.minimum.reduce(lambdas, None))
+    return EinsteinVerdict(lambda_hat=lam, lambda_spread=spread,
                            residual=residual, field_residual=field_residual,
                            passed=failure is None, failure=failure)

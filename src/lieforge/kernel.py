@@ -82,20 +82,20 @@ def psi_divided_differences(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     last bit of the sums, so D1 and D2 are unchanged.
     """
     mu = np.asarray(mu, dtype=float)
-    low = float(mu.min(initial=0.0))
+    low = float(np.minimum.reduce(mu, None, initial=0.0))
     if not low >= PSI_SERIES_MIN:
         raise NumericRangeError(
             f"divided differences of psi need eigenvalues >= {PSI_SERIES_MIN:.4f}, got {low:.4g}")
     n, d = _PSI_TERMS, mu.shape[-1]
     v = np.empty(mu.shape + (n,))  # [..., i, p] = mu_i^p
     v[..., 0], v[..., 1:] = 1.0, mu[..., None]
-    np.cumprod(v, axis=-1, out=v)
+    np.multiply.accumulate(v, -1, out=v)
     np.copyto(v, 0.0, where=np.abs(v) < 1e-100)  # times c_n >= 1 / 120!, still normal
-    vt = np.swapaxes(v, -1, -2)
+    vt = v.swapaxes(-1, -2)
     d1 = v @ _PSI_H1 @ vt
     t = (v @ _PSI_H2).reshape(mu.shape[:-1] + (d * n, n)) @ vt
     t = t.reshape(v.shape + (d,))  # [..., i, q, j]
-    return 0.5 * (d1 + np.swapaxes(d1, -1, -2)), v[..., None, :, :] @ t
+    return 0.5 * (d1 + d1.swapaxes(-1, -2)), v[..., None, :, :] @ t
 
 
 def expm_dual(a: np.ndarray) -> np.ndarray:

@@ -18,6 +18,12 @@ projects w_a on the basis and takes its derivatives as brackets, and
 ``contract_jet`` turns it into the eigenframe of g.  Both read traces
 through ``_real``, which guards against imaginary parts.  The module also
 carries the closed-form SU(2) Euler-chart metric, an oracle for both.
+
+Every path a verdict or point query takes, in this module and those it calls,
+calls numpy's C entry points (``np.add.reduce``, ``a.swapaxes``, an ``ndim``
+test), not the Python wrappers that forward to them (``ndarray.sum``,
+``np.all``, ``np.cumprod``, ``np.atleast_2d``); ``einsum``, ``eigh`` and the
+oracles are the exceptions, and ``.sum`` stays on bool or int input.
 """
 
 import math
@@ -102,13 +108,14 @@ class MetricField(NamedTuple):
     dim = property(lambda self: len(self.domain.lo))
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:  # a scalar is one coordinate
-        return self.func(np.atleast_1d(np.asarray(pts, dtype=float)))
+        pts = np.asarray(pts, dtype=float)
+        return self.func(pts if pts.ndim else pts.reshape(1))
 
 
 def _real(raw: np.ndarray) -> np.ndarray:
     """The real part of k-free traces of anti-Hermitian products, which must
     be real: a guard against imaginary parts past _IMAG_TOL."""
-    imag = float(np.abs(raw.imag).max())
+    imag = float(np.maximum.reduce(np.abs(raw.imag), None))
     if imag > _IMAG_TOL:
         raise LieForgeError(
             f"metric entries acquired imaginary parts up to {imag:.3e}"
@@ -128,7 +135,6 @@ def _where(point: ChartPoint | None) -> str:
 def condition_number(lam: np.ndarray) -> np.ndarray:
     """max lam / min lam along the last axis of a symmetric g's eigenvalues lam, its
     2-norm condition number; +inf where min lam <= 0, nan where lam has nan or is all +inf."""
-    # ufunc reductions skip the Python wrappers of ndarray.min and .all: 2 us of a point query
     lo, hi = np.minimum.reduce(lam, -1), np.maximum.reduce(lam, -1)
     # every g positive definite and finite, no mask: a batch's lo needs max too (inf / inf)
     if (0 < lo < np.inf if lo.ndim == 0
@@ -143,7 +149,7 @@ def _finish(g: np.ndarray, lam: np.ndarray, q: np.ndarray,
     """Condition number and inverse of a symmetric g = Q diag(lam) Q^T from its
     eigenframe (lam, Q), the one ``metric_batch`` gives with g or, on the
     sphere, (diag(g), I): ``condition_number(lam)`` and g^-1 = Q diag(1 / lam) Q^T."""
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g), None):
         raise NumericRangeError(f"metric has non-finite entries{_where(point)}")
     cond = float(condition_number(lam))
     if not cond <= METRIC_CONDITION_LIMIT:  # nan too
@@ -168,7 +174,7 @@ def _exp_spectrum(spec: GroupSpec, thetas: np.ndarray
     d = spec.dim
     ad = (thetas @ spec.structure.reshape(d, d * d)).reshape(-1, d, d)  # [m, b, e]
     x = ad @ ad  # (M^T)^2 = M^2, symmetric since M is skew
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), None):
         raise NumericRangeError(f"non-finite entries in ad^2 on the {spec.name} exp chart")
     mu, q = np.linalg.eigh(x)
     return ad, mu, q, psi(mu)
@@ -212,12 +218,14 @@ def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
     # K_s,ckc as [s, k, c]: U_s,x is skew or symmetric, so U_s,x,ck U_s,y,ck
     # summed against it equals the sum against [s, c, k]
     wdiag = (ws * kern.diagonal(0, 2, 4)).reshape(m, 2, 1, d * d)
-    inner = ((us * wdiag) @ us.swapaxes(2, 3)).sum(1)
+    inner = np.add.reduce((us * wdiag) @ us.swapaxes(2, 3), 1)
     col = u.transpose(0, 1, 4, 2, 3)              # [m, s, k, c, x] = U_s,c,xk
-    outer = (kern.swapaxes(2, 3) * ((col * ws[..., None]).swapaxes(3, 4) @ col)).sum((1, 2))
+    outer = np.add.reduce(
+        kern.swapaxes(2, 3) * ((col * ws[..., None]).swapaxes(3, 4) @ col), (1, 2))
     wk = wp[:, None, :, None, None] * kern        # [m, s, c, k, y] = 2 kappa w_c K_s,cky
     hs = u.diagonal(0, 2, 3)[..., None, :] @ wk.swapaxes(2, 3)  # [m, s, k, 1, y] = 2 kappa H
-    mixed = (us @ (wk * u).reshape(m, 2, d * d, d)).sum(1) + (u * hs.swapaxes(2, 3)).sum((1, 3))
+    mixed = (np.add.reduce(us @ (wk * u).reshape(m, 2, d * d, d), 1)
+             + np.add.reduce(u * hs.swapaxes(2, 3), (1, 3)))
     return FrameJet(q=q, lam=c2 * p, dg=(c2 * d1)[:, None] * u[:, 1],
                     hess=mixed + mixed.swapaxes(1, 2) - outer - inner)
 

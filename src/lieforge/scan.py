@@ -24,10 +24,10 @@ CHART = "exp"  # every group has an exponential chart
 
 def check_verdict_args(samples: int, tol: float, seed: int) -> None:
     """InvalidInputError unless samples is an integer >= 1, tol positive and
-    finite, and seed an integer >= 0, as ``np.random.default_rng`` needs."""
+    finite, and seed an integer >= 0, as ``np.random.default_rng`` needs; a bool is neither."""
     check_samples(samples)
     check_tol(tol)
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
         raise InvalidInputError("seed must be an integer >= 0")
 
 

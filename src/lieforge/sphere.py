@@ -22,7 +22,8 @@ POLE_MARGIN = 1e-6
 
 def _angles(n_ambient: int, thetas: np.ndarray) -> np.ndarray:
     """Points (..., N - 1) of S^{N-1} as a batch (m, N - 1), or InvalidInputError."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    thetas = np.asarray(thetas, dtype=float)
+    thetas = thetas if thetas.ndim else thetas.reshape(1)
     if n_ambient < 2:
         raise InvalidInputError("sphere embedding needs ambient dimension >= 2")
     check_width(thetas.shape, n_ambient - 1, f"s{n_ambient - 1}-pullback")
@@ -49,8 +50,8 @@ def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray
 
 def _check_polar(n_ambient: int, theta: np.ndarray):
     inside = off_pole(theta, max(n_ambient - 2, 0), POLE_MARGIN)[0]
-    if not inside.all():
-        i = int(np.argmin(inside))
+    if not np.logical_and.reduce(inside, None):
+        i = int(inside.argmin())
         raise SingularityError(
             f"polar angle t{i + 1} = {theta[i]:g} is not in "
             f"({POLE_MARGIN:g}, pi - {POLE_MARGIN:g}); the embedding Jacobian "
@@ -62,19 +63,21 @@ def _check_polar(n_ambient: int, theta: np.ndarray):
 def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     """Induced metric g = diag(lam) at one point (N - 1,), with its own frame
     (lam, I): the condition is max lam / min lam, with no eigh."""
-    theta, field = np.atleast_1d(np.asarray(theta, dtype=float)), sphere_metric_field(n_ambient)
+    theta, field = np.asarray(theta, dtype=float), sphere_metric_field(n_ambient)
+    theta = theta if theta.ndim else theta.reshape(1)
     g = field.func(theta)[0]
     check_width(theta.shape, field.dim, field.name, one=True)
     _check_polar(n_ambient, theta)
     return _finish(g, g.diagonal(), np.eye(len(g)), None)
 
 
-def _diagonal(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin t_b of the polar angles and lam_a = prod_{b<a} sin^2 t_b at points (m, d)."""
-    sin, lam = np.sin(t[:, :-1]), np.empty(t.shape)
+def _diagonal(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin t_b, sin^2 t_b of the polar angles and lam_a = prod_{b<a} sin^2 t_b at points (m, d)."""
+    sin = np.sin(t[:, :-1])
+    sin2, lam = sin * sin, np.empty(t.shape)
     lam[:, 0] = 1.0
-    np.cumprod(sin * sin, axis=-1, out=lam[:, 1:])
-    return sin, lam
+    np.multiply.accumulate(sin2, -1, out=lam[:, 1:])
+    return sin, sin2, lam
 
 
 @functools.lru_cache(maxsize=64)
@@ -99,18 +102,18 @@ def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
     t = t.reshape(-1, t.shape[-1])
     m, d = t.shape
     check_alloc(8 * JET_PEAK_D3_ARRAYS * m * d ** 3, f"the S^{d} curvature jet")
-    sin, lam = _diagonal(t)
+    sin, sin2, lam = _diagonal(t)
     below = _below(d)
     dlog = np.zeros((m, d, d))
     dlog[:, :-1] = (2.0 * np.cos(t[:, :-1]) / sin)[..., None] * below
     csc2 = np.zeros((m, d, d))                                # [c, a] = 2 csc^2 t_c [c < a]
-    csc2[:, :-1] = (2.0 / (sin * sin))[..., None] * below
+    csc2[:, :-1] = (2.0 / sin2)[..., None] * below
     w = 1.0 / lam
     block = np.zeros((2, m, d, d))
     diag = block.reshape(2, m, d * d)[..., ::d + 1]
     diag[0], diag[1] = lam * (w[:, None] @ (dlog * dlog - csc2))[:, 0], 1.0
     inner = dlog @ dlog.swapaxes(1, 2)
-    inner.reshape(m, d * d)[:, ::d + 1] -= csc2.sum(2)
+    inner.reshape(m, d * d)[:, ::d + 1] -= np.add.reduce(csc2, 2)
     dg = np.zeros((m, d, d, d))
     dg.reshape(m, d, d * d)[..., ::d + 1] = lam[:, None] * dlog
     outer, q = block
@@ -123,7 +126,7 @@ def sphere_metric_field(n_ambient: int) -> MetricField:
     polar angles, sampled in [0.3, pi - 0.3], and one azimuth; built once per N
     and shared.  At finite points its value is diag of its jet's lam, bit for bit."""
     def func(pts):
-        lam = _diagonal(_angles(n_ambient, pts))[1]
+        lam = _diagonal(_angles(n_ambient, pts))[2]
         return lam[:, :, None] * np.eye(n_ambient - 1)
 
     npolar = max(n_ambient - 2, 0)

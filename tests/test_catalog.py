@@ -133,6 +133,21 @@ def test_unsupported_rank(family, n):
         make_group(family, n)
 
 
+@pytest.mark.parametrize("n", [3.0, "3", True, 3.5, None])
+def test_make_group_rejects_a_non_integer_size(n):
+    # su3 is cached under the key 3, which 3.0 and True's 1 would hash like;
+    # so41 is never built, so its check cannot lean on the cache either
+    make_group("su", 3)
+    for family in ("su", "so"):
+        with pytest.raises(InvalidInputError, match="integer"):
+            make_group(family, 41.0 if family == "so" and n == 3.0 else n)
+
+
+def test_make_group_takes_a_numpy_integer():
+    spec = make_group("su", np.int64(3))
+    assert spec is make_group("su", 3) and type(spec.n) is int
+
+
 def test_unknown_family():
     with pytest.raises(InvalidInputError):
         make_group("g2", 2)
@@ -205,11 +220,11 @@ def test_generators_are_pinned_bitwise():
 
 
 def test_generator_build_is_budgeted(monkeypatch):
-    # three (dim, n, n) complex stacks, X, conj(X) and X^dag X while
+    # two (dim, n, n) complex stacks, X and |X|^2 with its temporary while
     # normalizing, and 8 KiB for small arrays and headers: the build fails one
     # byte under that ask, stays inside it, and from so10 up is within 10% of it
-    for family, n, asked in [("SU", 2, 8768), ("Sp", 3, 44480), ("SO", 10, 224192),
-                             ("SO", 20, 3656192)]:
+    for family, n, asked in [("SU", 2, 8576), ("Sp", 3, 32384), ("SO", 10, 152192),
+                             ("SO", 20, 2440192)]:
         monkeypatch.setattr(lieforge.errors, "ALLOC_BUDGET_BYTES", asked - 1)
         with pytest.raises(InvalidInputError, match=re.escape(f"the {family}({n}) generators")):
             catalog._build_group.__wrapped__(family, n)

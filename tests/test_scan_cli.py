@@ -518,9 +518,19 @@ class TestInputValidation:
         lambda: sphere_einstein_check(4, 2, float("nan")),
         lambda: sphere_einstein_check(4, 2, float("inf")),
         lambda: sphere_einstein_check(4, 2, 0.0),
+        # bool is an int in Python, but True is neither a sample count nor a seed
+        lambda: run_scan(ScanConfig(groups=("su2",), samples=True)),
+        lambda: ScanConfig(groups=("su2",), seed=False),
+        lambda: scan.verdict(exp_metric_field(parse_group_name("su2")), 2, 1e-6, True),
+        lambda: sample_safe_points(exp_metric_field(parse_group_name("su2")), True,
+                                   np.random.default_rng(0)),
+        lambda: sphere_einstein_check(4, True, 1e-6),
+        lambda: sphere_einstein_check(4, 2, 1e-6, np.True_),
     ], ids=["scan-samples", "empty-scan-samples", "sphere-samples", "sphere-float-samples",
             "scan-seed", "sphere-negative-seed", "sphere-float-seed", "sphere-nan-tol",
-            "sphere-inf-tol", "sphere-zero-tol"])
+            "sphere-inf-tol", "sphere-zero-tol", "scan-bool-samples", "scan-bool-seed",
+            "verdict-bool-seed", "sampler-bool-count", "sphere-bool-samples",
+            "sphere-numpy-bool-seed"])
     def test_api_verdict_inputs_raise_invalid_input(self, call):
         # argparse rejects all of these before the CLI reaches the API
         with pytest.raises(InvalidInputError):
