@@ -131,11 +131,14 @@ _FAMILIES = {
 }
 
 
+_FAMILY_KEYS = {"su": "SU", "so": "SO", "sp": "Sp"}
+
+
 def make_group(family: str, n: int) -> GroupSpec:
     """The algebra basis for one classical group, built once per (family, n), n an
     int or numpy integer, not bool.  Every caller shares the returned spec; its
     arrays are read-only."""
-    fam = {"su": "SU", "so": "SO", "sp": "Sp"}.get(family.lower())
+    fam = _FAMILY_KEYS.get(family.lower())
     if fam is None:
         raise InvalidInputError(f"unknown group family {family!r}")
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):  # 3.0 would hit su3's key
@@ -160,7 +163,18 @@ _NAME_RE = re.compile(r"^(su|so|sp)(\d+)$")
 
 
 def parse_group_name(name: str) -> GroupSpec:
-    """Parse CLI group names of the form su2, so4, sp1."""
+    """Parse CLI group names of the form su2, so4, sp1 into the one spec of their
+    (family, n).  The parse is cached per name string; a name that is not a str,
+    or not of that form, raises InvalidInputError on every call."""
+    if not isinstance(name, str):
+        raise InvalidInputError(f"group name must be a string, got {name!r}")
+    return _build_group(*_parse_name(name))
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_name(name: str) -> tuple[str, int]:
+    """(family, n) of a group name; the spec is looked up in ``_build_group`` on each
+    call, so a spec it evicts is not kept alive here."""
     m = _NAME_RE.match(name.strip().lower())
     if not m:
         raise InvalidInputError(
@@ -170,7 +184,7 @@ def parse_group_name(name: str) -> GroupSpec:
         n = int(m.group(2))
     except ValueError:  # past Python's limit on digits converted to an int
         raise InvalidInputError(f"group size in {name[:12]!r}... has too many digits") from None
-    return make_group(m.group(1), n)
+    return _FAMILY_KEYS[m.group(1)], n
 
 
 def structure_constants(spec: GroupSpec) -> StructureConstants:

@@ -55,12 +55,19 @@ class _ChartFields(NamedTuple):
 
 
 class ChartPoint(_ChartFields):
+    """One point of a group's chart, checked at construction, ``_replace`` included:
+    the chart is in ``safe_domain``'s table and coords has its box's width.  This is
+    a point query's one width check; ``metric.metric`` trusts it."""
     __slots__ = ()
 
     def __new__(cls, chart, coords, group):
         coords, width = np.asarray(coords, dtype=float), len(safe_domain(group, chart).lo)
         check_width(coords.shape, width, group.name, chart, one=True)
         return super().__new__(cls, chart, coords, group)
+
+    @classmethod
+    def _make(cls, iterable):  # NamedTuple's _make, and so _replace, skip __new__
+        return cls(*iterable)
 
 
 def exp_chart_batch(spec: GroupSpec, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -92,15 +92,15 @@ class EinsteinVerdict(NamedTuple):
     lambda_spread: float
     residual: float
     field_residual: float
-    passed: bool
     failure: str | None = None
+
+    passed = property(lambda self: self.failure is None)
 
     @classmethod
     def failed(cls, reason: str) -> "EinsteinVerdict":
         """A verdict that could not be computed: no Lambda, infinite residuals."""
         return cls(lambda_hat=float("nan"), lambda_spread=float("nan"),
-                   residual=float("inf"), field_residual=float("inf"),
-                   passed=False, failure=reason)
+                   residual=float("inf"), field_residual=float("inf"), failure=reason)
 
 
 def check_samples(count: int) -> None:
@@ -177,5 +177,4 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
         failure = f"field residual {field_residual:.3e} is not below tolerance {tol:.3e}"
     spread = float(np.maximum.reduce(lambdas, None) - np.minimum.reduce(lambdas, None))
     return EinsteinVerdict(lambda_hat=lam, lambda_spread=spread,
-                           residual=residual, field_residual=field_residual,
-                           passed=failure is None, failure=failure)
+                           residual=residual, field_residual=field_residual, failure=failure)

@@ -1,6 +1,7 @@
 """Maurer-Cartan frames and the group metric g_ab = k Tr(w_a^dag w_b).
 
-``metric_batch`` is the one place a chart is chosen and a chart g formed.
+``metric_batch`` is the one place a chart is chosen and a chart g formed;
+``metric`` enters it past its width check, as a ``ChartPoint`` has made that.
 On the exponential chart the frames have the closed form w_a = phi(ad_A) X_a
 with A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
 orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
@@ -285,6 +286,13 @@ def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
     rejects a chart the group does not have, and its box's width is the points'."""
     pts = np.asarray(pts, dtype=float)
     check_width(pts.shape, len(safe_domain(spec, chart).lo), spec.name, chart)
+    return _metric_frames(spec, chart, pts, k)
+
+
+def _metric_frames(spec: GroupSpec, chart: str, pts: np.ndarray,
+                   k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``metric_batch`` at float points of ``chart``'s width (or one point (d,)),
+    already checked; the Euler chart is su2's."""
     if chart == "exp":
         # g = kappa (p + p^T), p = I / 2 + Q diag(psi - 1/2) Q^T: symmetric, identity exact
         q, ps = _exp_spectrum(spec, pts)[2:]
@@ -316,13 +324,17 @@ def exp_metric_field(spec: GroupSpec, k: float = 2.0) -> MetricField:
 
 
 def metric(cfg: MetricConfig, point: ChartPoint) -> MetricTensor:
-    """Pipeline metric at one point of ``cfg``'s group and chart."""
-    if point.chart != cfg.chart or point.group.name != cfg.group.name:
+    """Pipeline metric at one point of ``cfg``'s group and chart: a ``ChartPoint``
+    of that chart and of ``cfg.group`` itself, whose construction checked the chart
+    and the width, so neither is checked again here."""
+    if not isinstance(point, ChartPoint):
+        raise InvalidInputError(f"metric takes a ChartPoint, got {type(point).__name__}")
+    if point.chart != cfg.chart or point.group is not cfg.group:
         raise InvalidInputError(
             f"{point.group.name} {point.chart}-chart point given to the "
             f"{cfg.group.name} {cfg.chart}-chart metric"
-        )
-    g, lam, q = metric_batch(cfg.group, cfg.chart, point.coords, cfg.resolve_k())
+            + (" of another spec" if point.group.name == cfg.group.name else ""))
+    g, lam, q = _metric_frames(cfg.group, cfg.chart, point.coords, cfg.resolve_k())
     return _finish(g[0], lam[0], q[0], point)
 
 

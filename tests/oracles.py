@@ -11,6 +11,10 @@ what it does run.
 - The finite-difference (FD) stencil ``metric_jet``, and ``stencil_field``
   and ``with_stencil``, which give a field the stencil on its own values as
   its jet: hand-written test fields have no closed-form jet.
+- Coordinates of the second kind: ``product_chart`` (U and dU of any product
+  of exponentials, from scipy's ``expm``) and ``second_kind_field``, every
+  group's product chart over its catalog basis, with ``product_jet`` as its
+  jet.
 - Chart frames: ``exp_chart`` and ``euler_chart`` (U and dU at one point),
   ``maurer_cartan`` (the literal U^-1 dU), ``su2_log``, the chart transition
   and the Euler-chart isometry residuals, ``expm``, ``symplectic_form`` and
@@ -28,15 +32,17 @@ what it does run.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from lieforge.catalog import GRAM_CONSTANT
-from lieforge.charts import EXP_NORM_MAX, ChartPoint, euler_chart_batch, exp_chart_batch
+from lieforge.charts import (EXP_NORM_MAX, ChartPoint, SafeDomain, euler_chart_batch,
+                             exp_chart_batch)
 from lieforge.curvature import _require_inside, riemann_ricci
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.kernel import (_PSI_H1, _PSI_H2, _PSI_TERMS, expm_dual, mat_inverse,
                              psi_divided_differences)
 from lieforge.metric import (FrameJet, MetricField, MetricTensor, _exp_spectrum, contract_jet,
-                             metric, metric_batch)
+                             metric, metric_batch, product_jet)
 from lieforge.sphere import _check_polar, hyperspherical_batch
 
 BASE_STEP = 1e-3
@@ -135,6 +141,35 @@ class FrameEvaluation:
 
     U: np.ndarray
     dU: np.ndarray  # (d, n, n)
+
+
+def product_chart(y, pts):
+    """U = prod_j E_j, E_j = exp(t_j Y_j), and dU (m, n, s, s) at points (m, n) of the
+    product chart of a generator stack y (n, s, s): scipy's expm of each factor,
+    and dU_a = (prod_{j<a} E_j) Y_a (prod_{j>=a} E_j)."""
+    n, s = y.shape[:2]
+    e = scipy.linalg.expm(np.atleast_2d(pts)[..., None, None] * y)  # [m, j]
+    left, right = [np.eye(s)], [np.eye(s)]
+    for j in range(n):
+        left.append(left[-1] @ e[:, j])
+        right.insert(0, e[:, n - 1 - j] @ right[0])
+    return left[-1], np.stack([left[j] @ y[j] @ right[j] for j in range(n)], 1)
+
+
+def second_kind_field(spec, k=2.0):
+    """Coordinates of the second kind, U = prod_a exp(t_a X_a) over the catalog
+    basis in its order, sampled in the box [-1, 1]^d, which they chart for every
+    group here: the unchanged ``product_jet`` with order (0, ..., d - 1) is the
+    field's exact jet, and its g the field's value."""
+    order, d = tuple(range(spec.dim)), spec.dim
+
+    def full_jet(pts):
+        return product_jet(spec, *product_chart(spec.generators, pts), order, k)
+
+    domain = SafeDomain(lo=np.full(d, -1.0), hi=np.full(d, 1.0),
+                        contains=lambda x: np.ones(len(np.atleast_2d(x)), bool))
+    return MetricField(func=lambda pts: full_jet(pts)[0], domain=domain,
+                       name=f"{spec.name}-second-kind", jet=lambda pts: contract_jet(*full_jet(pts)))
 
 
 def exp_chart(spec, theta):

@@ -163,10 +163,19 @@ def test_parse_group_name(name, family, n):
     assert spec.name == name
 
 
-@pytest.mark.parametrize("bad", ["SU(2)", "e8", "su", "2su", ""])
+@pytest.mark.parametrize("bad", ["SU(2)", "e8", "su", "2su", "", 3, None, ["su2"], b"su2"])
 def test_parse_group_name_rejects(bad):
     with pytest.raises(InvalidInputError):
         parse_group_name(bad)
+
+
+def test_parse_group_name_is_cached_and_errors_are_not():
+    assert parse_group_name(" SU3 ") is parse_group_name("su3") is make_group("su", 3)
+    for _ in range(3):
+        with pytest.raises(InvalidInputError):
+            parse_group_name("su1")
+        with pytest.raises(InvalidInputError):
+            parse_group_name("SU(3)")
 
 
 def test_make_group_is_shared_and_read_only():

@@ -2,24 +2,25 @@
 full-ddg oracles contracted with g^-1 and turned into the same frame; the
 product-chart jet against the printed SU(2) Euler metric's derivatives and
 the finite-difference stencil, on the SU(2) Euler chart and on Tilma and
-Sudarshan's SU(3) chart."""
+Sudarshan's SU(3) chart; and the verdict on coordinates of the second kind
+against the Killing Lambda."""
 
 import functools
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import fd_derivative, jet_points, killing_lambda
 from oracles import (chart_ricci, chart_view, closed_form_su2_euler_full_jet, euler_chart,
                      exp_full_jet, frame_contractions, hess, maurer_cartan, metric_jet,
-                     sphere_full_jet)
-from lieforge.catalog import parse_group_name
+                     product_chart, second_kind_field, sphere_full_jet)
+from lieforge.catalog import make_group, parse_group_name
 from lieforge.charts import EULER_FACTOR_ORDER, EULER_POLE_MARGIN, SafeDomain, euler_chart_batch
 from lieforge.curvature import einstein_check, riemann_ricci, sample_safe_points
 from lieforge.errors import DomainError
 from lieforge.metric import (MetricField, _gram, contract_jet, exp_frame_jet, metric_field,
                              product_jet)
+from lieforge.scan import verdict
 from lieforge.sphere import sphere_metric_field, sphere_frame_jet
 
 # every catalog group up to su8: up to dimension 24 at all six jet points,
@@ -137,15 +138,8 @@ TS_FACTORS = [6, 1, 6, 3, 6, 1, 6, 7]
 
 
 def ts_chart(pts):
-    """U and dU (m, 8, 3, 3) of the Tilma-Sudarshan chart: scipy's expm of
-    each factor, and the product rule."""
-    y = parse_group_name("su3").generators[TS_FACTORS]
-    e = scipy.linalg.expm(np.atleast_2d(pts)[..., None, None] * y)  # [m, j]
-    left, right = [np.eye(3)], [np.eye(3)]
-    for j in range(8):
-        left.append(left[-1] @ e[:, j])
-        right.insert(0, e[:, 7 - j] @ right[0])
-    return left[-1], np.stack([left[j] @ e[:, j] @ y[j] @ right[j + 1] for j in range(8)], 1)
+    """U and dU (m, 8, 3, 3) of the Tilma-Sudarshan chart."""
+    return product_chart(parse_group_name("su3").generators[TS_FACTORS], pts)
 
 
 def ts_jet(pts, k=2.0):
@@ -181,6 +175,15 @@ def test_product_chart_verdict_is_the_killing_lambda_on_su3():
     v = einstein_check(field, sample_safe_points(field, 20, np.random.default_rng(0)), 1e-8)
     assert v.passed and v.residual <= 1e-10
     assert abs(v.lambda_hat - killing_lambda(parse_group_name("su3").structure)) <= 1e-10
+
+
+@pytest.mark.parametrize("family, n", [("su", 2), ("su", 3), ("su", 4), ("so", 3), ("so", 4),
+                                       ("so", 5), ("so", 6), ("sp", 1), ("sp", 2), ("sp", 3)])
+def test_second_kind_verdict_is_the_killing_lambda(family, n):
+    # Killing Lambda of the k = 2 metric: n / 8 on su(n), (n - 2) / 16 on so(n), (n + 1) / 8 on sp(n)
+    want = {"su": n / 8, "so": (n - 2) / 16, "sp": (n + 1) / 8}[family]
+    v = verdict(second_kind_field(make_group(family, n)), 20, 1e-6, 0)
+    assert v.passed and abs(v.lambda_hat - want) <= 1e-12
 
 
 def test_euler_curvature_up_to_the_poles():

@@ -11,7 +11,7 @@ from oracles import (FrameEvaluation, chart_view, closed_form_metric_su2_exp,
                      closed_form_su2_exp_metric_derivative, exp_chart, exp_full_jet, expm,
                      isometry_residual, maurer_cartan, metric_jet, with_stencil)
 from lie_fields import left_invariant_field
-from lieforge.catalog import GRAM_CONSTANT, make_group, parse_group_name
+from lieforge.catalog import GRAM_CONSTANT, GroupSpec, make_group, parse_group_name
 from lieforge.charts import (EULER_FACTOR_ORDER, ChartPoint, euler_chart_batch, exp_chart_batch,
                             safe_domain)
 from lieforge.curvature import riemann_ricci
@@ -113,6 +113,12 @@ class TestPipelineMetric:
         so3 = make_group("so", 3)
         with pytest.raises(InvalidInputError):
             metric(MetricConfig(group=so3), ChartPoint("exp", [0.1, 0.2, 0.3], su2))
+        # a second spec also named su2, with another basis: the point must be of cfg.group itself
+        other = GroupSpec("SU", 2, su2.generators[::-1])
+        with pytest.raises(InvalidInputError, match="another spec"):
+            metric(MetricConfig(su2), ChartPoint("exp", [0.1, 0.2, 0.3], other))
+        with pytest.raises(InvalidInputError):  # a plain tuple is not a checked point
+            metric(MetricConfig(su2), ("exp", np.zeros(3), su2))
 
     def test_degenerate_exp_point_raises(self, su2):
         with pytest.raises(SingularityError):

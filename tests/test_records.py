@@ -17,7 +17,7 @@ import lieforge
 from lieforge import catalog
 from lieforge.catalog import GroupSpec, make_group, parse_group_name, structure_constants
 from lieforge.charts import ChartPoint, safe_domain
-from lieforge.curvature import einstein_check, riemann_ricci, sample_safe_points
+from lieforge.curvature import EinsteinVerdict, einstein_check, riemann_ricci, sample_safe_points
 from lieforge.errors import InvalidInputError
 from lieforge.metric import MetricConfig, metric, metric_field
 from lieforge.scan import ScanConfig, run_scan
@@ -45,7 +45,7 @@ def records():
         "CurvatureBundle": (riemann_ricci(field, pts), ["ricci", "scalar"]),
         "EinsteinVerdict": (einstein_check(field, pts, 1e-6),
                             ["lambda_hat", "lambda_spread", "residual", "field_residual",
-                             "passed", "failure"]),
+                             "failure"]),
         "ScanConfig": (report.config, ["groups", "samples", "tolerance", "seed", "k"]),
         "GroupResult": (report.rows[0], ["name", "dim", "verdict", "wall_time_ms"]),
         "ScanReport": (report, ["config", "rows"]),
@@ -139,20 +139,33 @@ def test_structure_is_built_lazily_once(monkeypatch):
     lambda su2: ChartPoint("exp", 0.5, su2),
     lambda su2: ChartPoint("exp", np.zeros((3, 1)), su2),
     lambda su2: ChartPoint("euler", np.zeros((3, 1)), su2),
+    lambda su2: ChartPoint("exp", [0.1, 0.2, 0.3], su2)._replace(coords=np.zeros(5)),
+    lambda su2: ChartPoint("exp", [0.1, 0.2, 0.3], su2)._replace(chart="euler",
+                                                                  group=make_group("su", 3)),
     lambda su2: ScanConfig(groups=("su2",), samples=0),
     lambda su2: ScanConfig(groups=("su2",), tolerance=0.0),
     lambda su2: ScanConfig(groups=("su2",), seed=-1),
     lambda su2: ScanConfig(groups=("su2",), k="two"),
 ], ids=["exp-count", "euler-group", "chart", "exp-scalar", "exp-column", "euler-column",
-        "samples", "tolerance", "seed", "k"])
+        "replace-count", "replace-group", "samples", "tolerance", "seed", "k"])
 def test_construction_checks_its_arguments(su2, build):
     with pytest.raises(InvalidInputError):
         build(su2)
 
 
+def test_verdict_passes_exactly_when_it_has_no_failure():
+    v = EinsteinVerdict.failed("no sample")
+    assert not v.passed and v._replace(failure=None).passed
+    assert not EinsteinVerdict(0.25, 0.0, 0.0, 0.0, failure="residual").passed
+    with pytest.raises(TypeError):
+        EinsteinVerdict(0.25, 0.0, 0.0, 0.0, passed=True)
+
+
 def test_chart_point_coerces_its_coordinates(su2):
     point = ChartPoint("exp", [1, 2, 3], su2)
     assert point.coords.dtype == float and np.array_equal(point.coords, [1.0, 2.0, 3.0])
+    moved = point._replace(coords=[3, 2, 1])
+    assert type(moved) is ChartPoint and moved.coords.dtype == float and moved.group is su2
 
 
 def test_import_does_not_load_dataclasses():

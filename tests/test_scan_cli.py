@@ -42,8 +42,9 @@ class TestRunScan:
         assert row.lambda_hat == pytest.approx(0.25, abs=1e-6)
 
     def test_unknown_group_fails_before_compute(self):
-        with pytest.raises(InvalidInputError):
-            run_scan(ScanConfig(groups=("su2", "e8"), samples=5))
+        for bad in ("e8", 3):  # an unknown name, and one that is not a string
+            with pytest.raises(InvalidInputError):
+                run_scan(ScanConfig(groups=("su2", bad), samples=5))
 
     def test_deterministic(self):
         cfg = ScanConfig(groups=("su2", "so3"), samples=3, seed=7)
