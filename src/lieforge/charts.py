@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .catalog import GroupSpec
-from .errors import InvalidInputError, check_width
+from .errors import InvalidInputError, as_points
 from .kernel import expm_dual
 
 EXP_NORM_MAX = 2.0 * np.pi - 1e-2
@@ -61,8 +61,8 @@ class ChartPoint(_ChartFields):
     __slots__ = ()
 
     def __new__(cls, chart, coords, group):
-        coords, width = np.asarray(coords, dtype=float), len(safe_domain(group, chart).lo)
-        check_width(coords.shape, width, group.name, chart, one=True)
+        width = len(safe_domain(group, chart).lo)
+        coords = as_points(coords, width, group.name, chart, one=True)
         return super().__new__(cls, chart, coords, group)
 
     @classmethod
@@ -71,10 +71,9 @@ class ChartPoint(_ChartFields):
 
 
 def exp_chart_batch(spec: GroupSpec, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U = exp(sum_a theta^a X_a) and dU_a for a batch of points (m, dim)."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    check_width(thetas.shape, spec.dim, spec.name, "exp")
-    m = thetas.shape[0]
+    """U = exp(sum_a theta^a X_a) and dU_a at points (..., dim), flattened to m."""
+    thetas = as_points(thetas, spec.dim, spec.name, "exp")
+    m = len(thetas)
     n = spec.matrix_size
     stack = np.empty((m, spec.dim + 1, n, n), dtype=complex)
     stack[:, 0] = np.einsum("ma,aij->mij", thetas, spec.generators)
@@ -84,15 +83,14 @@ def exp_chart_batch(spec: GroupSpec, thetas: np.ndarray) -> tuple[np.ndarray, np
 
 
 def euler_chart_batch(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SU(2) z-x-z chart U = U_z(phi) U_x(theta) U_z(psi) and its partials for a
-    batch of (theta, phi, psi) rows, U_z(a) = exp(i a sigma_3 / 2) and
-    U_x(t) = exp(i t sigma_1 / 2).  With (c, s) = (cos, sin)(theta / 2) and the
+    """SU(2) z-x-z chart U = U_z(phi) U_x(theta) U_z(psi) and its partials at
+    points (theta, phi, psi) (..., 3), flattened, U_z(a) = exp(i a sigma_3 / 2)
+    and U_x(t) = exp(i t sigma_1 / 2).  With (c, s) = (cos, sin)(theta / 2) and the
     phases p, q = e^{i (phi +- psi) / 2}, U = [[p c, i q s], [i q* s, p* c]], so
     every entry of U, d_theta U, d_phi U = (i/2) sigma_3 U and d_psi U =
     U (i/2) sigma_3 is a phase times a constant combination of (c, s), the real
     view of e^{i theta / 2}: one complex exponential and one matmul."""
-    angles = np.asarray(angles)
-    angles = angles.reshape(1, -1) if angles.ndim < 2 else angles
+    angles = as_points(angles, 3, "su2", "euler")
     m = len(angles)
     z = np.exp(1j * (angles @ _EULER_PHASE))
     out = z[:, None, 1:] * (z[:, :1].view(float) @ _EULER_TRIG).reshape(m, 4, 4)

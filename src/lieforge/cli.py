@@ -198,6 +198,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_sphere(args) -> int:
+    if args.einstein and args.point is not None:
+        raise InvalidInputError("sphere takes --point or --einstein, not both")
     if args.einstein:
         return _write_verdict({"sphere": f"S{args.dim - 1}"}, args,
                               sphere_einstein_check(args.dim, args.samples, args.tol, args.seed))

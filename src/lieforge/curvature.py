@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, SingularityError,
-                     check_alloc, check_width)
+                     as_points, check_alloc)
 from .metric import FrameJet, MetricField, condition_number
 
 # riemann_ricci rejects a jet whose lam has max lam / min lam above this, or
@@ -38,18 +38,16 @@ class CurvatureBundle(NamedTuple):  # at points (..., d); every field keeps thos
 
 def _frame_ricci(field: MetricField,
                  points: np.ndarray) -> tuple[FrameJet, np.ndarray, np.ndarray]:
-    """The jet at points (..., d), flattened, and Ricci and R in its frame, where
-    g^-1 = diag(w), w = 1 / lam.  With A_y = g^-1 d_y g, Ricci is
+    """The jet at points (m, d), trusted as ``as_points`` gives them, and Ricci
+    and R in its frame, where g^-1 = diag(w), w = 1 / lam.  With A_y = g^-1 d_y g, Ricci is
     d_c Gamma^c_xy - d_y Gamma^c_xc + Gamma^c_cq Gamma^q_xy - Gamma^c_yq Gamma^q_cx,
     d_c Gamma^c_xy = g^cd (d_c Gamma_dxy - d_c g_dq Gamma^q_xy),
     d_y Gamma^c_xc = (g^cd d_x d_y g_cd - tr(A_y A_x)) / 2, Gamma^c_cq = tr(A_q) / 2:
     the second derivatives enter as jet.hess / 2.
-    Raises InvalidInputError for points whose width is not ``field.dim``, checked
-    before the domain, and SingularityError, naming the first point, where
-    ``condition_number(lam)`` exceeds CURVATURE_CONDITION_LIMIT."""
+    Raises DomainError, naming the first point outside the domain, then
+    SingularityError, naming the first point where ``condition_number(lam)``
+    exceeds CURVATURE_CONDITION_LIMIT."""
     d = field.dim
-    check_width(points.shape, d, field.name)
-    points = points.reshape(-1, d)
     _require_inside(field, points, "{0} is outside the safe domain of {1}")
     jet = field.jet(points)
     condition = condition_number(jet.lam)
@@ -76,12 +74,11 @@ def _frame_ricci(field: MetricField,
 
 def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
     """Ricci, turned back into chart coordinates as Q Ric' Q^T, and R at points
-    (..., d) from one call of the field's jet; a scalar is one point of one
-    coordinate.  Raises as ``_frame_ricci`` does: InvalidInputError for points
-    of the wrong width, checked before the domain, then DomainError and SingularityError."""
+    (..., d) from one call of the field's jet; a scalar is one coordinate.  Raises
+    InvalidInputError for points that ``as_points`` rejects, checked before the
+    domain, then as ``_frame_ricci`` does: DomainError and SingularityError."""
     points = np.asarray(points, dtype=float)
-    points = points if points.ndim else points.reshape(1)
-    jet, ric, scalar = _frame_ricci(field, points)
+    jet, ric, scalar = _frame_ricci(field, as_points(points, field.dim, field.name))
     lead, d, q = points.shape[:-1], field.dim, jet.q
     return CurvatureBundle(ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
                            scalar=scalar.reshape(lead) if lead else float(scalar[0]))
@@ -138,14 +135,11 @@ def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> Einste
     checked with Lambda_field = Lambda (d - 2), which is degenerate
     (identically zero) for d = 2 and is then reported but excluded from
     pass/fail.  Raises InvalidInputError for a tolerance that is not positive
-    and finite, or no points.
+    and finite, or points (..., d) that ``as_points`` rejects.
     """
     check_tol(tol)
-    points = np.asarray(points, dtype=float)
-    points = points.reshape(1, -1) if points.ndim < 2 else points
-    if len(points) < 1:
-        raise InvalidInputError("einstein check needs at least one sample point")
     d, parts = field.dim, []
+    points = as_points(points, d, field.name)
     step = max(1, CHUNK_BYTES // (8 * d ** 3))
     for chunk in (points[i:i + step] for i in range(0, len(points), step)):
         try:

@@ -1,4 +1,7 @@
-"""Exception hierarchy and the allocation budget shared across the package."""
+"""Exception hierarchy, the allocation budget and the one rule for coordinate
+arguments, shared across the package."""
+
+import numpy as np
 
 # the largest array one input may ask for; sizes past it are input errors
 ALLOC_BUDGET_BYTES = 1 << 30
@@ -41,9 +44,16 @@ def check_alloc(nbytes: int, what: str) -> None:
             f"{what} would need more than the {ALLOC_BUDGET_BYTES >> 30} GiB allocation budget")
 
 
-def check_width(shape: tuple, width: int, *name: str, one: bool = False) -> None:
-    """Reject points not of shape (..., width), or with ``one`` (width,), as an input
-    error naming the chart or field as its field does: ``name``'s parts joined by '-'."""
-    if (shape if one else shape[-1:]) != (width,):
-        raise InvalidInputError(
-            f"{'-'.join(name)} takes points of {width} coordinates, got shape {shape}")
+def as_points(points, width: int, *name: str, one: bool = False) -> np.ndarray:
+    """Coordinates as floats: with ``one`` a single point (width,), else a batch
+    (m, width) flattened from (..., width); a scalar is one coordinate.  A wrong
+    width or an empty batch is an input error naming the chart or field as its
+    field does, ``name``'s parts joined by '-', and the shape the caller passed."""
+    pts = np.asarray(points, dtype=float)
+    shape = pts.shape
+    if (shape[-1:] or (1,)) == (width,) and not (one and shape[:-1]):
+        pts = pts.reshape(width) if one else pts.reshape(-1, width)
+        if len(pts):
+            return pts
+    raise InvalidInputError(
+        f"{'-'.join(name)} takes points of {width} coordinates, got shape {shape}")

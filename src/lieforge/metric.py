@@ -23,11 +23,10 @@ carries the closed-form SU(2) Euler-chart metric, an oracle for both.
 Every path a verdict or point query takes, in this module and those it calls,
 calls numpy's C entry points (``np.add.reduce``, ``a.swapaxes``, an ``ndim``
 test), not the Python wrappers that forward to them (``ndarray.sum``,
-``np.all``, ``np.cumprod``, ``np.atleast_2d``); ``einsum``, ``eigh`` and the
+``np.all``, ``np.cumprod``, ``np.shape``); ``einsum``, ``eigh`` and the
 oracles are the exceptions, and ``.sum`` stays on bool or int input.
 """
 
-import math
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -40,7 +39,7 @@ from .catalog import GRAM_CONSTANT, GroupSpec
 from .charts import (EULER_FACTOR_ORDER, ChartPoint, SafeDomain, chart_cache,
                      euler_chart_batch, exp_chart_batch, safe_domain)
 from .errors import (InvalidInputError, LieForgeError, NumericRangeError, SingularityError,
-                     check_alloc, check_width)
+                     as_points, check_alloc)
 from .kernel import mat_inverse, psi, psi_divided_differences
 
 METRIC_CONDITION_LIMIT = 1e10
@@ -95,7 +94,7 @@ class FrameJet(NamedTuple):
 
 
 class MetricField(NamedTuple):
-    """Batch-evaluable metric over one chart: points (d,) or (m, d) -> metrics (m, d, d).
+    """Batch-evaluable metric over one chart: points (..., d) -> metrics (m, d, d), one per point.
 
     ``domain`` is where the field may be evaluated and sampled: its box is the
     sampling box, its width the coordinate count ``dim``, and its ``contains``
@@ -108,9 +107,8 @@ class MetricField(NamedTuple):
     name: str = "field"
     dim = property(lambda self: len(self.domain.lo))
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:  # a scalar is one coordinate
-        pts = np.asarray(pts, dtype=float)
-        return self.func(pts if pts.ndim else pts.reshape(1))
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self.func(as_points(pts, self.dim, self.name))
 
 
 def _real(raw: np.ndarray) -> np.ndarray:
@@ -198,10 +196,8 @@ def exp_frame_jet(spec: GroupSpec, theta: np.ndarray, k: float) -> FrameJet:
     for H_s,ky = sum_c w_c U_s,c,ck K_s,cky.  Arrays are d^3 per point.
     Raises NumericRangeError where mu leaves [PSI_SERIES_MIN, 0].
     """
-    theta, d = np.asarray(theta, dtype=float), spec.dim
-    check_width(theta.shape, d, spec.name, "exp")
-    check_alloc(8 * JET_PEAK_D3_ARRAYS * math.prod(theta.shape[:-1]) * d ** 3,
-                f"the {spec.name} curvature jet")
+    theta, d = as_points(theta, spec.dim, spec.name, "exp"), spec.dim
+    check_alloc(8 * JET_PEAK_D3_ARRAYS * len(theta) * d ** 3, f"the {spec.name} curvature jet")
     ad, mu, q, p = _exp_spectrum(spec, theta)
     d1, d2 = psi_divided_differences(mu)
     m, c2, qt = len(q), 2.0 * k * GRAM_CONSTANT, q.swapaxes(1, 2)
@@ -278,14 +274,13 @@ def product_jet(spec: GroupSpec, u: np.ndarray, du: np.ndarray, order: Sequence[
 
 def metric_batch(spec: GroupSpec, chart: str, pts: np.ndarray,
                  k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Metric of ``spec`` on ``chart`` at a batch of points (m, d) -> g (m, d, d),
+    """Metric of ``spec`` on ``chart`` at points (..., d), flattened to m -> g (m, d, d),
     with its eigenframe g = Q diag(lam) Q^T, lam (m, d) and Q (m, d, d): on
     the exp chart lam = 2 kappa psi(mu), kappa = k GRAM_CONSTANT, in the
     frame Q of ad^2, the same (lam, Q) as ``exp_frame_jet``'s; on the Euler
     chart one eigh of g.  It keeps no chart list: the table ``safe_domain``
     rejects a chart the group does not have, and its box's width is the points'."""
-    pts = np.asarray(pts, dtype=float)
-    check_width(pts.shape, len(safe_domain(spec, chart).lo), spec.name, chart)
+    pts = as_points(pts, len(safe_domain(spec, chart).lo), spec.name, chart)
     return _metric_frames(spec, chart, pts, k)
 
 

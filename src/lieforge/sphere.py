@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .charts import off_pole, polar_domain
-from .errors import InvalidInputError, SingularityError, check_alloc, check_width
+from .errors import InvalidInputError, SingularityError, as_points, check_alloc
 from .metric import JET_PEAK_D3_ARRAYS, FrameJet, MetricField, MetricTensor, _finish
 from .scan import verdict
 
@@ -22,12 +22,9 @@ POLE_MARGIN = 1e-6
 
 def _angles(n_ambient: int, thetas: np.ndarray) -> np.ndarray:
     """Points (..., N - 1) of S^{N-1} as a batch (m, N - 1), or InvalidInputError."""
-    thetas = np.asarray(thetas, dtype=float)
-    thetas = thetas if thetas.ndim else thetas.reshape(1)
     if n_ambient < 2:
         raise InvalidInputError("sphere embedding needs ambient dimension >= 2")
-    check_width(thetas.shape, n_ambient - 1, f"s{n_ambient - 1}-pullback")
-    return thetas.reshape(-1, n_ambient - 1)
+    return as_points(thetas, n_ambient - 1, f"s{n_ambient - 1}-pullback")
 
 
 def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,10 +60,9 @@ def _check_polar(n_ambient: int, theta: np.ndarray):
 def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     """Induced metric g = diag(lam) at one point (N - 1,), with its own frame
     (lam, I): the condition is max lam / min lam, with no eigh."""
-    theta, field = np.asarray(theta, dtype=float), sphere_metric_field(n_ambient)
-    theta = theta if theta.ndim else theta.reshape(1)
-    g = field.func(theta)[0]
-    check_width(theta.shape, field.dim, field.name, one=True)
+    field = sphere_metric_field(n_ambient)
+    g = field.func(theta)[0]  # _angles checks N before the width
+    theta = as_points(theta, field.dim, field.name, one=True)
     _check_polar(n_ambient, theta)
     return _finish(g, g.diagonal(), np.eye(len(g)), None)
 

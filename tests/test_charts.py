@@ -9,12 +9,13 @@ from test_g2 import g2_spec
 from oracles import chart_transition_check, euler_chart, exp_chart, su2_log, symplectic_form
 from lieforge.catalog import make_group, parse_group_name
 from lieforge.charts import (EULER_POLE_MARGIN, EXP_NORM_MAX, ChartPoint, euler_chart_batch,
-                             safe_domain)
+                             exp_chart_batch, safe_domain)
 from lieforge.curvature import einstein_check, riemann_ricci
 from lieforge.errors import DomainError, InvalidInputError
 from lieforge.kernel import PSI_SERIES_MIN
-from lieforge.metric import closed_form_metric_su2_euler, metric_batch, metric_field, resolve_k
-from lieforge.sphere import pullback_metric, sphere_metric_field
+from lieforge.metric import (closed_form_metric_su2_euler, exp_frame_jet, metric_batch,
+                             metric_field, resolve_k)
+from lieforge.sphere import hyperspherical_batch, pullback_metric, sphere_metric_field
 
 
 def test_exp_chart_origin(su2):
@@ -266,8 +267,7 @@ def width_error(name: str, width: int, shape: tuple) -> str:
 def test_one_chart_table(group, chart, coords, accepted):
     """safe_domain decides: it rejects the chart, or its box's width fixes the
     coordinates, and every consumer of a chart point agrees with it.  A wrong
-    width reads the same from each, with the shape that consumer holds: a
-    scalar is one coordinate to the curvature and one point to the verdict."""
+    width reads the same from each, with the shape its caller passed."""
     spec = parse_group_name(group)
     try:
         width = len(safe_domain(spec, chart).lo)
@@ -276,9 +276,8 @@ def test_one_chart_table(group, chart, coords, accepted):
     assert accepted == (np.shape(coords) == (width,))
     calls = ((lambda: ChartPoint(chart, coords, spec), np.shape(coords)),
              (lambda: metric_batch(spec, chart, coords, 2.0), np.shape(coords)),
-             (lambda: metric_field(spec, chart, 2.0)(coords), np.shape(np.atleast_1d(coords))),
-             (lambda: riemann_ricci(metric_field(spec, chart, 2.0), coords),
-              np.shape(np.atleast_1d(coords))),
+             (lambda: metric_field(spec, chart, 2.0)(coords), np.shape(coords)),
+             (lambda: riemann_ricci(metric_field(spec, chart, 2.0), coords), np.shape(coords)),
              (lambda: einstein_check(metric_field(spec, chart, 2.0), np.atleast_2d(coords), 1e-6),
               np.shape(np.atleast_2d(coords))))
     for call, shape in calls:
@@ -294,15 +293,15 @@ def test_one_chart_table(group, chart, coords, accepted):
                          ids=["two", "five", "scalar"])
 def test_curvature_rejects_a_point_of_the_wrong_width(points):
     """S^3's curvature, value and point query read one wrong-width wording,
-    with the caller's shape: a scalar is one coordinate."""
+    with the caller's shape."""
     s3 = sphere_metric_field(4)
     assert riemann_ricci(s3, [1.0, 0.5, 0.1]).scalar == pytest.approx(6.0)
-    one = np.shape(np.atleast_1d(points))
-    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, one)):
+    shape = np.shape(points)
+    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, shape)):
         riemann_ricci(s3, points)
-    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, one)):
+    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, shape)):
         s3(points)
-    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, one)):
+    with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, shape)):
         pullback_metric(4, points)
 
 
@@ -310,6 +309,62 @@ def test_curvature_rejects_a_point_of_the_wrong_width(points):
 def test_einstein_check_rejects_points_of_the_wrong_width(width):
     with pytest.raises(InvalidInputError, match=width_error("s3-pullback", 3, (2, width))):
         einstein_check(sphere_metric_field(4), np.full((2, width), 1.0), 1e-6)
+
+
+_SU2, _S3 = parse_group_name("su2"), sphere_metric_field(4)
+_EXP_FIELD, _EULER_FIELD = metric_field(_SU2, "exp", 2.0), metric_field(_SU2, "euler", 2.0)
+# four points in the su2 exp ball, off the Euler chart's and S^3's poles
+_BATCH = np.array([[1.0, 0.5, 0.3], [0.8, 1.4, 0.5], [1.3, 0.6, -0.2], [2.0, 1.1, 0.7]])
+_SHAPES = {"scalar": _BATCH[0, 0], "point": _BATCH[0], "batch": _BATCH[:2],
+           "nested": _BATCH.reshape(2, 2, 3), "empty": _BATCH[:0],
+           "wide": np.append(_BATCH[0], 0.4)}
+# entry: (the name its wording gives, what it returns at points (m, 3), or for an
+# entry of one point (3,) what its one point gives from the batch of it)
+_ENTRIES = {
+    "ChartPoint-exp": ("su2-exp", lambda x: ChartPoint("exp", x, _SU2).coords, lambda b: b[0]),
+    "ChartPoint-euler": ("su2-euler", lambda x: ChartPoint("euler", x, _SU2).coords,
+                         lambda b: b[0]),
+    "pullback_metric": ("s3-pullback", lambda x: pullback_metric(4, x).g, lambda b: _S3(b)[0]),
+    "exp_chart_batch": ("su2-exp", lambda x: exp_chart_batch(_SU2, x), None),
+    "euler_chart_batch": ("su2-euler", euler_chart_batch, None),
+    "metric_batch-exp": ("su2-exp", lambda x: metric_batch(_SU2, "exp", x, 2.0), None),
+    "metric_batch-euler": ("su2-euler", lambda x: metric_batch(_SU2, "euler", x, 2.0), None),
+    "field-exp": ("su2-exp", _EXP_FIELD, None),
+    "field-euler": ("su2-euler", _EULER_FIELD, None),
+    "field-s3": ("s3-pullback", _S3, None),
+    "hyperspherical_batch": ("s3-pullback", lambda x: hyperspherical_batch(4, x), None),
+    "exp_frame_jet": ("su2-exp", lambda x: exp_frame_jet(_SU2, x, 2.0), None),
+    "riemann_ricci-exp": ("su2-exp", lambda x: riemann_ricci(_EXP_FIELD, x), None),
+    "riemann_ricci-euler": ("su2-euler", lambda x: riemann_ricci(_EULER_FIELD, x), None),
+    "riemann_ricci-s3": ("s3-pullback", lambda x: riemann_ricci(_S3, x), None),
+    "einstein_check-exp": ("su2-exp", lambda x: einstein_check(_EXP_FIELD, x, 1e-6), None),
+    "einstein_check-euler": ("su2-euler", lambda x: einstein_check(_EULER_FIELD, x, 1e-6), None),
+    "einstein_check-s3": ("s3-pullback", lambda x: einstein_check(_S3, x, 1e-6), None),
+}
+
+
+def _raveled(result) -> list:
+    """A result's arrays and numbers, each raveled; a passed verdict's failure is None."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return [np.ravel(p) for p in parts if p is not None]
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_every_entry_reads_coordinates_by_one_rule(entry, shape):
+    """A batch (..., 3) is flattened, so (2, 2, 3) answers as (4, 3) does, and a
+    point (3,) as the batch of it; an entry of one point takes only (3,).  A
+    scalar is one coordinate, so it, an empty batch, a fourth coordinate and a
+    batch given for one point read the one wording, with the caller's shape."""
+    name, call, one_point = _ENTRIES[entry]
+    x = _SHAPES[shape]
+    if shape == "point" or (one_point is None and shape in ("batch", "nested")):
+        got, expected = call(x), (one_point or call)(x.reshape(-1, 3))
+        assert len(_raveled(got)) == len(_raveled(expected))
+        assert all(map(np.array_equal, _raveled(got), _raveled(expected)))
+    else:
+        with pytest.raises(InvalidInputError, match=width_error(name, 3, np.shape(x)) + "$"):
+            call(x)
 
 
 _PI = 3.141592653589793

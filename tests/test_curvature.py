@@ -402,6 +402,15 @@ class TestBatchedVerdict:
         assert v.passed and sum(sizes) == 20
         assert max(sizes) == 1 or max(sizes) * 8 * spec.dim ** 3 <= CHUNK_BYTES
 
+    def test_a_nested_batch_is_chunked_as_its_points(self):
+        # (2, 20, 10) so5 points are 40 points, sent in chunks of 16 at d = 10, not as one of 40
+        field = exp_metric_field(parse_group_name("so5"))
+        sizes = []
+        recording = field._replace(jet=lambda p: sizes.append(len(p)) or field.jet(p))
+        pts = sample_safe_points(field, 40, np.random.default_rng(56)).reshape(2, 20, 10)
+        assert einstein_check(recording, pts, 1e-6).passed
+        assert sizes == [16, 16, 8]
+
     def test_chunked_verdict_matches_one_call(self, monkeypatch):
         field = exp_metric_field(parse_group_name("su2"))
         pts = sample_safe_points(field, 20, np.random.default_rng(55))

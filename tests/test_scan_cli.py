@@ -304,6 +304,13 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "lieforge: sphere needs --point unless --einstein is given\n"
 
+    def test_sphere_takes_point_or_einstein_not_both(self, capsys):
+        # a verdict must not silently drop the point it was given
+        assert cli.main(["sphere", "--dim", "3", "--point=1.0,2.0", "--einstein"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lieforge: sphere takes --point or --einstein, not both\n"
+
     def test_failed_sphere_verdict_writes_null_floats(self, capsys):
         # S^17 fails on the curvature guard: no Lambda, infinite residuals, all null
         assert cli.main(["sphere", "--dim", "18", "--einstein", "--samples", "20"]) == 1
