@@ -40,7 +40,9 @@ _EULER_TRIG = 0.5 * np.array([[2, 0, 0, 2, 0, 1j, 1j, 0, 1j, 0, 0, -1j, 1j, 0, 0
 class SafeDomain(NamedTuple):
     """Sampling box plus the membership predicate for one chart.  The box
     lies inside the region that ``contains`` accepts, so every uniform draw
-    from it is a valid sample.  Fields are cached and shared, so every
+    from it is a valid sample: verdicts run no domain test on their own
+    draws and rely on ``test_every_box_lies_inside_its_domain``, which pins
+    this for every production chart.  Fields are cached and shared, so every
     producer makes the box read-only."""
 
     lo: np.ndarray

@@ -4,8 +4,12 @@ Every field carries an exact jet (exponential chart, Euler chart, sphere
 pullback): dg and the one term of 2 Ric that holds second derivatives, in
 an orthonormal frame where g = diag(lam); the condition guard reads only lam.
 Ricci and R follow from traces in that frame, with no Riemann tensor and
-the sign fixed so the unit 2-sphere has Ric = +g.  ``einstein_check`` reads
-only frame-invariant norms and sends its samples in budget-sized chunks.
+the sign fixed so the unit 2-sphere has Ric = +g.  ``riemann_ricci`` and
+``einstein_check`` check the points a caller gives them, domain included;
+``einstein_core``, which ``einstein_check`` and ``scan.verdict`` share, trusts
+its points and tests no domain, as a verdict's draws come from a box that lies
+inside it.  A verdict reads only frame-invariant norms and sends its samples
+in budget-sized chunks.
 """
 
 from typing import NamedTuple
@@ -19,9 +23,10 @@ from .metric import FrameJet, MetricField, condition_number
 # riemann_ricci rejects a jet whose lam has max lam / min lam above this, or
 # min lam <= 0: S^7's sampling box reaches 2.3e6 at its corners, S^16 passes
 CURVATURE_CONDITION_LIMIT = 1e8
-# samples per curvature call in einstein_check: as many d^3 floats (one per
+# samples per curvature call in einstein_core: as many d^3 floats (one per
 # sample) as fit, at least one; larger chunks ran slower from d = 28 up
 CHUNK_BYTES = ALLOC_BUDGET_BYTES >> 13
+_OUTSIDE = "{0} is outside the safe domain of {1}"
 
 
 def _require_inside(field: MetricField, pts: np.ndarray, message: str) -> None:
@@ -38,17 +43,16 @@ class CurvatureBundle(NamedTuple):  # at points (..., d); every field keeps thos
 
 def _frame_ricci(field: MetricField,
                  points: np.ndarray) -> tuple[FrameJet, np.ndarray, np.ndarray]:
-    """The jet at points (m, d), trusted as ``as_points`` gives them, and Ricci
-    and R in its frame, where g^-1 = diag(w), w = 1 / lam.  With A_y = g^-1 d_y g, Ricci is
+    """The jet at points (m, d), trusted as ``as_points`` gives them and inside the
+    domain, and Ricci and R in its frame, where g^-1 = diag(w), w = 1 / lam.
+    With A_y = g^-1 d_y g, Ricci is
     d_c Gamma^c_xy - d_y Gamma^c_xc + Gamma^c_cq Gamma^q_xy - Gamma^c_yq Gamma^q_cx,
     d_c Gamma^c_xy = g^cd (d_c Gamma_dxy - d_c g_dq Gamma^q_xy),
     d_y Gamma^c_xc = (g^cd d_x d_y g_cd - tr(A_y A_x)) / 2, Gamma^c_cq = tr(A_q) / 2:
     the second derivatives enter as jet.hess / 2.
-    Raises DomainError, naming the first point outside the domain, then
-    SingularityError, naming the first point where ``condition_number(lam)``
+    Raises SingularityError, naming the first point where ``condition_number(lam)``
     exceeds CURVATURE_CONDITION_LIMIT."""
     d = field.dim
-    _require_inside(field, points, "{0} is outside the safe domain of {1}")
     jet = field.jet(points)
     condition = condition_number(jet.lam)
     ok = condition <= CURVATURE_CONDITION_LIMIT  # nan fails too
@@ -75,10 +79,12 @@ def _frame_ricci(field: MetricField,
 def riemann_ricci(field: MetricField, points: np.ndarray) -> CurvatureBundle:
     """Ricci, turned back into chart coordinates as Q Ric' Q^T, and R at points
     (..., d) from one call of the field's jet; a scalar is one coordinate.  Raises
-    InvalidInputError for points that ``as_points`` rejects, checked before the
-    domain, then as ``_frame_ricci`` does: DomainError and SingularityError."""
+    InvalidInputError for points that ``as_points`` rejects, then DomainError
+    naming the first point outside the domain, then as ``_frame_ricci`` does."""
     points = np.asarray(points, dtype=float)
-    jet, ric, scalar = _frame_ricci(field, as_points(points, field.dim, field.name))
+    batch = as_points(points, field.dim, field.name)
+    _require_inside(field, batch, _OUTSIDE)
+    jet, ric, scalar = _frame_ricci(field, batch)
     lead, d, q = points.shape[:-1], field.dim, jet.q
     return CurvatureBundle(ricci=(q @ ric @ q.swapaxes(1, 2)).reshape(lead + (d, d)),
                            scalar=scalar.reshape(lead) if lead else float(scalar[0]))
@@ -117,8 +123,8 @@ def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
     lo + (hi - lo) * rng.random((count, d)), bitwise ``rng.uniform(lo, hi, ...)``.
 
     Every chart's box lies inside the region its ``contains`` accepts, so no
-    draw is refused; a point outside it would still fail the jet's domain
-    guard.  The field itself is never evaluated.
+    draw is refused and ``scan.verdict`` hands the draws to ``einstein_core``
+    with no domain test.  The field itself is never evaluated.
     """
     check_samples(count)
     dom, d = field.domain, len(field.domain.lo)
@@ -127,30 +133,53 @@ def sample_safe_points(field: MetricField, count: int, rng) -> np.ndarray:
 
 
 def einstein_check(field: MetricField, points: np.ndarray, tol: float) -> EinsteinVerdict:
-    """Test R_ab = 2 Lambda g_ab over a sample of points, in the frames of their
-    jets, in chunks of CHUNK_BYTES; a failing chunk is rerun point by point to
-    name its first failing sample.  Lambda is estimated per sample as
-    R / (2 d) and averaged; the residual is the worst relative Frobenius
-    deviation of Ric from 2 Lambda g.  The Lambda-term field equation is
-    checked with Lambda_field = Lambda (d - 2), which is degenerate
-    (identically zero) for d = 2 and is then reported but excluded from
-    pass/fail.  Raises InvalidInputError for a tolerance that is not positive
-    and finite, or points (..., d) that ``as_points`` rejects.
+    """``einstein_core`` on caller points (..., d), checked first: InvalidInputError
+    for a tolerance that is not positive and finite, or points that ``as_points``
+    rejects.  If the domain does not contain every point, the verdict fails on
+    the first sample, in sample order, that leaves the domain or fails the
+    jet or its condition guard.
     """
     check_tol(tol)
+    points = as_points(points, field.dim, field.name)
+    if not np.logical_and.reduce(np.asarray(field.domain.contains(points), bool), None):
+        return _first_failure(field, points)
+    return einstein_core(field, points, tol)
+
+
+def _first_failure(field: MetricField, points: np.ndarray) -> EinsteinVerdict | None:
+    """The failed verdict of the first of points (m, d) that leaves the domain or
+    fails the jet or its condition guard, one point at a time; None if none does."""
+    for p in points:
+        try:
+            _require_inside(field, p[None], _OUTSIDE)
+            _frame_ricci(field, p[None])
+        except (SingularityError, DomainError) as exc:
+            return EinsteinVerdict.failed(f"sample {p} failed: {exc}")
+    return None
+
+
+def einstein_core(field: MetricField, points: np.ndarray, tol: float) -> EinsteinVerdict:
+    """Test R_ab = 2 Lambda g_ab at points (m, d), trusted: floats of the field's
+    width inside its domain, as ``as_points`` and ``sample_safe_points`` give
+    them, with tol positive and finite.  Samples go to the jets in chunks of
+    CHUNK_BYTES; a failing chunk is rerun point by point to name its first
+    failing sample.  Lambda is estimated per sample as R / (2 d) and
+    averaged; the residual is the worst relative Frobenius deviation of Ric
+    from 2 Lambda g, in the frames of the jets.  The Lambda-term field
+    equation is checked with Lambda_field = Lambda (d - 2), which is
+    degenerate (identically zero) for d = 2 and is then reported but
+    excluded from pass/fail.
+    """
     d, parts = field.dim, []
-    points = as_points(points, d, field.name)
     step = max(1, CHUNK_BYTES // (8 * d ** 3))
     for chunk in (points[i:i + step] for i in range(0, len(points), step)):
         try:
             jet, ric, scalar = _frame_ricci(field, chunk)
         except (SingularityError, DomainError):
-            for p in chunk:
-                try:
-                    _frame_ricci(field, p[None])
-                except (SingularityError, DomainError) as exc:
-                    return EinsteinVerdict.failed(f"sample {p} failed: {exc}")
-            raise
+            failed = _first_failure(field, chunk)
+            if failed is None:
+                raise
+            return failed
         parts.append((ric, jet.lam, scalar))
     ric, g_eig, scalar = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     lambdas = scalar / (2.0 * d)

@@ -1,7 +1,8 @@
 """Maurer-Cartan frames and the group metric g_ab = k Tr(w_a^dag w_b).
 
 ``metric_batch`` is the one place a chart is chosen and a chart g formed;
-``metric`` enters it past its width check, as a ``ChartPoint`` has made that.
+``metric`` and a field's value enter it past its width check, as a
+``ChartPoint`` or ``MetricField.__call__`` has made that.
 On the exponential chart the frames have the closed form w_a = phi(ad_A) X_a
 with A = theta^c X_c and phi(z) = (1 - e^{-z}) / z.  ad_A is skew in the
 orthonormal catalog basis, so phi(ad_A)^T phi(ad_A) = 2 psi(ad_A^2) with
@@ -96,9 +97,11 @@ class FrameJet(NamedTuple):
 class MetricField(NamedTuple):
     """Batch-evaluable metric over one chart: points (..., d) -> metrics (m, d, d), one per point.
 
-    ``domain`` is where the field may be evaluated and sampled: its box is the
-    sampling box, its width the coordinate count ``dim``, and its ``contains``
-    guards every jet.  ``jet`` gives the exact ``FrameJet`` at points (m, d).
+    ``func`` takes the float batch (m, d) that ``__call__`` has made with
+    ``as_points``.  ``domain`` is where the field may be evaluated and sampled:
+    its box is the sampling box, its width the coordinate count ``dim``, and
+    its ``contains`` guards every jet on caller points.  ``jet`` gives the
+    exact ``FrameJet`` at points (m, d).
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -306,11 +309,11 @@ def _metric_frames(spec: GroupSpec, chart: str, pts: np.ndarray,
 def metric_field(spec: GroupSpec, chart: str, k: float) -> MetricField:
     """``metric_batch`` on ``chart``, carrying the chart's safe domain and its
     exact jet: ``exp_frame_jet``, or ``product_jet`` contracted.  Built
-    once per (spec, chart, k) and shared; its functions look ``metric_batch``
+    once per (spec, chart, k) and shared; its functions look ``_metric_frames``
     and the jets up in this module when called."""
     jet = (lambda p: exp_frame_jet(spec, p, k)) if chart == "exp" else (
         lambda p: contract_jet(*product_jet(spec, *euler_chart_batch(p), EULER_FACTOR_ORDER, k)))
-    return MetricField(func=lambda pts: metric_batch(spec, chart, pts, k)[0],
+    return MetricField(func=lambda pts: _metric_frames(spec, chart, pts, k)[0],
                        domain=safe_domain(spec, chart), name=f"{spec.name}-{chart}", jet=jet)
 
 

@@ -1,7 +1,7 @@
 """The one verdict path, the conjecture scan and report serialization.
 
 ``verdict`` draws sample points uniformly in a field's safe box (deterministic
-from the seed) and runs the Einstein check for ``einstein``, ``sphere
+from the seed) and runs the trusted Einstein core for ``einstein``, ``sphere
 --einstein`` and each scan group; ``verdict_dict`` gives every report its keys.
 JSON is the canonical lossless report form; floats are written with 17
 significant digits so reports round-trip byte-identically.
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import GroupSpec, parse_group_name
-from .curvature import EinsteinVerdict, check_samples, check_tol, einstein_check, sample_safe_points
+from .curvature import EinsteinVerdict, check_samples, check_tol, einstein_core, sample_safe_points
 from .errors import InvalidInputError, LieForgeError
 from .metric import MetricField, metric_field, resolve_k
 
@@ -34,11 +34,13 @@ def check_verdict_args(samples: int, tol: float, seed: int) -> None:
 def verdict(field: MetricField, samples: int, tol: float, seed: int,
             *stream: int) -> EinsteinVerdict:
     """Einstein verdict on ``samples`` points drawn from ``default_rng([seed, *stream])``,
-    bitwise ``default_rng(seed)`` with no stream."""
+    bitwise ``default_rng(seed)`` with no stream.  The request is checked once,
+    here; the draws go to ``einstein_core`` unchecked, as every box lies inside
+    its domain."""
     check_verdict_args(samples, tol, seed)
     # called through this module's name: perfbench/trace.py wraps scan.sample_safe_points
     pts = sample_safe_points(field, samples, np.random.default_rng([seed, *stream]))
-    return einstein_check(field, pts, tol)
+    return einstein_core(field, pts, tol)
 
 
 def verdict_dict(v: EinsteinVerdict) -> dict:

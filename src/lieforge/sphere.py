@@ -20,19 +20,13 @@ from .scan import verdict
 POLE_MARGIN = 1e-6
 
 
-def _angles(n_ambient: int, thetas: np.ndarray) -> np.ndarray:
-    """Points (..., N - 1) of S^{N-1} as a batch (m, N - 1), or InvalidInputError."""
-    if n_ambient < 2:
-        raise InvalidInputError("sphere embedding needs ambient dimension >= 2")
-    return as_points(thetas, n_ambient - 1, f"s{n_ambient - 1}-pullback")
-
-
 def hyperspherical_batch(n_ambient: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Embedding points (m, N) and Jacobians (m, N, N-1) for a batch: x_i is
     a product of one factor per angle, sin t_a before the angle whose cosine
     it takes (x_1 takes none), that cosine, then 1, and d_a x_i swaps factor
     a for its derivative between the exclusive prefix and suffix products."""
-    t = _angles(n_ambient, thetas)
+    field = sphere_metric_field(n_ambient)  # checks N before the width
+    t = as_points(thetas, field.dim, field.name)
     cos_at = n_ambient - 1 - np.arange(n_ambient)  # [i] = the angle whose cosine x_i takes
     if n_ambient > 2:
         cos_at[:2] = cos_at[1::-1]
@@ -60,9 +54,9 @@ def _check_polar(n_ambient: int, theta: np.ndarray):
 def pullback_metric(n_ambient: int, theta: np.ndarray) -> MetricTensor:
     """Induced metric g = diag(lam) at one point (N - 1,), with its own frame
     (lam, I): the condition is max lam / min lam, with no eigh."""
-    field = sphere_metric_field(n_ambient)
-    g = field.func(theta)[0]  # _angles checks N before the width
+    field = sphere_metric_field(n_ambient)  # checks N before the width
     theta = as_points(theta, field.dim, field.name, one=True)
+    g = field.func(theta[None])[0]
     _check_polar(n_ambient, theta)
     return _finish(g, g.diagonal(), np.eye(len(g)), None)
 
@@ -120,15 +114,17 @@ def sphere_frame_jet(theta: np.ndarray) -> FrameJet:
 def sphere_metric_field(n_ambient: int) -> MetricField:
     """Pullback field g = diag(lam) on S^{N-1} over the ``polar_domain`` of N - 2
     polar angles, sampled in [0.3, pi - 0.3], and one azimuth; built once per N
-    and shared.  At finite points its value is diag of its jet's lam, bit for bit."""
-    def func(pts):
-        lam = _diagonal(_angles(n_ambient, pts))[2]
-        return lam[:, :, None] * np.eye(n_ambient - 1)
+    and shared.  At finite points its value is diag of its jet's lam, bit for bit.
+    InvalidInputError for N < 2, before any field is built."""
+    if n_ambient < 2:
+        raise InvalidInputError("sphere embedding needs ambient dimension >= 2")
 
-    npolar = max(n_ambient - 2, 0)
-    check_alloc(16 * (npolar + 1), f"the S^{n_ambient - 1} sampling box")
-    return MetricField(func=func, name=f"s{n_ambient - 1}-pullback",
-                       domain=polar_domain(npolar, 1, 0.3, POLE_MARGIN), jet=sphere_frame_jet)
+    def func(pts):
+        return _diagonal(pts)[2][:, :, None] * np.eye(n_ambient - 1)
+
+    check_alloc(16 * (n_ambient - 1), f"the S^{n_ambient - 1} sampling box")
+    return MetricField(func=func, domain=polar_domain(n_ambient - 2, 1, 0.3, POLE_MARGIN),
+                       jet=sphere_frame_jet, name=f"s{n_ambient - 1}-pullback")
 
 
 def sphere_einstein_check(n_ambient: int, samples: int, tol: float, seed: int = 0):

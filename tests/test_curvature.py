@@ -11,7 +11,7 @@ from oracles import (BASE_STEP, christoffel, closed_form_su2_euler_full_jet,
                      with_stencil)
 from lieforge.catalog import make_group, parse_group_name
 from lieforge.charts import EXP_NORM_MAX, safe_domain
-from lieforge import curvature
+from lieforge import curvature, scan
 from lieforge.curvature import CHUNK_BYTES, einstein_check, riemann_ricci, sample_safe_points
 from lieforge.errors import ALLOC_BUDGET_BYTES, DomainError, InvalidInputError, SingularityError
 from lieforge.sphere import sphere_frame_jet, sphere_metric_field
@@ -423,9 +423,10 @@ class TestBatchedVerdict:
         assert split.lambda_hat == pytest.approx(whole.lambda_hat, abs=1e-13)
         assert split.residual <= 1e-12 and split.passed
 
-    @pytest.mark.parametrize("case", ["jet-domain", "stencil-domain", "singular"])
+    @pytest.mark.parametrize("case", ["jet-domain", "stencil-domain", "singular",
+                                      "singular-before-outside"])
     def test_failure_names_the_second_sample(self, su2_field, case):
-        if case == "singular":
+        if case.startswith("singular"):
             field, bad = stiff_where(0.25, 1e-9), np.array([0.5, 0.0])
             good, message = np.zeros(2), "failed: metric condition 1.000e+09 exceeds 1e+08"
         else:
@@ -434,10 +435,40 @@ class TestBatchedVerdict:
             bad = np.array([2 * np.pi - (0.0099 if case == "jet-domain" else 0.0101), 0.0, 0.0])
             message = ("is outside the safe domain" if case == "jet-domain"
                        else "stencil leaves the safe domain")
-        v = einstein_check(field, np.array([good, bad, good]), 1e-6)
+        pts = [good, bad, good]
+        if case == "singular-before-outside":
+            # a third sample leaves the domain: the samples are still named in order
+            field = field._replace(domain=everywhere(2)._replace(
+                contains=lambda x: np.atleast_2d(x)[:, 0] < 1.0))
+            pts = [good, bad, np.array([2.0, 0.0]), good]
+        v = einstein_check(field, np.array(pts), 1e-6)
         assert not v.passed
         assert v.failure.startswith(f"sample {bad} failed: ")
         assert message in v.failure
+
+
+def counting_contains(field):
+    """``field`` with a domain whose ``contains`` records each call's row count."""
+    calls, dom = [], field.domain
+    return field._replace(domain=dom._replace(
+        contains=lambda pts: calls.append(len(pts)) or dom.contains(pts))), calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: metric_field(parse_group_name("so5"), "exp", 2.0),
+    lambda: metric_field(parse_group_name("su2"), "euler", 2.0),
+    lambda: sphere_metric_field(6),
+], ids=["so5-exp", "su2-euler", "S5"])
+def test_the_domain_is_tested_once_on_caller_points_only(make):
+    # a verdict's draws come from a box inside the domain, so the verdict tests
+    # none of them; einstein_check and riemann_ricci test their points once
+    field, calls = counting_contains(make())
+    v = scan.verdict(field, 3, 1e-6, 7)
+    assert v.passed and calls == []
+    pts = sample_safe_points(field, 3, np.random.default_rng(7))
+    assert einstein_check(field, pts, 1e-6) == v and calls == [3]
+    riemann_ricci(field, pts)
+    assert calls == [3, 3]
 
 
 class TestNonEinsteinControl:

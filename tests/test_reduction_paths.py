@@ -16,10 +16,10 @@ import pytest
 import lieforge
 from lieforge.catalog import make_group
 from lieforge.charts import ChartPoint, safe_domain
-from lieforge.curvature import riemann_ricci
+from lieforge.curvature import einstein_check, riemann_ricci
 from lieforge.metric import MetricConfig, metric, metric_field
 from lieforge.scan import verdict
-from lieforge.sphere import pullback_metric, sphere_einstein_check
+from lieforge.sphere import pullback_metric, sphere_einstein_check, sphere_metric_field
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(lieforge.__file__)) + os.sep
 WRAPPER_FILES = {
@@ -66,6 +66,16 @@ def _sphere_verdict():
     return sphere_einstein_check(6, 2, 1e-6, 5)
 
 
+def _exp_check():
+    # einstein_check on caller points: the domain test, then the verdict core
+    field = metric_field(make_group("so", 5), "exp", 1.0)
+    return einstein_check(field, np.full((2, 10), 0.1), 1e-6)
+
+
+def _sphere_check():
+    return einstein_check(sphere_metric_field(6), np.full((2, 5), 1.2), 1e-6)
+
+
 def _exp_metric():
     spec = make_group("so", 5)
     return metric(MetricConfig(spec), ChartPoint("exp", np.linspace(0.1, 1.0, 10), spec))
@@ -90,8 +100,9 @@ def _contains_one_point():
             for g, chart, d in ((("su", 3), "exp", 8), (("su", 2), "euler", 3))]
 
 
-@pytest.mark.parametrize("call", [_exp_verdict, _euler_verdict, _sphere_verdict, _exp_metric,
-                                  _euler_metric, _pullback, _ricci, _contains_one_point])
+@pytest.mark.parametrize("call", [_exp_verdict, _euler_verdict, _sphere_verdict, _exp_check,
+                                  _sphere_check, _exp_metric, _euler_metric, _pullback, _ricci,
+                                  _contains_one_point])
 def test_no_numpy_python_wrapper_on_per_call_paths(call):
     assert wrapper_entries(call) == []
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from lieforge import scan
+from lieforge import scan, sphere
 from oracles import (hyperspherical_embedding, indexed_sphere_frame_jet, metric_jet,
                      sphere_full_jet, with_stencil)
 from lieforge.curvature import einstein_check, sample_safe_points
 from lieforge.errors import InvalidInputError, SingularityError
 from lieforge.metric import closed_form_metric_su2_euler
 from lieforge.sphere import (
+    hyperspherical_batch,
     pullback_metric,
     sphere_einstein_check,
     sphere_metric_field,
@@ -75,6 +76,28 @@ def test_point_query_takes_one_point(theta):
     with pytest.raises(InvalidInputError) as exc:
         pullback_metric(4, theta)
     assert str(exc.value) == f"s3-pullback takes points of 3 coordinates, got shape {shape}"
+
+
+def test_point_query_checks_its_point_before_the_value(monkeypatch):
+    # a batch of 1000 rows is refused before the field forms a single metric
+    field, calls = sphere_metric_field(4), []
+    counting = field._replace(func=lambda pts: calls.append(len(pts)) or field.func(pts))
+    monkeypatch.setattr(sphere, "sphere_metric_field", lambda n: counting)
+    with pytest.raises(InvalidInputError, match=r"got shape \(1000, 3\)"):
+        pullback_metric(4, np.ones((1000, 3)))
+    assert calls == []
+    pullback_metric(4, [1.0, 1.0, 1.0])
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_ambient_dimension_is_checked_before_any_field(n):
+    # the field is never built, so no entry can read a width off it first
+    for call in (lambda: sphere_metric_field(n), lambda: pullback_metric(n, [1.0, 2.0]),
+                 lambda: hyperspherical_batch(n, [1.0])):
+        with pytest.raises(InvalidInputError) as exc:
+            call()
+        assert str(exc.value) == "sphere embedding needs ambient dimension >= 2"
 
 
 def test_circle_is_arc_length():
